@@ -10,7 +10,8 @@ Submodules:
     cli            configuration-driven command line front end.
 """
 
-from . import cli, hom_reference, jsa, photon_stats, twin_hom, units
+# cli is not imported here: `python -m pdckit.cli` must load it only once.
+from . import hom_reference, jsa, photon_stats, twin_hom, units
 from .errors import ConfigError, NumericalError
 
 __all__ = [

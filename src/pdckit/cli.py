@@ -3,8 +3,8 @@
 Each subcommand reads a flat scenario file, dispatches to the model
 modules and emits a CSV table (to --out or stdout).  Identical
 configuration yields byte-identical output; diagnostics go to stderr.
-Exit codes: 0 success, 1 usage or configuration error, 2 numerical
-failure.
+Exit codes: 0 success, 1 usage, configuration or invalid-input error
+(one `error:` line), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -72,9 +72,12 @@ def _read_csv_columns(path: Path, names: tuple[str, ...]) -> list[tuple]:
 
 
 def _center_wavelength(sc: Scenario) -> float:
-    return sc.quantity(
+    wavelength = sc.quantity(
         "center_wavelength", "length", default=DEFAULT_CENTER_WAVELENGTH
     )
+    if not wavelength > 0:
+        raise ConfigError("key 'center_wavelength': must be positive")
+    return wavelength
 
 
 def _width_from_fwhm(sc: Scenario, key: str, wavelength: float, **kw):
@@ -149,10 +152,7 @@ def _signal_state(sc: Scenario) -> hom.SignalState:
     p0 = sc.number("p0", required=True)
     p1 = sc.number("p1", required=True)
     p2 = sc.number("p2", required=True)
-    try:
-        return hom.SignalState(p0=p0, p1=p1, p2=p2)
-    except ValueError as exc:
-        raise ConfigError(f"keys 'p0'/'p1'/'p2': {exc}")
+    return hom.SignalState(p0=p0, p1=p1, p2=p2)
 
 
 def _ellipse_row(label: str, e: jsa.CorrelationEllipse, wavelength: float):
@@ -274,38 +274,23 @@ def _cmd_herald_stats(sc: Scenario) -> tuple[list, list, list]:
     nmax = sc.integer("nmax", default=16)
     gains = _sweep(sc, "gain_sq")
     rows = []
-    unfiltered_series = []
-    filtered_series = []
     for gain in gains:
-        mean_u = photon_stats.heralded_dist(
-            photon_stats.multimode_dist(
-                photon_stats.MultimodeSource(
-                    n_modes=modes_unfiltered,
-                    gain_sq=gain,
-                    trigger_efficiency=eta_t,
+        means = [
+            photon_stats.heralded_dist(
+                photon_stats.multimode_dist(
+                    photon_stats.MultimodeSource(n_modes=modes, gain_sq=gain),
+                    nmax=nmax,
                 ),
-                nmax=nmax,
-            ),
-            eta_t,
-        ).mean()
-        mean_f = photon_stats.heralded_dist(
-            photon_stats.multimode_dist(
-                photon_stats.MultimodeSource(
-                    n_modes=modes_filtered,
-                    gain_sq=gain,
-                    trigger_efficiency=eta_t,
-                ),
-                nmax=nmax,
-            ),
-            eta_t,
-        ).mean()
-        rows.append([gain, mean_u, mean_f])
-        unfiltered_series.append((gain, mean_u))
-        filtered_series.append((gain, mean_f))
+                eta_t,
+            ).mean()
+            for modes in (modes_unfiltered, modes_filtered)
+        ]
+        rows.append([gain, *means])
     summary = []
     if len(gains) >= 2:
         fit = photon_stats.estimate_mode_reduction(
-            unfiltered_series, filtered_series
+            [(gain, mean_u) for gain, mean_u, _ in rows],
+            [(gain, mean_f) for gain, _, mean_f in rows],
         )
         implied = photon_stats.implied_mode_count(
             fit.slope_ratio, modes_filtered
@@ -349,12 +334,18 @@ def _reference(sc: Scenario, wavelength: float, beta_sq: float):
     return hom.ReferenceField(mean_photons=beta_sq, amplitude_width=width)
 
 
-def _spectral_dip(sc: Scenario, state, beta_sq: float):
+def _filtered_source(sc: Scenario, beta_sq: float, trigger_required: bool):
+    """Reference, signal and trigger filters, and the sampled source.
+
+    An absent trigger_filter_fwhm, where allowed, leaves the idler open.
+    """
     wavelength = _center_wavelength(sc)
     params = _source_params(sc)
     reference = _reference(sc, wavelength, beta_sq)
     ws = _width_from_fwhm(sc, "signal_filter_fwhm", wavelength, required=True)
-    wt = _width_from_fwhm(sc, "trigger_filter_fwhm", wavelength)
+    wt = _width_from_fwhm(
+        sc, "trigger_filter_fwhm", wavelength, required=trigger_required
+    )
     signal_filter = jsa.SpectralFilter(amplitude_width=ws)
     trigger_filter = (
         jsa.SpectralFilter(amplitude_width=wt)
@@ -363,6 +354,13 @@ def _spectral_dip(sc: Scenario, state, beta_sq: float):
     )
     axis = jsa.default_axes(params, samples_per_width=sc.grid_points)
     grid = jsa.evaluate_jsa(params, axis, axis)
+    return reference, signal_filter, trigger_filter, grid
+
+
+def _spectral_dip(sc: Scenario, state, beta_sq: float):
+    reference, signal_filter, trigger_filter, grid = _filtered_source(
+        sc, beta_sq, trigger_required=False
+    )
     g = jsa.reduced_density(grid, fs=signal_filter, fi=trigger_filter)
     return hom.hom_scan(
         state,
@@ -427,23 +425,16 @@ def _cmd_dip_width(sc: Scenario) -> tuple[list, list, list]:
 
 
 def _cmd_tmax(sc: Scenario) -> tuple[list, list, list]:
-    wavelength = _center_wavelength(sc)
-    params = _source_params(sc)
-    reference = _reference(sc, wavelength, sc.number("beta_sq", default=0.01))
-    ws = _width_from_fwhm(sc, "signal_filter_fwhm", wavelength, required=True)
-    wt = _width_from_fwhm(sc, "trigger_filter_fwhm", wavelength, required=True)
-    signal_filter = jsa.SpectralFilter(amplitude_width=ws)
-    trigger_filter = jsa.SpectralFilter(amplitude_width=wt)
-    axis = jsa.default_axes(params, samples_per_width=sc.grid_points)
-    grid = jsa.evaluate_jsa(params, axis, axis)
+    reference, signal_filter, trigger_filter, grid = _filtered_source(
+        sc, sc.number("beta_sq", default=0.01), trigger_required=True
+    )
     rows = []
-    for label, heralded in (("two-fold", False), ("three-fold", True)):
-        fi = trigger_filter if heralded else jsa.SpectralFilter.open_filter()
+    for label, fi in (
+        ("two-fold", jsa.SpectralFilter.open_filter()),
+        ("three-fold", trigger_filter),
+    ):
         g = jsa.reduced_density(grid, fs=signal_filter, fi=fi)
-        overlap_max = hom.tmax_prediction(
-            grid, signal_filter, trigger_filter, reference, heralded=heralded
-        )
-        rows.append([label, overlap_max, jsa.purity(g)])
+        rows.append([label, hom.tmax_prediction(reference, g), jsa.purity(g)])
     return ["case", "tmax", "purity"], rows, []
 
 
@@ -466,25 +457,22 @@ def _cmd_invert(sc: Scenario) -> tuple[list, list, list]:
     detector = photon_stats.DetectorModel(
         efficiency=efficiency, nmax=nmax if nmax is not None else 10
     )
-    try:
-        if observable == "clicks":
-            result = photon_stats.ml_invert(
-                photon_stats.ClickDist(np.asarray(observed)),
-                detector,
-                max_iter=max_iter,
-                tol=tol,
-                nmax=nmax,
-            )
-        else:
-            result = photon_stats.invert_loss_only(
-                np.asarray(observed),
-                detector,
-                max_iter=max_iter,
-                tol=tol,
-                nmax=nmax,
-            )
-    except ValueError as exc:
-        raise ConfigError(f"key 'observed': {exc}")
+    if observable == "clicks":
+        result = photon_stats.ml_invert(
+            photon_stats.ClickDist(np.asarray(observed)),
+            detector,
+            max_iter=max_iter,
+            tol=tol,
+            nmax=nmax,
+        )
+    else:
+        result = photon_stats.invert_loss_only(
+            np.asarray(observed),
+            detector,
+            max_iter=max_iter,
+            tol=tol,
+            nmax=nmax,
+        )
     if not result.converged:
         raise NumericalError(
             f"inversion did not converge within {max_iter} iterations"
@@ -549,8 +537,10 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    command = "pdckit"
     try:
         args = _build_parser().parse_args(argv)
+        command = args.command
         scenario = Scenario.from_file(
             args.command,
             Path(args.config),
@@ -573,6 +563,9 @@ def main(argv=None) -> int:
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:  # invalid input rejected by the library
+        print(f"error: {command}: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

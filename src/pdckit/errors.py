@@ -7,3 +7,9 @@ class ConfigError(ValueError):
 
 class NumericalError(RuntimeError):
     """A computation failed numerically (vanishing norm, non-convergence)."""
+
+
+def require(condition: bool, message: str) -> None:
+    """Raise ValueError(message) unless condition holds."""
+    if not condition:
+        raise ValueError(message)

@@ -17,13 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsa import (
-    ReducedDensity,
-    SpectralFilter,
-    SpectralGrid,
-    reduced_density,
-    trapezoid_weights,
-)
+from .errors import require
+from .jsa import ReducedDensity, trapezoid_weights
 
 __all__ = [
     "SignalState",
@@ -50,11 +45,6 @@ __all__ = [
 ]
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
-
-
 @dataclass(frozen=True)
 class SignalState:
     """Signal photon statistics truncated at the two-photon component."""
@@ -65,8 +55,8 @@ class SignalState:
 
     def __post_init__(self) -> None:
         for p in (self.p0, self.p1, self.p2):
-            _require(p >= 0.0, "probabilities must be nonnegative")
-        _require(
+            require(p >= 0.0, "probabilities must be nonnegative")
+        require(
             abs(self.p0 + self.p1 + self.p2 - 1.0) <= 1e-9,
             "p0 + p1 + p2 must equal one within 1e-9",
         )
@@ -81,8 +71,8 @@ class ReferenceField:
     center_detuning: float = 0.0
 
     def __post_init__(self) -> None:
-        _require(self.mean_photons >= 0.0, "mean_photons must be nonnegative")
-        _require(self.amplitude_width > 0.0, "amplitude_width must be positive")
+        require(self.mean_photons >= 0.0, "mean_photons must be nonnegative")
+        require(self.amplitude_width > 0.0, "amplitude_width must be positive")
 
     def amplitude_samples(self, nu_axis: np.ndarray) -> np.ndarray:
         """Spectral amplitude normalized to unit quadrature norm."""
@@ -92,7 +82,7 @@ class ReferenceField:
         )
         weights = trapezoid_weights(nu_axis)
         norm = math.sqrt(float(profile**2 @ weights))
-        _require(norm > 0.0, "reference support does not meet the grid")
+        require(norm > 0.0, "reference support does not meet the grid")
         return profile / norm
 
 
@@ -167,10 +157,10 @@ def overlap_T_pure(
     nu_axis = np.asarray(nu_axis, dtype=float)
     u = _reference_samples(reference, nu_axis)
     f_samples = np.asarray(f_samples, dtype=complex)
-    _require(f_samples.shape == nu_axis.shape, "f samples must match the axis")
+    require(f_samples.shape == nu_axis.shape, "f samples must match the axis")
     weights = trapezoid_weights(nu_axis)
     f_norm = float(np.real(np.conj(f_samples) * f_samples) @ weights)
-    _require(abs(f_norm - 1.0) <= 1e-6, "f must be normalized on the grid")
+    require(abs(f_norm - 1.0) <= 1e-6, "f must be normalized on the grid")
     inner = complex(
         np.sum(np.conj(u) * f_samples * np.exp(1j * tau * nu_axis) * weights)
     )
@@ -238,13 +228,14 @@ def visibility_vs_beta(
     """Dip visibility at a given reference mean photon number.
 
     p1 T / (p0 beta^2/2 + p1 + p2/beta^2); the beta_sq -> 0 limit is 0
-    when a two-photon background exists and T otherwise.
+    when a two-photon background exists and T otherwise.  Without a
+    one-photon component there is no dip.
     """
-    _require(beta_sq >= 0.0, "beta_sq must be nonnegative")
+    require(beta_sq >= 0.0, "beta_sq must be nonnegative")
+    if state.p1 == 0.0:
+        return 0.0
     if beta_sq == 0.0:
-        if state.p2 > 0.0:
-            return 0.0
-        return overlap_t0 if state.p1 > 0.0 else 0.0
+        return 0.0 if state.p2 > 0.0 else overlap_t0
     denominator = (
         state.p0 * beta_sq / 2.0 + state.p1 + state.p2 / beta_sq
     )
@@ -259,7 +250,10 @@ def beta_opt(state: SignalState) -> float:
 
 
 def max_visibility(state: SignalState, overlap_t0: float = 1.0) -> float:
-    """Visibility at the optimal reference power."""
+    """Visibility at the optimal reference power; 0 without a one-photon
+    component."""
+    if state.p1 == 0.0:
+        return 0.0
     return state.p1 * overlap_t0 / (
         state.p1 + math.sqrt(2.0 * state.p0 * state.p2)
     )
@@ -277,13 +271,13 @@ def fit_overlap(measurements, state: SignalState) -> OverlapFit:
             a single distinct reference power.
     """
     data = np.asarray(measurements, dtype=float)
-    _require(
+    require(
         data.ndim == 2 and data.shape[1] == 2 and data.shape[0] >= 3,
         "need at least three (beta_sq, visibility) points",
     )
     beta_sq, visibility = data[:, 0], data[:, 1]
-    _require(np.all(beta_sq > 0), "beta_sq values must be positive")
-    _require(
+    require(np.all(beta_sq > 0), "beta_sq values must be positive")
+    require(
         np.unique(beta_sq).size >= 2,
         "degenerate design: need at least two distinct beta_sq values",
     )
@@ -291,7 +285,7 @@ def fit_overlap(measurements, state: SignalState) -> OverlapFit:
         [visibility_vs_beta(state, 1.0, b) for b in beta_sq]
     )
     gram = float(predictor @ predictor)
-    _require(gram > 0.0, "predictor vanishes for this state")
+    require(gram > 0.0, "predictor vanishes for this state")
     estimate = float(predictor @ visibility) / gram
     residual = visibility - estimate * predictor
     dof = data.shape[0] - 1
@@ -314,7 +308,7 @@ def dip_width(
     Infinite widths drop out of the sum.
     """
     for width in (sigma_pump, sigma_ref, sigma_signal_filter, sigma_pm):
-        _require(width > 0.0, "all widths must be positive")
+        require(width > 0.0, "all widths must be positive")
     sin_tilt = math.sin(math.radians(tilt_deg))
     total = 0.0
     for width in (sigma_pump, sigma_ref, sigma_signal_filter):
@@ -327,8 +321,8 @@ def dip_width(
 
 def fidelity(spectral_overlap: float, one_photon: float) -> FidelityResult:
     """Preparation fidelity sqrt(T * rho1) against the one-photon target."""
-    _require(0.0 <= spectral_overlap <= 1.0, "overlap must lie in [0, 1]")
-    _require(0.0 <= one_photon <= 1.0, "one_photon must lie in [0, 1]")
+    require(0.0 <= spectral_overlap <= 1.0, "overlap must lie in [0, 1]")
+    require(0.0 <= one_photon <= 1.0, "one_photon must lie in [0, 1]")
     return FidelityResult(
         spectral_overlap=spectral_overlap,
         one_photon=one_photon,
@@ -368,23 +362,50 @@ def _dip_peak(
     return tau, overlap_T(reference, g, tau), sigma
 
 
-def tmax_prediction(
-    grid: SpectralGrid,
-    signal_filter: SpectralFilter,
-    trigger_filter: SpectralFilter,
-    reference: ReferenceField,
-    heralded: bool = True,
-) -> float:
+def tmax_prediction(reference: ReferenceField, g: ReducedDensity) -> float:
     """Maximal spectral overlap of the prepared state with the reference.
 
-    Builds the filtered one-photon density, with the trigger filter
-    applied when heralding and an open idler channel otherwise, and
-    returns the overlap at the dip center, where a delay stage would
-    operate.
+    g is the filtered one-photon density: with the trigger filter on the
+    idler when heralding, with an open idler channel otherwise.  Returns
+    the overlap at the dip center, where a delay stage would operate.
     """
-    fi = trigger_filter if heralded else SpectralFilter.open_filter()
-    g = reduced_density(grid, fs=signal_filter, fi=fi)
     return _dip_peak(reference, g)[1]
+
+
+def _delay_axis(
+    tau_axis, sigma: float, n_points: int, span_sigmas: float
+) -> np.ndarray:
+    if tau_axis is None:
+        return np.linspace(-span_sigmas * sigma, span_sigmas * sigma, n_points)
+    return np.array(tau_axis, dtype=float)
+
+
+def _scan(
+    state: SignalState,
+    ref: ReferenceField,
+    tau_axis: np.ndarray,
+    overlap: np.ndarray,
+    peak: float,
+    sigma: float,
+    center: float,
+) -> HomScan:
+    """HomScan for an overlap profile on tau_axis with maximum peak."""
+    coincidence = np.array(
+        [coincidence_simplified(state, ref, t) for t in overlap]
+    )
+    baseline = coincidence_simplified(state, ref, 0.0)
+    dip = coincidence_simplified(state, ref, peak)
+    visibility = (baseline - dip) / baseline if baseline > 0 else 0.0
+    for array in (tau_axis, overlap, coincidence):
+        array.setflags(write=False)
+    return HomScan(
+        tau_axis=tau_axis,
+        coincidence=coincidence,
+        visibility=visibility,
+        dip_sigma_t=sigma,
+        overlap=overlap,
+        dip_center=center,
+    )
 
 
 def hom_scan(
@@ -403,32 +424,9 @@ def hom_scan(
     must be weak.
     """
     center, peak, sigma = _dip_peak(ref, g)
-    if tau_axis is None:
-        tau_axis = np.linspace(
-            -span_sigmas * sigma, span_sigmas * sigma, n_points
-        )
-    else:
-        tau_axis = np.asarray(tau_axis, dtype=float)
-    overlap = np.array(
-        [overlap_T(ref, g, t + center) for t in tau_axis]
-    )
-    coincidence = np.array(
-        [coincidence_simplified(state, ref, t) for t in overlap]
-    )
-    baseline = coincidence_simplified(state, ref, 0.0)
-    dip = coincidence_simplified(state, ref, peak)
-    visibility = (baseline - dip) / baseline if baseline > 0 else 0.0
-    tau_axis = tau_axis.copy()
-    for array in (tau_axis, overlap, coincidence):
-        array.setflags(write=False)
-    return HomScan(
-        tau_axis=tau_axis,
-        coincidence=coincidence,
-        visibility=visibility,
-        dip_sigma_t=sigma,
-        overlap=overlap,
-        dip_center=center,
-    )
+    tau_axis = _delay_axis(tau_axis, sigma, n_points, span_sigmas)
+    overlap = np.array([overlap_T(ref, g, t + center) for t in tau_axis])
+    return _scan(state, ref, tau_axis, overlap, peak, sigma, center)
 
 
 def hom_scan_analytic(
@@ -441,41 +439,20 @@ def hom_scan_analytic(
     span_sigmas: float = 4.0,
 ) -> HomScan:
     """Coincidence dip for a Gaussian overlap profile given in closed form."""
-    _require(0.0 <= overlap_max <= 1.0, "overlap_max must lie in [0, 1]")
-    _require(sigma_t > 0.0, "sigma_t must be positive")
-    if tau_axis is None:
-        tau_axis = np.linspace(
-            -span_sigmas * sigma_t, span_sigmas * sigma_t, n_points
-        )
-    else:
-        tau_axis = np.asarray(tau_axis, dtype=float)
+    require(0.0 <= overlap_max <= 1.0, "overlap_max must lie in [0, 1]")
+    require(sigma_t > 0.0, "sigma_t must be positive")
+    tau_axis = _delay_axis(tau_axis, sigma_t, n_points, span_sigmas)
     overlap = overlap_max * np.exp(-(tau_axis**2) / (2.0 * sigma_t**2))
-    coincidence = np.array(
-        [coincidence_simplified(state, ref, t) for t in overlap]
-    )
-    baseline = coincidence_simplified(state, ref, 0.0)
-    dip = coincidence_simplified(state, ref, overlap_max)
-    visibility = (baseline - dip) / baseline if baseline > 0 else 0.0
-    tau_axis = tau_axis.copy()
-    for array in (tau_axis, overlap, coincidence):
-        array.setflags(write=False)
-    return HomScan(
-        tau_axis=tau_axis,
-        coincidence=coincidence,
-        visibility=visibility,
-        dip_sigma_t=sigma_t,
-        overlap=overlap,
-        dip_center=0.0,
-    )
+    return _scan(state, ref, tau_axis, overlap, overlap_max, sigma_t, 0.0)
 
 
 def singles_probability(beta_sq: float) -> float:
     """Single-detector click probability of the halved reference."""
-    _require(beta_sq >= 0.0, "beta_sq must be nonnegative")
+    require(beta_sq >= 0.0, "beta_sq must be nonnegative")
     return 1.0 - math.exp(-0.5 * beta_sq)
 
 
 def mean_photons_from_singles(p_singles: float) -> float:
     """Invert the singles rate to the reference mean photon number."""
-    _require(0.0 <= p_singles < 1.0, "p_singles must lie in [0, 1)")
+    require(0.0 <= p_singles < 1.0, "p_singles must lie in [0, 1)")
     return -2.0 * math.log(1.0 - p_singles)

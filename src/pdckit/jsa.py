@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import units
-from .errors import NumericalError
+from .errors import NumericalError, require
 
 __all__ = [
     "PdcModelParams",
@@ -55,11 +55,6 @@ __all__ = [
 ]
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
-
-
 @dataclass(frozen=True)
 class PdcModelParams:
     """Physical description of the down-conversion source.
@@ -82,14 +77,14 @@ class PdcModelParams:
     center_wavelengths: tuple[float, float, float] = (398e-9, 796e-9, 796e-9)
 
     def __post_init__(self) -> None:
-        _require(self.sigma_pump > 0, "sigma_pump must be positive")
-        _require(self.length > 0, "length must be positive")
-        _require(0 < self.gamma <= 1, "gamma must lie in (0, 1]")
-        _require(
+        require(self.sigma_pump > 0, "sigma_pump must be positive")
+        require(self.length > 0, "length must be positive")
+        require(0 < self.gamma <= 1, "gamma must lie in (0, 1]")
+        require(
             self.kappa_s != 0 or self.kappa_i != 0,
             "kappa_s and kappa_i must not both vanish",
         )
-        _require(
+        require(
             len(self.center_wavelengths) == 3
             and all(w > 0 for w in self.center_wavelengths),
             "center_wavelengths must be three positive lengths",
@@ -141,8 +136,8 @@ class SpectralFilter:
     peak_transmission: float = 1.0
 
     def __post_init__(self) -> None:
-        _require(self.amplitude_width > 0, "filter width must be positive")
-        _require(
+        require(self.amplitude_width > 0, "filter width must be positive")
+        require(
             0.0 <= self.peak_transmission <= 1.0,
             "peak_transmission must lie in [0, 1]",
         )
@@ -174,10 +169,10 @@ def trapezoid_weights(axis: np.ndarray) -> np.ndarray:
 
 def _check_axis(axis: np.ndarray, name: str) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
-    _require(axis.ndim == 1 and axis.size >= 8, f"{name} must be a 1-d axis")
+    require(axis.ndim == 1 and axis.size >= 8, f"{name} must be a 1-d axis")
     steps = np.diff(axis)
-    _require(np.all(steps > 0), f"{name} must be strictly increasing")
-    _require(
+    require(np.all(steps > 0), f"{name} must be strictly increasing")
+    require(
         np.allclose(steps, steps[0], rtol=1e-9, atol=0.0),
         f"{name} must be uniformly spaced",
     )
@@ -204,7 +199,7 @@ class SpectralGrid:
         nu_s_axis = _check_axis(nu_s_axis, "nu_s_axis").copy()
         nu_i_axis = _check_axis(nu_i_axis, "nu_i_axis").copy()
         amplitude = np.array(amplitude, dtype=complex)
-        _require(
+        require(
             amplitude.shape == (nu_s_axis.size, nu_i_axis.size),
             "amplitude shape must match the axes",
         )
@@ -277,7 +272,7 @@ def ellipse_from_matrix(
         determinant: optional externally computed det M for forms close
             to rank one, where m11*m22 - m12^2 cancels badly.
     """
-    _require(m11 > 0 and m22 > 0, "diagonal entries must be positive")
+    require(m11 > 0 and m22 > 0, "diagonal entries must be positive")
     half_trace = 0.5 * (m11 + m22)
     discriminant = math.hypot(0.5 * (m11 - m22), m12)
     lam_max = half_trace + discriminant
@@ -285,7 +280,7 @@ def ellipse_from_matrix(
     # singular; the subtraction half_trace - discriminant does not.
     if determinant is None:
         determinant = m11 * m22 - m12 * m12
-    _require(determinant >= 0.0, "the form must be positive semi-definite")
+    require(determinant >= 0.0, "the form must be positive semi-definite")
     lam_min = determinant / lam_max
 
     minor_width = 1.0 / math.sqrt(lam_max)
@@ -352,7 +347,7 @@ def pm_width_vs_length(
     Returns:
         List of (length, fwhm_in_meters) pairs.
     """
-    _require(all(L > 0 for L in lengths), "lengths must be positive")
+    require(all(L > 0 for L in lengths), "lengths must be positive")
     out = []
     for L in lengths:
         scaled = PdcModelParams(
@@ -372,7 +367,7 @@ def pm_width_vs_length(
 
 def tilt_from_marginals(delta_omega_s: float, delta_omega_i: float) -> float:
     """Ellipse tilt in degrees from the marginal widths of signal/idler."""
-    _require(
+    require(
         delta_omega_s > 0 and delta_omega_i > 0,
         "marginal widths must be positive",
     )
@@ -381,8 +376,8 @@ def tilt_from_marginals(delta_omega_s: float, delta_omega_i: float) -> float:
 
 def major_axis_from_marginals(delta_omega_s: float, tilt_deg: float) -> float:
     """Major-axis width estimated from the signal marginal and the tilt."""
-    _require(0.0 < tilt_deg < 90.0, "tilt must lie strictly in (0, 90) deg")
-    _require(delta_omega_s > 0, "marginal width must be positive")
+    require(0.0 < tilt_deg < 90.0, "tilt must lie strictly in (0, 90) deg")
+    require(delta_omega_s > 0, "marginal width must be positive")
     return delta_omega_s / math.cos(math.radians(tilt_deg))
 
 
@@ -408,8 +403,8 @@ def params_from_pm_estimate(
         gamma: sinc adaptation factor.
         center_wavelengths: metadata passed through.
     """
-    _require(0.0 < tilt_deg < 90.0, "tilt must lie strictly in (0, 90) deg")
-    _require(pm_amplitude_width > 0, "phase-matching width must be positive")
+    require(0.0 < tilt_deg < 90.0, "tilt must lie strictly in (0, 90) deg")
+    require(pm_amplitude_width > 0, "phase-matching width must be positive")
     tilt = math.radians(tilt_deg)
     magnitude = 2.0 / (math.sqrt(gamma) * length * pm_amplitude_width)
     return PdcModelParams(
@@ -437,7 +432,6 @@ def default_axes(
         ValueError: for a rank-one correlation form, whose support is
             unbounded along the major axis.
     """
-    _require(samples_per_width >= 8, "need at least 8 samples per width")
     m11, m12, m22 = correlation_matrix(params)
     determinant = _matrix_determinant(params)
     if determinant == 0.0:
@@ -445,6 +439,18 @@ def default_axes(
             "correlation form is rank one; the amplitude has unbounded "
             "support and cannot be sampled on a finite grid"
         )
+    return _symmetric_axis(m11, m22, determinant, samples_per_width, extent_widths)
+
+
+def _symmetric_axis(
+    m11: float,
+    m22: float,
+    determinant: float,
+    samples_per_width: int,
+    extent_widths: float,
+) -> np.ndarray:
+    """default_axes for the form exp(-nu^T M nu) given by m11, m22, det M."""
+    require(samples_per_width >= 8, "need at least 8 samples per width")
     projection = math.sqrt(max(m11, m22) / determinant)
     step = 1.0 / math.sqrt(max(m11, m22)) / samples_per_width
     half = extent_widths * projection
@@ -598,7 +604,7 @@ def sh_response(
         nu_axis: optional detunings at which to sample the envelope;
             defaults to probe_center +- 4 response widths.
     """
-    _require(probe_width >= 0, "probe_width must be nonnegative")
+    require(probe_width >= 0, "probe_width must be nonnegative")
     width = math.hypot(pm_width(params), probe_width)
     if nu_axis is None:
         nu_axis = np.linspace(

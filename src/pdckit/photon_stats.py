@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require
+
 __all__ = [
     "PhotonNumberDist",
     "ClickDist",
@@ -45,11 +47,6 @@ __all__ = [
 _TAIL_LIMIT = 1e-6
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
-
-
 @dataclass(frozen=True, eq=False)
 class PhotonNumberDist:
     """Normalized photon-number probability vector with cutoff nmax."""
@@ -58,9 +55,9 @@ class PhotonNumberDist:
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=float)
-        _require(probs.ndim == 1 and probs.size >= 1, "probs must be 1-d")
-        _require(np.all(probs >= 0), "probabilities must be nonnegative")
-        _require(
+        require(probs.ndim == 1 and probs.size >= 1, "probs must be 1-d")
+        require(np.all(probs >= 0), "probabilities must be nonnegative")
+        require(
             abs(probs.sum() - 1.0) <= 1e-9,
             "probabilities must sum to one within 1e-9",
         )
@@ -87,9 +84,9 @@ class ClickDist:
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=float)
-        _require(probs.shape == (3,), "a two-bin detector has 3 outcomes")
-        _require(np.all(probs >= 0), "probabilities must be nonnegative")
-        _require(
+        require(probs.shape == (3,), "a two-bin detector has 3 outcomes")
+        require(np.all(probs >= 0), "probabilities must be nonnegative")
+        require(
             abs(probs.sum() - 1.0) <= 1e-9,
             "probabilities must sum to one within 1e-9",
         )
@@ -106,25 +103,20 @@ class DetectorModel:
     nmax: int = 10
 
     def __post_init__(self) -> None:
-        _require(0.0 <= self.efficiency <= 1.0, "efficiency must be in [0, 1]")
-        _require(self.nmax >= 2, "nmax must be at least 2")
+        require(0.0 <= self.efficiency <= 1.0, "efficiency must be in [0, 1]")
+        require(self.nmax >= 2, "nmax must be at least 2")
 
 
 @dataclass(frozen=True)
 class MultimodeSource:
-    """Uniformly occupied spectral modes with a lossy trigger."""
+    """Uniformly occupied thermal spectral modes."""
 
     n_modes: int = 1
     gain_sq: float = 0.0
-    trigger_efficiency: float = 1.0
 
     def __post_init__(self) -> None:
-        _require(self.n_modes >= 1, "n_modes must be at least 1")
-        _require(0.0 <= self.gain_sq < 1.0, "gain_sq must lie in [0, 1)")
-        _require(
-            0.0 <= self.trigger_efficiency <= 1.0,
-            "trigger_efficiency must lie in [0, 1]",
-        )
+        require(self.n_modes >= 1, "n_modes must be at least 1")
+        require(0.0 <= self.gain_sq < 1.0, "gain_sq must lie in [0, 1)")
 
 
 def _finalize(raw: np.ndarray, nmax: int, what: str) -> PhotonNumberDist:
@@ -144,8 +136,8 @@ def thermal_dist(gain_sq: float, nmax: int = 10) -> PhotonNumberDist:
     p_n is proportional to gain_sq**n; the mean is
     gain_sq / (1 - gain_sq).
     """
-    _require(0.0 <= gain_sq < 1.0, "gain_sq must lie in [0, 1)")
-    _require(nmax >= 1, "nmax must be at least 1")
+    require(0.0 <= gain_sq < 1.0, "gain_sq must lie in [0, 1)")
+    require(nmax >= 1, "nmax must be at least 1")
     raw = (1.0 - gain_sq) * gain_sq ** np.arange(nmax + 1, dtype=float)
     return _finalize(raw, nmax, "thermal distribution")
 
@@ -157,7 +149,7 @@ def multimode_dist(source: MultimodeSource, nmax: int = 10) -> PhotonNumberDist:
     so the head of the result is the true multimode distribution before
     renormalization.
     """
-    _require(nmax >= 1, "nmax must be at least 1")
+    require(nmax >= 1, "nmax must be at least 1")
     single = (1.0 - source.gain_sq) * source.gain_sq ** np.arange(
         nmax + 1, dtype=float
     )
@@ -180,7 +172,7 @@ def heralded_dist(joint: PhotonNumberDist, eta_t: float) -> PhotonNumberDist:
         ValueError: when the input carries no photons, so the click
             probability vanishes.
     """
-    _require(0.0 <= eta_t <= 1.0, "eta_t must lie in [0, 1]")
+    require(0.0 <= eta_t <= 1.0, "eta_t must lie in [0, 1]")
     n = np.arange(joint.probs.size, dtype=float)
     if eta_t == 0.0:
         weights = n
@@ -215,7 +207,7 @@ def tmd_convolution_matrix(nmax: int) -> np.ndarray:
     n photons split 50/50 produce one click unless they all bunch into
     one bin: P(1|n) = 2^(1-n) and P(2|n) = 1 - 2^(1-n) for n >= 1.
     """
-    _require(nmax >= 2, "nmax must be at least 2")
+    require(nmax >= 2, "nmax must be at least 2")
     C = np.zeros((3, nmax + 1))
     C[0, 0] = 1.0
     for n in range(1, nmax + 1):
@@ -263,24 +255,24 @@ def _em_iterate(
     size = response.shape[1]
     rho = np.full(size, 1.0 / size)
 
-    def log_likelihood(state: np.ndarray) -> float:
-        predicted = response @ state
+    def log_likelihood(predicted: np.ndarray) -> float:
         return float(
             observed[support] @ np.log(np.maximum(predicted[support], 1e-300))
         )
 
-    previous_ll = log_likelihood(rho)
+    predicted = response @ rho
+    previous_ll = log_likelihood(predicted)
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        predicted = response @ rho
         ratio = np.zeros_like(observed)
         ratio[support] = observed[support] / np.maximum(
             predicted[support], 1e-300
         )
         updated = rho * (response.T @ ratio)
         updated /= updated.sum()
-        current_ll = log_likelihood(updated)
+        predicted = response @ updated
+        current_ll = log_likelihood(predicted)
         if current_ll < previous_ll - 1e-9 * max(1.0, abs(previous_ll)):
             raise AssertionError(
                 "EM likelihood decreased; response matrix is inconsistent"
@@ -316,10 +308,10 @@ def ml_invert(
         nmax: reconstruction cutoff; defaults to 2, the largest photon
             number identifiable from three click outcomes.
     """
-    _require(detector.efficiency > 0.0, "inversion requires efficiency > 0")
+    require(detector.efficiency > 0.0, "inversion requires efficiency > 0")
     if nmax is None:
         nmax = clicks.probs.size - 1
-    _require(nmax >= 2, "nmax must be at least 2")
+    require(nmax >= 2, "nmax must be at least 2")
     model = DetectorModel(detector.efficiency, nmax=nmax)
     response = tmd_convolution_matrix(nmax) @ loss_matrix(model)
     rho, iterations, converged, ll = _em_iterate(
@@ -356,17 +348,17 @@ def invert_loss_only(
             support for K observed outcomes.
     """
     observed = np.asarray(observed, dtype=float)
-    _require(observed.ndim == 1 and observed.size >= 2, "need >= 2 outcomes")
-    _require(np.all(observed >= 0), "probabilities must be nonnegative")
-    _require(
+    require(observed.ndim == 1 and observed.size >= 2, "need >= 2 outcomes")
+    require(np.all(observed >= 0), "probabilities must be nonnegative")
+    require(
         abs(observed.sum() - 1.0) <= 1e-9,
         "probabilities must sum to one within 1e-9",
     )
-    _require(detector.efficiency > 0.0, "inversion requires efficiency > 0")
+    require(detector.efficiency > 0.0, "inversion requires efficiency > 0")
     outcomes = observed.size
     if nmax is None:
         nmax = outcomes - 1
-    _require(nmax >= outcomes - 1, "nmax must cover the observed outcomes")
+    require(nmax >= outcomes - 1, "nmax must cover the observed outcomes")
     model = DetectorModel(detector.efficiency, nmax=nmax)
     full = loss_matrix(model)
     response = np.zeros((outcomes, nmax + 1))
@@ -401,13 +393,13 @@ class ModeReductionFit:
 
 def _fit_line(points) -> tuple[float, float]:
     data = np.asarray(points, dtype=float)
-    _require(
+    require(
         data.ndim == 2 and data.shape[1] == 2 and data.shape[0] >= 2,
         "each series needs at least two (power, mean) points",
     )
     power, mean = data[:, 0], data[:, 1]
-    _require(np.all(power > 0), "powers must be positive")
-    _require(np.ptp(power) > 0, "powers must not all coincide")
+    require(np.all(power > 0), "powers must be positive")
+    require(np.ptp(power) > 0, "powers must not all coincide")
     slope, intercept = np.polyfit(power, mean, 1)
     return float(slope), float(intercept)
 
@@ -421,7 +413,7 @@ def estimate_mode_reduction(unfiltered, filtered) -> ModeReductionFit:
     """
     slope_u, intercept_u = _fit_line(unfiltered)
     slope_f, intercept_f = _fit_line(filtered)
-    _require(slope_f != 0.0, "filtered series has zero slope")
+    require(slope_f != 0.0, "filtered series has zero slope")
     return ModeReductionFit(
         slope_unfiltered=slope_u,
         intercept_unfiltered=intercept_u,
@@ -433,5 +425,5 @@ def estimate_mode_reduction(unfiltered, filtered) -> ModeReductionFit:
 
 def implied_mode_count(slope_ratio: float, modes_filtered: int = 1) -> float:
     """Unfiltered mode count implied by a slope ratio and a known reference."""
-    _require(modes_filtered >= 1, "modes_filtered must be at least 1")
+    require(modes_filtered >= 1, "modes_filtered must be at least 1")
     return slope_ratio * (modes_filtered + 1) - 1.0

@@ -150,7 +150,7 @@ class Scenario:
         value = self.number(key, None, required)
         if value is None:
             return default
-        if value != int(value):
+        if not math.isfinite(value) or value != int(value):
             raise ConfigError(f"key {key!r}: expected an integer")
         return int(value)
 

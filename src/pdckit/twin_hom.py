@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsa import SpectralGrid, trapezoid_weights
+from .jsa import SpectralGrid, _symmetric_axis, trapezoid_weights
 
 __all__ = [
     "OverlapBreakdown",
@@ -151,21 +151,15 @@ def model_grid(
         raise ValueError("aspect_ratio must be at least 1")
     if not 0.0 < tilt_deg < 90.0:
         raise ValueError("tilt must lie strictly in (0, 90) deg")
-    if samples_per_width < 8:
-        raise ValueError("need at least 8 samples per width")
     lam_min = 1.0 / (aspect_ratio * minor_width) ** 2
     lam_max = 1.0 / minor_width**2
     s, c = math.sin(math.radians(tilt_deg)), math.cos(math.radians(tilt_deg))
     t11 = lam_min * c * c + lam_max * s * s
     t22 = lam_min * s * s + lam_max * c * c
     t12 = (lam_max - lam_min) * s * c
-    determinant = lam_min * lam_max
-
-    projection = math.sqrt(max(t11, t22) / determinant)
-    step = 1.0 / math.sqrt(max(t11, t22)) / samples_per_width
-    half = extent_widths * projection
-    n = 2 * int(math.ceil(half / step)) + 1
-    axis = np.linspace(-half, half, n)
+    axis = _symmetric_axis(
+        t11, t22, lam_min * lam_max, samples_per_width, extent_widths
+    )
 
     ns = axis[:, None]
     ni = axis[None, :]

@@ -216,10 +216,13 @@ def test_criterion_9_heralding_monotonicity():
         reference = hom.ReferenceField(mean_photons=0.02, amplitude_width=one_nm)
 
         three_fold = hom.tmax_prediction(
-            grid, signal_filter, trigger, reference, heralded=True
+            reference, jsa.reduced_density(grid, signal_filter, trigger)
         )
         two_fold = hom.tmax_prediction(
-            grid, signal_filter, trigger, reference, heralded=False
+            reference,
+            jsa.reduced_density(
+                grid, signal_filter, jsa.SpectralFilter.open_filter()
+            ),
         )
         assert three_fold > two_fold
 

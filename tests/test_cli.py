@@ -1,9 +1,14 @@
+import contextlib
 import csv
 import io
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pdckit import cli
+from pdckit import cli, hom_reference, jsa
 
 
 def _write(tmp_path, name, text):
@@ -297,6 +302,33 @@ class TestTmaxCommand:
             rows["two-fold"]["purity"]
         )
 
+    def test_builds_one_density_per_case(self, tmp_path, capsys, monkeypatch):
+        config = _write(
+            tmp_path,
+            "t.cfg",
+            SOURCE_CFG
+            + """
+            signal_filter_fwhm = 1 nm
+            trigger_filter_fwhm = 1 nm
+            reference_fwhm = 1 nm
+            """,
+        )
+        original = jsa.reduced_density
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (jsa, hom_reference):
+            if getattr(module, "reduced_density", None) is original:
+                monkeypatch.setattr(module, "reduced_density", counting)
+        code, _, _ = _run(
+            capsys, "tmax", "--config", str(config), "--grid-points", "8"
+        )
+        assert code == 0
+        assert len(calls) == 2
+
 
 class TestInvertCommand:
     def test_reproduces_loss_inverted_statistics(self, tmp_path, capsys):
@@ -375,6 +407,61 @@ class TestErrorHandling:
         assert code == 1
         assert "key = value" in err
 
+    @pytest.mark.parametrize(
+        "command, text, options",
+        [
+            (
+                "hom-scan",
+                "p0 = 0\np1 = 1\np2 = 0\nbeta_sq = 0.5\n"
+                "tmax = 1\ndip_sigma = 1 ps\n",
+                (),
+            ),
+            (
+                "tmax",
+                SOURCE_CFG
+                + "signal_filter_fwhm = 1 nm\ntrigger_filter_fwhm = 1 nm\n"
+                "reference_fwhm = 1 nm\n",
+                ("--grid-points", "4"),
+            ),
+            ("fidelity", "overlap = 1.2\none_photon = 0.9\n", ()),
+        ],
+        ids=["strong-reference", "coarse-grid", "overlap-above-one"],
+    )
+    def test_invalid_library_input_exits_one(
+        self, tmp_path, capsys, command, text, options
+    ):
+        config = _write(tmp_path, "c.cfg", text)
+        code, out, err = _run(
+            capsys, command, "--config", str(config), *options
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {command}: ")
+
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            (
+                "hom-scan",
+                "p0 = 0\np1 = 1\np2 = 0\nbeta_sq = 0.05\ntmax = 1\n"
+                "dip_sigma = 1 ps\ncenter_wavelength = 0 nm\n",
+                "center_wavelength",
+            ),
+            (
+                "visibility-curve",
+                "p0 = 0.9\np1 = 0.1\np2 = 0\nbeta_sq_min = 0.01\n"
+                "beta_sq_max = 0.1\nbeta_sq_steps = 1e400\n",
+                "beta_sq_steps",
+            ),
+        ],
+        ids=["zero-wavelength", "overflowing-count"],
+    )
+    def test_invalid_value_is_named(self, tmp_path, capsys, command, text, key):
+        config = _write(tmp_path, "c.cfg", text)
+        code, _, err = _run(capsys, command, "--config", str(config))
+        assert code == 1
+        assert err.startswith("error: ") and key in err
+
     def test_out_of_range_probability(self, tmp_path, capsys):
         config = _write(tmp_path, "c.cfg", "p0 = 0.5\np1 = 0.2\np2 = 0.1\n")
         code, _, err = _run(
@@ -401,3 +488,85 @@ class TestScientificFormatting:
         code, out, _ = _run(capsys, "visibility-curve", "--config", str(config))
         assert code == 0
         assert "e-04" in out  # beta_sq column below 1e-3
+
+
+# -- property: grid-free commands never raise out of main --------------------
+#
+# Grid commands stay out: their N x N memory grows with the drawn shape.
+# Step counts are bounded for the same reason.
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["0", "-0", "1", "-1", ".5", "1e400", "-1e400"]),
+)
+_COUNTS = st.one_of(
+    st.integers(min_value=-3, max_value=200).map(str),
+    st.sampled_from(["2.5", "1e400"]),
+)
+
+
+@st.composite
+def _state_keys(draw):
+    if draw(st.booleans()):
+        p0 = draw(st.floats(min_value=0.0, max_value=1.0))
+        p1 = draw(st.floats(min_value=0.0, max_value=1.0 - p0))
+        values = [repr(p) for p in (p0, p1, 1.0 - p0 - p1)]
+        values = draw(st.permutations(values))
+    else:
+        values = [draw(_NUMBERS) for _ in range(3)]
+    return dict(zip(("p0", "p1", "p2"), values))
+
+
+def _optional(draw, keys, name, strategy, unit=""):
+    if draw(st.booleans()):
+        keys[name] = draw(strategy) + unit
+
+
+@st.composite
+def _grid_free_commands(draw):
+    command = draw(
+        st.sampled_from(["fidelity", "hom-scan", "visibility-curve"])
+    )
+    keys = {}
+    if command == "fidelity":
+        _optional(draw, keys, "overlap", _NUMBERS)
+        _optional(draw, keys, "one_photon", _NUMBERS)
+        return command, keys
+    keys.update(draw(_state_keys()))
+    if command == "hom-scan":  # analytic mode: tmax is always present
+        keys["tmax"] = draw(_NUMBERS)
+        _optional(draw, keys, "beta_sq", _NUMBERS)
+        _optional(draw, keys, "dip_sigma", _NUMBERS, " ps")
+        _optional(draw, keys, "reference_fwhm", _NUMBERS, " nm")
+        _optional(draw, keys, "center_wavelength", _NUMBERS, " nm")
+        _optional(draw, keys, "tau_steps", _COUNTS)
+        _optional(draw, keys, "tau_span_sigmas", _NUMBERS)
+    else:
+        _optional(draw, keys, "overlap", _NUMBERS)
+        if draw(st.booleans()):
+            keys["beta_sq_list"] = ", ".join(
+                draw(st.lists(_NUMBERS, min_size=1, max_size=4))
+            )
+        else:
+            _optional(draw, keys, "beta_sq_min", _NUMBERS)
+            _optional(draw, keys, "beta_sq_max", _NUMBERS)
+            _optional(draw, keys, "beta_sq_steps", _COUNTS)
+    return command, keys
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_free_commands())
+def test_grid_free_commands_exit_cleanly(case):
+    command, keys = case
+    text = "".join(f"{key} = {value}\n" for key, value in keys.items())
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        config = Path(directory) / "c.cfg"
+        config.write_text(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", str(config)])
+    assert code in (0, 1, 2)
+    if code == 1:  # numpy may warn about overflow on stderr first
+        assert any(
+            line.startswith("error: ") for line in err.getvalue().splitlines()
+        )

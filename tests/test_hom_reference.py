@@ -254,6 +254,13 @@ class TestVisibilityCurve:
         state = hom.SignalState(p0=0.0, p1=0.9, p2=0.1)
         assert math.isinf(hom.beta_opt(state))
 
+    @pytest.mark.parametrize("probs", [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)])
+    def test_no_one_photon_component_gives_no_dip(self, probs):
+        state = hom.SignalState(*probs)
+        assert hom.max_visibility(state, 0.8) == 0.0
+        for beta_sq in (0.0, 5e-324, 0.1):  # 5e-324 underflows p0 beta^2/2
+            assert hom.visibility_vs_beta(state, 0.8, beta_sq) == 0.0
+
 
 class TestFitOverlap:
     @staticmethod
@@ -362,11 +369,9 @@ class TestTmaxPrediction:
             mean_photons=0.01, amplitude_width=mode_width
         )
         open_filter = jsa.SpectralFilter.open_filter()
-        for heralded in (False, True):
-            value = hom.tmax_prediction(
-                grid, open_filter, open_filter, reference, heralded=heralded
-            )
-            assert value == pytest.approx(1.0, abs=1e-6)
+        g = jsa.reduced_density(grid, open_filter, open_filter)
+        value = hom.tmax_prediction(reference, g)
+        assert value == pytest.approx(1.0, abs=1e-6)
 
     def test_heralding_beats_two_fold(self, source_params, one_nm_width):
         axis = jsa.default_axes(
@@ -378,11 +383,12 @@ class TestTmaxPrediction:
         reference = hom.ReferenceField(
             mean_photons=0.01, amplitude_width=one_nm_width
         )
+        open_filter = jsa.SpectralFilter.open_filter()
         three_fold = hom.tmax_prediction(
-            grid, signal_filter, trigger, reference, heralded=True
+            reference, jsa.reduced_density(grid, signal_filter, trigger)
         )
         two_fold = hom.tmax_prediction(
-            grid, signal_filter, trigger, reference, heralded=False
+            reference, jsa.reduced_density(grid, signal_filter, open_filter)
         )
         assert three_fold > two_fold
         assert 0.0 < two_fold < 1.0
@@ -401,9 +407,9 @@ class TestTmaxPrediction:
             grid = jsa.evaluate_jsa(source_params, axis, axis)
             values[samples] = [
                 hom.tmax_prediction(
-                    grid, signal_filter, trigger, reference, heralded=heralded
+                    reference, jsa.reduced_density(grid, signal_filter, fi)
                 )
-                for heralded in (False, True)
+                for fi in (jsa.SpectralFilter.open_filter(), trigger)
             ]
         assert values[8] == pytest.approx(values[16], abs=1e-3)
 
@@ -425,7 +431,7 @@ class TestTmaxPrediction:
             )
             values.append(
                 hom.tmax_prediction(
-                    grid, signal_filter, trigger, reference, heralded=True
+                    reference, jsa.reduced_density(grid, signal_filter, trigger)
                 )
             )
         assert values[0] <= values[1] <= values[2]
