@@ -474,13 +474,18 @@ def _cmd_invert(sc: Scenario) -> tuple[list, list, list]:
             nmax=nmax,
         )
     if not result.converged:
+        reason = f"KKT gap {result.kkt_gap:.2e} above tol {tol:g}"
+        if math.isinf(result.kkt_gap):
+            reason = "an observed outcome has zero probability under R"
         raise NumericalError(
-            f"inversion did not converge within {max_iter} iterations"
+            f"inversion did not converge in {result.iterations} of "
+            f"{max_iter} iterations: {reason}"
         )
     rows = [[n, p] for n, p in enumerate(result.state.probs)]
     summary = [
         f"converged in {result.iterations} iterations, "
-        f"log-likelihood {result.log_likelihood:.9g}"
+        f"log-likelihood {result.log_likelihood:.9g}, "
+        f"KKT gap {result.kkt_gap:.2e}, cond(R) {result.condition:.4g}"
     ]
     return ["n", "probability"], rows, summary
 

@@ -4,16 +4,20 @@ Covers the thermal marginal of a single down-conversion mode, the
 multimode convolution, heralding on a lossy trigger detector, the
 forward model of a two-bin time-multiplexed click detector
 (loss matrix followed by a splitting convolution), its
-expectation-maximization inversion, and the mode-count estimate from
-the power dependence of the heralded mean.
+maximum-likelihood inversion, and the mode-count estimate from the
+power dependence of the heralded mean.
 
 A note on inversion: a two-bin detector resolves three outcomes, so at
 most the photon-number components 0, 1 and 2 are identifiable from one
 click distribution.  ml_invert therefore reconstructs on that
-identifiable support by default; a larger reconstruction space can be
-requested explicitly, at the price of a likelihood ridge on which the
-iteration settles at the most uniform consistent state rather than the
-true one.
+identifiable support by default, where the response matrix is square:
+when its direct solve is a distribution it reproduces the data exactly
+and is the maximum-likelihood state.  Otherwise the optimum lies on a
+face of the simplex and the multiplicative expectation-maximization
+iteration finds it, stopping on a KKT gap that certifies optimality.
+A larger reconstruction space can be requested explicitly, at the
+price of a likelihood ridge on which the iteration settles at the most
+uniform consistent state rather than the true one.
 """
 
 from __future__ import annotations
@@ -231,29 +235,65 @@ def forward_click_dist(
 
 @dataclass(frozen=True)
 class InversionResult:
-    """Outcome of an expectation-maximization inversion."""
+    """Outcome of a maximum-likelihood inversion.
+
+    Attributes:
+        state: the reconstructed photon-number distribution.
+        converged: whether kkt_gap reached the tolerance, which certifies
+            that log_likelihood is within log(1 + tol) of its maximum.
+        iterations: multiplicative updates taken from the starting
+            point; 0 when the direct solve was already optimal.
+        log_likelihood: sum of observed * log(predicted) over the
+            observed outcomes.
+        kkt_gap: max_n g_n - 1 at the returned state, where
+            g = R^T (observed / R rho) for response matrix R; it is
+            zero up to rounding exactly at the optimum, and infinite
+            when an observed outcome has zero predicted probability.
+        condition: 1-norm condition number of R, which bounds how far
+            rounding moves a direct solve; infinite when R has more
+            columns than rows, so that the data do not determine rho.
+    """
 
     state: PhotonNumberDist
     converged: bool
     iterations: int
     log_likelihood: float
+    kkt_gap: float
+    condition: float
 
 
-def _em_iterate(
+def _ml_estimate(
     observed: np.ndarray,
     response: np.ndarray,
     max_iter: int,
     tol: float,
-) -> tuple[np.ndarray, int, bool, float]:
-    """Multiplicative maximum-likelihood update for observed = response @ rho.
+) -> InversionResult:
+    """Maximum-likelihood distribution rho for observed = response @ rho.
 
-    The response matrix must have unit column sums, which makes every
-    update normalization-preserving and the likelihood non-decreasing;
-    that monotonicity is asserted on every iteration.
+    A square response whose direct solve is a distribution starts the
+    search at that solve, which reproduces the observation exactly and
+    is therefore the optimum.  Otherwise the optimum lies on a face of
+    the simplex (or on a ridge, for an over-complete response) and the
+    search starts from the uniform state.  Each pass computes
+    g = R^T (observed / R rho) and stops once the KKT gap max(g) - 1 is
+    at most tol; by Cover's bound the log-likelihood is then within
+    log(1 + gap) of its maximum.  Otherwise it takes the multiplicative
+    step rho <- rho * g.  The response matrix must have unit column
+    sums, which makes every step normalization-preserving and the
+    likelihood non-decreasing; that monotonicity is asserted on every
+    step.
     """
+    observed = observed / observed.sum()
     support = observed > 0
     size = response.shape[1]
+    condition = math.inf  # an over-complete response has no inverse
+    if response.shape[0] == size:
+        condition = float(np.linalg.cond(response, 1))
     rho = np.full(size, 1.0 / size)
+    if math.isfinite(condition):
+        direct = np.linalg.solve(response, observed)
+        if np.all(direct >= 0.0):
+            rho = direct / direct.sum()
 
     def log_likelihood(predicted: np.ndarray) -> float:
         return float(
@@ -263,27 +303,37 @@ def _em_iterate(
     predicted = response @ rho
     previous_ll = log_likelihood(predicted)
     iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
+    while True:
+        if predicted[support].min() < 1e-300:
+            # an observed outcome that every state rules out, as when a
+            # tiny efficiency underflows a row of R: no likelihood is
+            # finite, so no gap certifies the result
+            gap = math.inf
+            break
         ratio = np.zeros_like(observed)
-        ratio[support] = observed[support] / np.maximum(
-            predicted[support], 1e-300
-        )
-        updated = rho * (response.T @ ratio)
-        updated /= updated.sum()
-        predicted = response @ updated
+        ratio[support] = observed[support] / predicted[support]
+        gain = response.T @ ratio
+        gap = float(gain.max()) - 1.0
+        if gap <= tol or iterations >= max_iter:
+            break
+        rho = rho * gain
+        rho /= rho.sum()
+        predicted = response @ rho
         current_ll = log_likelihood(predicted)
         if current_ll < previous_ll - 1e-9 * max(1.0, abs(previous_ll)):
             raise AssertionError(
                 "EM likelihood decreased; response matrix is inconsistent"
             )
-        step = float(np.max(np.abs(updated - rho)))
-        rho = updated
         previous_ll = current_ll
-        if step < tol:
-            converged = True
-            break
-    return rho, iterations, converged, previous_ll
+        iterations += 1
+    return InversionResult(
+        state=PhotonNumberDist(rho),
+        converged=gap <= tol,
+        iterations=iterations,
+        log_likelihood=previous_ll,
+        kkt_gap=gap,
+        condition=condition,
+    )
 
 
 def ml_invert(
@@ -295,16 +345,21 @@ def ml_invert(
 ) -> InversionResult:
     """Maximum-likelihood photon statistics behind observed click statistics.
 
-    Runs the multiplicative expectation-maximization fixed point for the
-    forward model splitter_map @ loss_matrix.  Never fails silently: a
-    result that stopped on the iteration budget is returned with
+    The forward model is splitter_map @ loss_matrix.  On the default
+    square support the direct solve is returned when it is a
+    distribution (iterations = 0); otherwise the multiplicative
+    expectation-maximization iteration runs from the uniform state
+    until its KKT gap falls to tol.  Never fails silently: a result
+    that stopped on the iteration budget is returned with
     converged=False.
 
     Args:
         clicks: observed 0/1/2-click probabilities.
         detector: calibrated efficiency (must be positive).
         max_iter: iteration budget.
-        tol: stop when the largest per-component update falls below this.
+        tol: bound on the KKT gap max_n g_n - 1 at which the result
+            counts as converged; the log-likelihood is then within
+            log(1 + tol) of its maximum.
         nmax: reconstruction cutoff; defaults to 2, the largest photon
             number identifiable from three click outcomes.
     """
@@ -314,15 +369,7 @@ def ml_invert(
     require(nmax >= 2, "nmax must be at least 2")
     model = DetectorModel(detector.efficiency, nmax=nmax)
     response = tmd_convolution_matrix(nmax) @ loss_matrix(model)
-    rho, iterations, converged, ll = _em_iterate(
-        clicks.probs, response, max_iter, tol
-    )
-    return InversionResult(
-        state=PhotonNumberDist(rho),
-        converged=converged,
-        iterations=iterations,
-        log_likelihood=ll,
-    )
+    return _ml_estimate(clicks.probs, response, max_iter, tol)
 
 
 def invert_loss_only(
@@ -338,12 +385,16 @@ def invert_loss_only(
     statistics that the splitter map has been removed from), the
     forward model is the loss matrix alone.  The last observed entry is
     treated as inclusive of all higher counts, which keeps the response
-    matrix stochastic.
+    matrix stochastic.  The estimate is the one ml_invert makes: the
+    direct solve when it is a distribution, else the iteration stopped
+    on its KKT gap.
 
     Args:
         observed: probabilities of 0 .. K-1 detected photons, summing
             to one.
         detector: calibrated efficiency (must be positive).
+        max_iter: iteration budget.
+        tol: bound on the KKT gap, as for ml_invert.
         nmax: reconstruction cutoff; defaults to K-1, the identifiable
             support for K observed outcomes.
     """
@@ -364,15 +415,7 @@ def invert_loss_only(
     response = np.zeros((outcomes, nmax + 1))
     response[: outcomes - 1] = full[: outcomes - 1]
     response[outcomes - 1] = full[outcomes - 1 :].sum(axis=0)
-    rho, iterations, converged, ll = _em_iterate(
-        observed, response, max_iter, tol
-    )
-    return InversionResult(
-        state=PhotonNumberDist(rho),
-        converged=converged,
-        iterations=iterations,
-        log_likelihood=ll,
-    )
+    return _ml_estimate(observed, response, max_iter, tol)
 
 
 @dataclass(frozen=True)

@@ -137,7 +137,12 @@ class Scenario:
                 f"key {key!r}: unit {unit!r} does not measure {kind} "
                 f"(allowed: {allowed})"
             )
-        return number * scales[unit]
+        value = number * scales[unit]
+        if not math.isfinite(value):
+            raise ConfigError(
+                f"key {key!r}: not a finite number: {raw.text!r}"
+            )
+        return value
 
     def number(
         self, key: str, default: float | None = None, required: bool = False
@@ -150,7 +155,7 @@ class Scenario:
         value = self.number(key, None, required)
         if value is None:
             return default
-        if not math.isfinite(value) or value != int(value):
+        if value != int(value):
             raise ConfigError(f"key {key!r}: expected an integer")
         return int(value)
 
@@ -184,7 +189,12 @@ class Scenario:
                 raise ConfigError(
                     f"key {key!r}: list entry {token!r} is not a number"
                 )
-            items.append(float(token))
+            value = float(token)
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"key {key!r}: list entry {token!r} is not finite"
+                )
+            items.append(value)
         if not items:
             raise ConfigError(f"key {key!r}: empty list")
         return items

@@ -349,21 +349,43 @@ class TestInvertCommand:
         probabilities = {int(r["n"]): float(r["probability"]) for r in rows}
         assert 0.925 <= probabilities[1] <= 0.937
         assert 0.060 <= probabilities[2] <= 0.072
-        assert "converged" in err
+        # the direct solve is the optimum, printed without iterating
+        assert rows[0]["probability"] == "0.00364583333"
+        (summary,) = err.splitlines()
+        assert summary.startswith("converged in 0 iterations, log-likelihood ")
+        assert ", KKT gap " in summary and ", cond(R) " in summary
 
     def test_non_convergence_exits_two(self, tmp_path, capsys):
+        # at this efficiency the optimum has p0 = 0, so the direct solve
+        # is infeasible and two steps from the uniform state fall short
         config = _write(
             tmp_path,
             "i.cfg",
             """
             observed = 0.94920, 0.05065, 0.00015
-            efficiency = 0.048
+            efficiency = 0.046
             max_iter = 2
             """,
         )
         code, _, err = _run(capsys, "invert", "--config", str(config))
         assert code == 2
         assert "did not converge" in err
+        assert "KKT gap" in err
+
+    def test_unexplained_outcome_exits_two(self, tmp_path, capsys):
+        config = _write(
+            tmp_path,
+            "i.cfg",
+            """
+            observed = 0.7, 0.25, 0.05
+            observable = clicks
+            efficiency = 1e-200
+            """,
+        )
+        code, _, err = _run(capsys, "invert", "--config", str(config))
+        assert code == 2
+        assert "did not converge" in err
+        assert "zero probability" in err
 
 
 class TestFidelityCommand:
@@ -453,8 +475,24 @@ class TestErrorHandling:
                 "beta_sq_max = 0.1\nbeta_sq_steps = 1e400\n",
                 "beta_sq_steps",
             ),
+            (
+                "hom-scan",
+                "p0 = 0.9\np1 = 0.09\np2 = 0.01\nbeta_sq = 0.05\ntmax = 0.5\n"
+                "dip_sigma = 1e400 ps\ntau_steps = 3\n",
+                "dip_sigma",
+            ),
+            (
+                "invert",
+                "observed = 1e400, 0, 0\nefficiency = 0.5\n",
+                "observed",
+            ),
         ],
-        ids=["zero-wavelength", "overflowing-count"],
+        ids=[
+            "zero-wavelength",
+            "overflowing-count",
+            "overflowing-quantity",
+            "overflowing-list-entry",
+        ],
     )
     def test_invalid_value_is_named(self, tmp_path, capsys, command, text, key):
         config = _write(tmp_path, "c.cfg", text)

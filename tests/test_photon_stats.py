@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pdckit import photon_stats as ps
 
@@ -230,6 +232,71 @@ class TestInversion:
             recovered = np.zeros(7)
             recovered[:3] = result.state.probs
             assert np.max(np.abs(recovered - truth)) < 1e-3
+
+    @pytest.mark.parametrize("observable", ["clicks", "photon"])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        eta=st.floats(min_value=0.03, max_value=0.5),
+    )
+    def test_feasible_data_are_solved_directly(self, observable, seed, eta):
+        truth = np.random.default_rng(seed).dirichlet([1.0, 1.0, 1.0])
+        assume(truth.min() >= 1e-3)
+        detector = ps.DetectorModel(eta)
+        if observable == "clicks":
+            clicks = ps.forward_click_dist(ps.PhotonNumberDist(truth), detector)
+            result = ps.ml_invert(clicks, detector)
+        else:
+            observed = ps.loss_matrix(ps.DetectorModel(eta, nmax=2)) @ truth
+            result = ps.invert_loss_only(observed, detector)
+        assert result.converged
+        assert result.iterations == 0
+        assert result.kkt_gap <= 1e-14
+        error = np.max(np.abs(result.state.probs - truth))
+        assert error <= 1e-12 * result.condition
+
+    def test_face_optimum_is_certified(self):
+        # at this efficiency the direct solve has p0 < 0: the optimum
+        # lies on the face p0 = 0 and only the iteration reaches it
+        observed = np.array([0.94920, 0.05065, 0.00015])
+        eta, tol = 0.046, 1e-12
+        result = ps.invert_loss_only(
+            observed, ps.DetectorModel(eta), max_iter=400_000, tol=tol
+        )
+        assert result.converged
+        assert 0 < result.iterations < 400_000
+        assert result.kkt_gap <= tol
+        assert result.state.probs[0] < 1e-6
+        response = ps.loss_matrix(ps.DetectorModel(eta, nmax=2))
+        rng = np.random.default_rng(5)
+        candidates = np.vstack([np.eye(3), rng.dirichlet([1.0, 1.0, 1.0], 2000)])
+        with np.errstate(divide="ignore"):
+            others = np.log(candidates @ response.T) @ observed
+        assert np.all(result.log_likelihood >= others)
+
+    def test_low_efficiency_states_converge(self):
+        # two of these four states stopped unconverged, 8e-3 and 6e-6
+        # from the truth, when the iteration started from the uniform
+        # state and stopped on its step size
+        rng = np.random.default_rng(0)
+        detector = ps.DetectorModel(0.03)
+        for _ in range(4):
+            truth = rng.dirichlet([1.0, 1.0, 1.0])
+            clicks = ps.forward_click_dist(ps.PhotonNumberDist(truth), detector)
+            result = ps.ml_invert(clicks, detector, max_iter=400_000, tol=1e-13)
+            assert result.converged
+            assert result.kkt_gap <= 1e-13
+            error = np.max(np.abs(result.state.probs - truth))
+            assert error <= 1e-12 * result.condition
+
+    def test_unexplained_outcome_is_not_converged(self):
+        # eta^2 underflows, so no state predicts the observed two clicks
+        # and no log-likelihood is finite
+        result = ps.ml_invert(
+            ps.ClickDist([0.7, 0.25, 0.05]), ps.DetectorModel(1e-200)
+        )
+        assert not result.converged
+        assert result.kkt_gap == math.inf
 
     def test_requires_positive_efficiency(self):
         with pytest.raises(ValueError):
