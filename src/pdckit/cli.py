@@ -23,6 +23,7 @@ from .errors import ConfigError, NumericalError
 from .scenario import Scenario
 
 DEFAULT_CENTER_WAVELENGTH = 796e-9
+_MAX_STEPS = 10_000  # longest sweep or delay axis a command builds
 
 
 def _fmt(value) -> str:
@@ -132,15 +133,23 @@ def _source_params(sc: Scenario, default_pump_nm: float | None = None):
     )
 
 
+def _steps(sc: Scenario, key: str, default: int) -> int:
+    """A step count, checked before any array of that length exists."""
+    steps = sc.integer(key, default=default)
+    if not 2 <= steps <= _MAX_STEPS:
+        raise ConfigError(f"key {key!r}: must lie in [2, {_MAX_STEPS}]")
+    return steps
+
+
 def _sweep(sc: Scenario, stem: str, geometric: bool = False) -> list[float]:
     explicit = sc.number_list(f"{stem}_list")
     if explicit is not None:
         return explicit
     low = sc.number(f"{stem}_min", required=True)
     high = sc.number(f"{stem}_max", required=True)
-    steps = sc.integer(f"{stem}_steps", default=21)
-    if steps < 2 or high <= low:
-        raise ConfigError(f"key {stem!r}: need {stem}_min < {stem}_max, steps >= 2")
+    steps = _steps(sc, f"{stem}_steps", 21)
+    if high <= low:
+        raise ConfigError(f"key {stem!r}: need {stem}_min < {stem}_max")
     if geometric:
         if low <= 0:
             raise ConfigError(f"key {stem}_min must be positive")
@@ -235,9 +244,9 @@ def _cmd_pm_vs_length(sc: Scenario) -> tuple[list, list, list]:
 def _sweep_lengths(sc: Scenario) -> list[float]:
     low = sc.quantity("length_min", "length", required=True)
     high = sc.quantity("length_max", "length", required=True)
-    steps = sc.integer("length_steps", default=21)
-    if steps < 2 or high <= low:
-        raise ConfigError("need length_min < length_max and length_steps >= 2")
+    steps = _steps(sc, "length_steps", 21)
+    if high <= low:
+        raise ConfigError("need length_min < length_max")
     return list(np.linspace(low, high, steps))
 
 
@@ -358,6 +367,7 @@ def _filtered_source(sc: Scenario, beta_sq: float, trigger_required: bool):
 
 
 def _spectral_dip(sc: Scenario, state, beta_sq: float):
+    n_points = _steps(sc, "tau_steps", 81)  # before the grid is built
     reference, signal_filter, trigger_filter, grid = _filtered_source(
         sc, beta_sq, trigger_required=False
     )
@@ -366,7 +376,7 @@ def _spectral_dip(sc: Scenario, state, beta_sq: float):
         state,
         reference,
         g,
-        n_points=sc.integer("tau_steps", default=81),
+        n_points=n_points,
         span_sigmas=sc.number("tau_span_sigmas", default=4.0),
     )
 
@@ -388,7 +398,7 @@ def _cmd_hom_scan(sc: Scenario) -> tuple[list, list, list]:
             reference,
             overlap_max,
             sigma_t,
-            n_points=sc.integer("tau_steps", default=81),
+            n_points=_steps(sc, "tau_steps", 81),
             span_sigmas=sc.number("tau_span_sigmas", default=4.0),
         )
     else:
@@ -451,19 +461,15 @@ def _cmd_invert(sc: Scenario) -> tuple[list, list, list]:
     observable = sc.word(
         "observable", ("photon", "clicks"), default="photon"
     )
-    nmax = sc.integer("nmax")
     max_iter = sc.integer("max_iter", default=100_000)
     tol = sc.number("tol", default=1e-10)
-    detector = photon_stats.DetectorModel(
-        efficiency=efficiency, nmax=nmax if nmax is not None else 10
-    )
+    detector = photon_stats.DetectorModel(efficiency=efficiency)
     if observable == "clicks":
         result = photon_stats.ml_invert(
             photon_stats.ClickDist(np.asarray(observed)),
             detector,
             max_iter=max_iter,
             tol=tol,
-            nmax=nmax,
         )
     else:
         result = photon_stats.invert_loss_only(
@@ -471,7 +477,6 @@ def _cmd_invert(sc: Scenario) -> tuple[list, list, list]:
             detector,
             max_iter=max_iter,
             tol=tol,
-            nmax=nmax,
         )
     if not result.converged:
         reason = f"KKT gap {result.kkt_gap:.2e} above tol {tol:g}"
@@ -571,6 +576,9 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:  # invalid input rejected by the library
         print(f"error: {command}: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError:  # input too large or small for a float
+        print(f"error: {command}: a value is out of range", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -27,8 +27,6 @@ __all__ = [
     "FidelityResult",
     "OverlapFit",
     "overlap_T",
-    "overlap_T_pure",
-    "overlap_Tprime",
     "coincidence_full",
     "coincidence_simplified",
     "visibility_vs_beta",
@@ -40,8 +38,6 @@ __all__ = [
     "tmax_prediction",
     "hom_scan",
     "hom_scan_analytic",
-    "singles_probability",
-    "mean_photons_from_singles",
 ]
 
 
@@ -116,17 +112,6 @@ class OverlapFit:
     n_points: int
 
 
-def _reference_samples(reference, nu_axis: np.ndarray) -> np.ndarray:
-    if isinstance(reference, ReferenceField):
-        return reference.amplitude_samples(nu_axis)
-    samples = np.asarray(reference, dtype=complex)
-    if samples.shape != nu_axis.shape:
-        raise ValueError(
-            "reference samples do not match the density grid axes"
-        )
-    return samples
-
-
 def overlap_T(reference, g: ReducedDensity, tau: float = 0.0) -> float:
     """Spectral overlap of the reference with a mixed one-photon density.
 
@@ -136,47 +121,17 @@ def overlap_T(reference, g: ReducedDensity, tau: float = 0.0) -> float:
     modulus raises.
 
     Args:
-        reference: ReferenceField, or amplitude samples already on the
-            density axis (mismatched sample grids are rejected).
+        reference: the coherent reference field.
         g: unit-trace spectral density.
         tau: relative delay in seconds.
     """
-    u = _reference_samples(reference, g.nu_axis)
+    u = reference.amplitude_samples(g.nu_axis)
     weights = trapezoid_weights(g.nu_axis)
     vector = u * np.exp(-1j * tau * g.nu_axis) * weights
     value = complex(np.vdot(vector, g.density @ vector))
     if abs(value) > 0 and abs(value.imag) > 1e-9 * abs(value):
         raise AssertionError("overlap of a Hermitian kernel must be real")
     return float(value.real)
-
-
-def overlap_T_pure(
-    reference, f_samples: np.ndarray, nu_axis: np.ndarray, tau: float = 0.0
-) -> float:
-    """Overlap with a pure signal mode f: |<u, f e^{i tau w}>|^2."""
-    nu_axis = np.asarray(nu_axis, dtype=float)
-    u = _reference_samples(reference, nu_axis)
-    f_samples = np.asarray(f_samples, dtype=complex)
-    require(f_samples.shape == nu_axis.shape, "f samples must match the axis")
-    weights = trapezoid_weights(nu_axis)
-    f_norm = float(np.real(np.conj(f_samples) * f_samples) @ weights)
-    require(abs(f_norm - 1.0) <= 1e-6, "f must be normalized on the grid")
-    inner = complex(
-        np.sum(np.conj(u) * f_samples * np.exp(1j * tau * nu_axis) * weights)
-    )
-    return abs(inner) ** 2
-
-
-def overlap_Tprime(
-    reference, f_samples: np.ndarray, nu_axis: np.ndarray, tau: float = 0.0
-) -> float:
-    """Two-photon overlap for a factorized pure signal.
-
-    The four-frequency integrand factorizes into single-frequency
-    inner products, so the value is the square of the pure one-photon
-    overlap; no four-dimensional quadrature is needed.
-    """
-    return overlap_T_pure(reference, f_samples, nu_axis, tau) ** 2
 
 
 def coincidence_full(
@@ -372,14 +327,6 @@ def tmax_prediction(reference: ReferenceField, g: ReducedDensity) -> float:
     return _dip_peak(reference, g)[1]
 
 
-def _delay_axis(
-    tau_axis, sigma: float, n_points: int, span_sigmas: float
-) -> np.ndarray:
-    if tau_axis is None:
-        return np.linspace(-span_sigmas * sigma, span_sigmas * sigma, n_points)
-    return np.array(tau_axis, dtype=float)
-
-
 def _scan(
     state: SignalState,
     ref: ReferenceField,
@@ -412,7 +359,6 @@ def hom_scan(
     state: SignalState,
     ref: ReferenceField,
     g: ReducedDensity,
-    tau_axis: np.ndarray | None = None,
     n_points: int = 81,
     span_sigmas: float = 4.0,
 ) -> HomScan:
@@ -424,7 +370,7 @@ def hom_scan(
     must be weak.
     """
     center, peak, sigma = _dip_peak(ref, g)
-    tau_axis = _delay_axis(tau_axis, sigma, n_points, span_sigmas)
+    tau_axis = np.linspace(-span_sigmas * sigma, span_sigmas * sigma, n_points)
     overlap = np.array([overlap_T(ref, g, t + center) for t in tau_axis])
     return _scan(state, ref, tau_axis, overlap, peak, sigma, center)
 
@@ -434,25 +380,15 @@ def hom_scan_analytic(
     ref: ReferenceField,
     overlap_max: float,
     sigma_t: float,
-    tau_axis: np.ndarray | None = None,
     n_points: int = 81,
     span_sigmas: float = 4.0,
 ) -> HomScan:
     """Coincidence dip for a Gaussian overlap profile given in closed form."""
     require(0.0 <= overlap_max <= 1.0, "overlap_max must lie in [0, 1]")
     require(sigma_t > 0.0, "sigma_t must be positive")
-    tau_axis = _delay_axis(tau_axis, sigma_t, n_points, span_sigmas)
-    overlap = overlap_max * np.exp(-(tau_axis**2) / (2.0 * sigma_t**2))
+    tau_axis = np.linspace(
+        -span_sigmas * sigma_t, span_sigmas * sigma_t, n_points
+    )
+    # in units of sigma_t, so a huge finite sigma_t cannot overflow
+    overlap = overlap_max * np.exp(-0.5 * (tau_axis / sigma_t) ** 2)
     return _scan(state, ref, tau_axis, overlap, overlap_max, sigma_t, 0.0)
-
-
-def singles_probability(beta_sq: float) -> float:
-    """Single-detector click probability of the halved reference."""
-    require(beta_sq >= 0.0, "beta_sq must be nonnegative")
-    return 1.0 - math.exp(-0.5 * beta_sq)
-
-
-def mean_photons_from_singles(p_singles: float) -> float:
-    """Invert the singles rate to the reference mean photon number."""
-    require(0.0 <= p_singles < 1.0, "p_singles must lie in [0, 1)")
-    return -2.0 * math.log(1.0 - p_singles)

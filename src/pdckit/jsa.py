@@ -36,21 +36,16 @@ __all__ = [
     "SpectralFilter",
     "SpectralGrid",
     "ReducedDensity",
-    "ShResponse",
     "build_ellipse",
     "ellipse_from_matrix",
     "correlation_matrix",
     "pm_width",
     "pm_width_vs_length",
-    "tilt_from_marginals",
-    "major_axis_from_marginals",
     "params_from_pm_estimate",
     "evaluate_jsa",
     "default_axes",
-    "apply_filters",
     "reduced_density",
     "purity",
-    "sh_response",
     "trapezoid_weights",
 ]
 
@@ -115,32 +110,22 @@ class CorrelationEllipse:
     minor_width: float
     aspect_ratio: float
 
-    @property
-    def is_degenerate(self) -> bool:
-        """True when the form is rank one and the major axis is unbounded."""
-        return math.isinf(self.major_width)
-
 
 @dataclass(frozen=True)
 class SpectralFilter:
     """Gaussian spectral filter acting on intensity transmission.
 
     The intensity transmission is
-    peak_transmission * exp(-2 (nu - center)^2 / amplitude_width^2), so
-    amplitude_width follows the same amplitude 1/e convention as every
-    other width and the intensity FWHM converts with sqrt(2 ln 2).
+    exp(-2 (nu - center)^2 / amplitude_width^2), so amplitude_width
+    follows the same amplitude 1/e convention as every other width and
+    the intensity FWHM converts with sqrt(2 ln 2).
     """
 
     center_detuning: float = 0.0
     amplitude_width: float = math.inf
-    peak_transmission: float = 1.0
 
     def __post_init__(self) -> None:
         require(self.amplitude_width > 0, "filter width must be positive")
-        require(
-            0.0 <= self.peak_transmission <= 1.0,
-            "peak_transmission must lie in [0, 1]",
-        )
 
     @classmethod
     def open_filter(cls) -> "SpectralFilter":
@@ -150,10 +135,8 @@ class SpectralFilter:
     def amplitude_transmission(self, nu: np.ndarray) -> np.ndarray:
         detuning = np.asarray(nu, dtype=float) - self.center_detuning
         if math.isinf(self.amplitude_width):
-            profile = np.ones_like(detuning)
-        else:
-            profile = np.exp(-(detuning / self.amplitude_width) ** 2)
-        return math.sqrt(self.peak_transmission) * profile
+            return np.ones_like(detuning)
+        return np.exp(-(detuning / self.amplitude_width) ** 2)
 
     def intensity_transmission(self, nu: np.ndarray) -> np.ndarray:
         return self.amplitude_transmission(nu) ** 2
@@ -231,15 +214,6 @@ class ReducedDensity:
         root_w = np.sqrt(trapezoid_weights(self.nu_axis))
         symmetric = self.density * np.outer(root_w, root_w)
         return np.linalg.eigvalsh(symmetric)
-
-
-@dataclass(frozen=True, eq=False)
-class ShResponse:
-    """Second-harmonic probe response envelope along the degeneracy line."""
-
-    nu_axis: np.ndarray
-    intensity: np.ndarray
-    width: float
 
 
 def correlation_matrix(params: PdcModelParams) -> tuple[float, float, float]:
@@ -363,22 +337,6 @@ def pm_width_vs_length(
         )
         out.append((L, fwhm))
     return out
-
-
-def tilt_from_marginals(delta_omega_s: float, delta_omega_i: float) -> float:
-    """Ellipse tilt in degrees from the marginal widths of signal/idler."""
-    require(
-        delta_omega_s > 0 and delta_omega_i > 0,
-        "marginal widths must be positive",
-    )
-    return math.degrees(math.atan(delta_omega_i / delta_omega_s))
-
-
-def major_axis_from_marginals(delta_omega_s: float, tilt_deg: float) -> float:
-    """Major-axis width estimated from the signal marginal and the tilt."""
-    require(0.0 < tilt_deg < 90.0, "tilt must lie strictly in (0, 90) deg")
-    require(delta_omega_s > 0, "marginal width must be positive")
-    return delta_omega_s / math.cos(math.radians(tilt_deg))
 
 
 def params_from_pm_estimate(
@@ -523,20 +481,6 @@ def evaluate_jsa(
     return SpectralGrid.from_amplitude(nu_s_axis, nu_i_axis, amplitude)
 
 
-def apply_filters(
-    grid: SpectralGrid, fs: SpectralFilter, fi: SpectralFilter
-) -> SpectralGrid:
-    """Transmit the joint amplitude through signal and idler filters.
-
-    The amplitude is multiplied pointwise by the amplitude transmission
-    sqrt(t_s(nu_s)) * sqrt(t_i(nu_i)); the norm never increases.
-    """
-    ts = fs.amplitude_transmission(grid.nu_s_axis)
-    ti = fi.amplitude_transmission(grid.nu_i_axis)
-    amplitude = grid.amplitude * np.outer(ts, ti)
-    return SpectralGrid.from_amplitude(grid.nu_s_axis, grid.nu_i_axis, amplitude)
-
-
 def reduced_density(
     grid: SpectralGrid, fs: SpectralFilter, fi: SpectralFilter
 ) -> ReducedDensity:
@@ -581,39 +525,3 @@ def purity(g: ReducedDensity) -> float:
     weights = trapezoid_weights(g.nu_axis)
     value = np.abs(g.density) ** 2 * np.outer(weights, weights)
     return float(np.real(value.sum()))
-
-
-def sh_response(
-    params: PdcModelParams,
-    probe_center: float = 0.0,
-    probe_width: float = 0.0,
-    nu_axis: np.ndarray | None = None,
-) -> ShResponse:
-    """Second-harmonic response to a tunable probe on the degeneracy line.
-
-    The up-converted intensity envelope is Gaussian in the second
-    harmonic detuning with intensity 1/e half-width equal to the
-    phase-matching width; a probe of finite bandwidth convolves with it,
-    so the widths add in quadrature.
-
-    Args:
-        params: source description.
-        probe_center: probe detuning (rad/s) at which the envelope peaks.
-        probe_width: intensity 1/e half-width of the probe spectrum
-            (rad/s); zero means an ideal monochromatic probe.
-        nu_axis: optional detunings at which to sample the envelope;
-            defaults to probe_center +- 4 response widths.
-    """
-    require(probe_width >= 0, "probe_width must be nonnegative")
-    width = math.hypot(pm_width(params), probe_width)
-    if nu_axis is None:
-        nu_axis = np.linspace(
-            probe_center - 4.0 * width, probe_center + 4.0 * width, 257
-        )
-    else:
-        nu_axis = np.asarray(nu_axis, dtype=float)
-    intensity = np.exp(-(((nu_axis - probe_center) / width) ** 2))
-    nu_axis = nu_axis.copy()
-    for array in (nu_axis, intensity):
-        array.setflags(write=False)
-    return ShResponse(nu_axis=nu_axis, intensity=intensity, width=width)

@@ -1,23 +1,19 @@
 """Photon-number statistics of the heralded source.
 
-Covers the thermal marginal of a single down-conversion mode, the
-multimode convolution, heralding on a lossy trigger detector, the
-forward model of a two-bin time-multiplexed click detector
-(loss matrix followed by a splitting convolution), its
-maximum-likelihood inversion, and the mode-count estimate from the
-power dependence of the heralded mean.
+Covers the thermal statistics of one or more down-conversion modes,
+heralding on a lossy trigger detector, the forward model of a two-bin
+time-multiplexed click detector (loss matrix followed by a splitting
+convolution), its maximum-likelihood inversion, and the mode-count
+estimate from the power dependence of the heralded mean.
 
 A note on inversion: a two-bin detector resolves three outcomes, so at
 most the photon-number components 0, 1 and 2 are identifiable from one
 click distribution.  ml_invert therefore reconstructs on that
-identifiable support by default, where the response matrix is square:
-when its direct solve is a distribution it reproduces the data exactly
-and is the maximum-likelihood state.  Otherwise the optimum lies on a
-face of the simplex and the multiplicative expectation-maximization
-iteration finds it, stopping on a KKT gap that certifies optimality.
-A larger reconstruction space can be requested explicitly, at the
-price of a likelihood ridge on which the iteration settles at the most
-uniform consistent state rather than the true one.
+identifiable support, where the response matrix is square: when its
+direct solve is a distribution it reproduces the data exactly and is
+the maximum-likelihood state.  Otherwise the optimum lies on a face of
+the simplex and the multiplicative expectation-maximization iteration
+finds it, stopping on a KKT gap that certifies optimality.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ __all__ = [
     "MultimodeSource",
     "InversionResult",
     "ModeReductionFit",
-    "thermal_dist",
     "multimode_dist",
     "heralded_dist",
     "loss_matrix",
@@ -132,18 +127,6 @@ def _finalize(raw: np.ndarray, nmax: int, what: str) -> PhotonNumberDist:
             "increase nmax"
         )
     return PhotonNumberDist(raw / raw.sum())
-
-
-def thermal_dist(gain_sq: float, nmax: int = 10) -> PhotonNumberDist:
-    """Geometric photon-number distribution of one thermal mode.
-
-    p_n is proportional to gain_sq**n; the mean is
-    gain_sq / (1 - gain_sq).
-    """
-    require(0.0 <= gain_sq < 1.0, "gain_sq must lie in [0, 1)")
-    require(nmax >= 1, "nmax must be at least 1")
-    raw = (1.0 - gain_sq) * gain_sq ** np.arange(nmax + 1, dtype=float)
-    return _finalize(raw, nmax, "thermal distribution")
 
 
 def multimode_dist(source: MultimodeSource, nmax: int = 10) -> PhotonNumberDist:
@@ -250,8 +233,7 @@ class InversionResult:
             zero up to rounding exactly at the optimum, and infinite
             when an observed outcome has zero predicted probability.
         condition: 1-norm condition number of R, which bounds how far
-            rounding moves a direct solve; infinite when R has more
-            columns than rows, so that the data do not determine rho.
+            rounding moves a direct solve; infinite when R is singular.
     """
 
     state: PhotonNumberDist
@@ -270,14 +252,13 @@ def _ml_estimate(
 ) -> InversionResult:
     """Maximum-likelihood distribution rho for observed = response @ rho.
 
-    A square response whose direct solve is a distribution starts the
-    search at that solve, which reproduces the observation exactly and
-    is therefore the optimum.  Otherwise the optimum lies on a face of
-    the simplex (or on a ridge, for an over-complete response) and the
-    search starts from the uniform state.  Each pass computes
-    g = R^T (observed / R rho) and stops once the KKT gap max(g) - 1 is
-    at most tol; by Cover's bound the log-likelihood is then within
-    log(1 + gap) of its maximum.  Otherwise it takes the multiplicative
+    A direct solve of the square response that is a distribution starts
+    the search at that solve, which reproduces the observation exactly
+    and is therefore the optimum.  Otherwise the optimum lies on a face
+    of the simplex and the search starts from the uniform state.  Each
+    pass computes g = R^T (observed / R rho) and stops once the KKT gap
+    max(g) - 1 is at most tol; by Cover's bound the log-likelihood is
+    then within log(1 + gap) of its maximum.  Otherwise it takes the multiplicative
     step rho <- rho * g.  The response matrix must have unit column
     sums, which makes every step normalization-preserving and the
     likelihood non-decreasing; that monotonicity is asserted on every
@@ -286,11 +267,9 @@ def _ml_estimate(
     observed = observed / observed.sum()
     support = observed > 0
     size = response.shape[1]
-    condition = math.inf  # an over-complete response has no inverse
-    if response.shape[0] == size:
-        condition = float(np.linalg.cond(response, 1))
+    condition = float(np.linalg.cond(response, 1))
     rho = np.full(size, 1.0 / size)
-    if math.isfinite(condition):
+    if math.isfinite(condition):  # a singular response has no solve
         direct = np.linalg.solve(response, observed)
         if np.all(direct >= 0.0):
             rho = direct / direct.sum()
@@ -341,17 +320,17 @@ def ml_invert(
     detector: DetectorModel,
     max_iter: int = 100_000,
     tol: float = 1e-10,
-    nmax: int | None = None,
 ) -> InversionResult:
     """Maximum-likelihood photon statistics behind observed click statistics.
 
-    The forward model is splitter_map @ loss_matrix.  On the default
-    square support the direct solve is returned when it is a
-    distribution (iterations = 0); otherwise the multiplicative
-    expectation-maximization iteration runs from the uniform state
-    until its KKT gap falls to tol.  Never fails silently: a result
-    that stopped on the iteration budget is returned with
-    converged=False.
+    The forward model is splitter_map @ loss_matrix on the photon
+    numbers 0, 1 and 2, the largest support that three click outcomes
+    identify, so the response is square.  The direct solve is returned
+    when it is a distribution (iterations = 0); otherwise the
+    multiplicative expectation-maximization iteration runs from the
+    uniform state until its KKT gap falls to tol.  Never fails
+    silently: a result that stopped on the iteration budget is returned
+    with converged=False.
 
     Args:
         clicks: observed 0/1/2-click probabilities.
@@ -360,13 +339,9 @@ def ml_invert(
         tol: bound on the KKT gap max_n g_n - 1 at which the result
             counts as converged; the log-likelihood is then within
             log(1 + tol) of its maximum.
-        nmax: reconstruction cutoff; defaults to 2, the largest photon
-            number identifiable from three click outcomes.
     """
     require(detector.efficiency > 0.0, "inversion requires efficiency > 0")
-    if nmax is None:
-        nmax = clicks.probs.size - 1
-    require(nmax >= 2, "nmax must be at least 2")
+    nmax = clicks.probs.size - 1
     model = DetectorModel(detector.efficiency, nmax=nmax)
     response = tmd_convolution_matrix(nmax) @ loss_matrix(model)
     return _ml_estimate(clicks.probs, response, max_iter, tol)
@@ -377,17 +352,15 @@ def invert_loss_only(
     detector: DetectorModel,
     max_iter: int = 100_000,
     tol: float = 1e-10,
-    nmax: int | None = None,
 ) -> InversionResult:
     """Undo detection loss from photon-number-basis statistics.
 
     For data already expressed as photon counts (for example click
     statistics that the splitter map has been removed from), the
-    forward model is the loss matrix alone.  The last observed entry is
-    treated as inclusive of all higher counts, which keeps the response
-    matrix stochastic.  The estimate is the one ml_invert makes: the
-    direct solve when it is a distribution, else the iteration stopped
-    on its KKT gap.
+    forward model is the loss matrix alone, on the photon numbers
+    0 .. K-1 that K observed outcomes identify.  The estimate is the one
+    ml_invert makes: the direct solve when it is a distribution, else
+    the iteration stopped on its KKT gap.
 
     Args:
         observed: probabilities of 0 .. K-1 detected photons, summing
@@ -395,8 +368,6 @@ def invert_loss_only(
         detector: calibrated efficiency (must be positive).
         max_iter: iteration budget.
         tol: bound on the KKT gap, as for ml_invert.
-        nmax: reconstruction cutoff; defaults to K-1, the identifiable
-            support for K observed outcomes.
     """
     observed = np.asarray(observed, dtype=float)
     require(observed.ndim == 1 and observed.size >= 2, "need >= 2 outcomes")
@@ -406,16 +377,8 @@ def invert_loss_only(
         "probabilities must sum to one within 1e-9",
     )
     require(detector.efficiency > 0.0, "inversion requires efficiency > 0")
-    outcomes = observed.size
-    if nmax is None:
-        nmax = outcomes - 1
-    require(nmax >= outcomes - 1, "nmax must cover the observed outcomes")
-    model = DetectorModel(detector.efficiency, nmax=nmax)
-    full = loss_matrix(model)
-    response = np.zeros((outcomes, nmax + 1))
-    response[: outcomes - 1] = full[: outcomes - 1]
-    response[outcomes - 1] = full[outcomes - 1 :].sum(axis=0)
-    return _ml_estimate(observed, response, max_iter, tol)
+    model = DetectorModel(detector.efficiency, nmax=observed.size - 1)
+    return _ml_estimate(observed, loss_matrix(model), max_iter, tol)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ _UNIT_SCALES: dict[str, dict[str, float]] = {
         "fs": 1e-15,
     },
     "angle": {"deg": 1.0, "rad": 180.0 / math.pi},
-    "angular_frequency": {"rad/s": 1.0},
     "inverse_velocity": {"s/m": 1.0},
     "dimensionless": {"": 1.0},
 }
@@ -108,7 +107,7 @@ class Scenario:
 
     # -- scalar accessors -------------------------------------------------
 
-    def _raw(self, key: str, default, required: bool):
+    def _raw(self, key: str, required: bool):
         if key not in self.values:
             if required:
                 raise ConfigError(f"missing required key {key!r}")
@@ -124,7 +123,7 @@ class Scenario:
         required: bool = False,
     ) -> float | None:
         """Number with a unit of the given dimension, scaled to base units."""
-        raw = self._raw(key, default, required)
+        raw = self._raw(key, required)
         if raw is None:
             return default
         number, unit = _split_number_unit(raw.text)
@@ -166,7 +165,7 @@ class Scenario:
         default: str | None = None,
         required: bool = False,
     ) -> str | None:
-        raw = self._raw(key, default, required)
+        raw = self._raw(key, required)
         if raw is None:
             return default
         if raw.text not in choices:
@@ -179,7 +178,7 @@ class Scenario:
     def number_list(
         self, key: str, required: bool = False
     ) -> list[float] | None:
-        raw = self._raw(key, None, required)
+        raw = self._raw(key, required)
         if raw is None:
             return None
         items = []
@@ -200,7 +199,7 @@ class Scenario:
         return items
 
     def path(self, key: str, required: bool = False) -> Path | None:
-        raw = self._raw(key, None, required)
+        raw = self._raw(key, required)
         if raw is None:
             return None
         return Path(raw.text)

@@ -24,7 +24,6 @@ __all__ = [
     "overlap_numeric",
     "model_grid",
     "visibility_from_overlap",
-    "overlap_from_visibility",
 ]
 
 
@@ -173,12 +172,3 @@ def visibility_from_overlap(overlap: float) -> float:
     if not 0.0 <= overlap <= 1.0:
         raise ValueError("overlap must lie in [0, 1]")
     return (1.0 + overlap) / (3.0 - overlap)
-
-
-def overlap_from_visibility(visibility: float) -> float:
-    """Inverse of visibility_from_overlap, defined on [1/3, 1]."""
-    if not 1.0 / 3.0 <= visibility <= 1.0:
-        raise ValueError(
-            "visibility must lie in [1/3, 1] for this interference model"
-        )
-    return (3.0 * visibility - 1.0) / (visibility + 1.0)

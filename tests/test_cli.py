@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdckit import cli, hom_reference, jsa
@@ -258,6 +258,26 @@ class TestHomScanCommand:
         middle = len(coincidences) // 2
         assert coincidences[middle] == min(coincidences)
 
+    def test_dip_wider_than_a_squared_double(self, tmp_path, capsys):
+        config = _write(
+            tmp_path,
+            "scan.cfg",
+            """
+            p0 = 0.9
+            p1 = 0.09
+            p2 = 0.01
+            beta_sq = 0.05
+            tmax = 0.5
+            dip_sigma = 1.3407807929942597e+166 ps
+            tau_steps = 5
+            """,
+        )
+        code, out, err = _run(capsys, "hom-scan", "--config", str(config))
+        assert code == 0
+        overlaps = [float(row["overlap"]) for row in _rows(out)]
+        assert overlaps[2] == 0.5
+        assert overlaps[0] == overlaps[4] == pytest.approx(0.5 * 2.718281828**-8)
+
 
 class TestDipWidthCommand:
     def test_guide_scale(self, tmp_path, capsys):
@@ -387,6 +407,23 @@ class TestInvertCommand:
         assert "did not converge" in err
         assert "zero probability" in err
 
+    def test_nmax_key_is_ignored(self, tmp_path, capsys):
+        text = "observed = 0.94920, 0.05065, 0.00015\nefficiency = 0.048\n"
+        plain = _write(tmp_path, "plain.cfg", text)
+        with_nmax = _write(tmp_path, "nmax.cfg", text + "nmax = 2\n")
+        code, out, err = _run(capsys, "invert", "--config", str(plain))
+        assert code == 0
+        assert _run(capsys, "invert", "--config", str(with_nmax)) == (
+            0,
+            out,
+            err,
+        )
+        code, out_verbose, err_verbose = _run(
+            capsys, "invert", "--config", str(with_nmax), "--verbose"
+        )
+        assert code == 0 and out_verbose == out
+        assert err_verbose.splitlines()[-1] == "ignored keys: nmax"
+
 
 class TestFidelityCommand:
     def test_headline(self, tmp_path, capsys):
@@ -486,12 +523,42 @@ class TestErrorHandling:
                 "observed = 1e400, 0, 0\nefficiency = 0.5\n",
                 "observed",
             ),
+            (
+                "visibility-curve",
+                "p0 = 0.9\np1 = 0.1\np2 = 0\nbeta_sq_min = 0.01\n"
+                "beta_sq_max = 0.1\nbeta_sq_steps = 1000000000000\n",
+                "beta_sq_steps",
+            ),
+            (
+                "pm-vs-length",
+                "length = 2.1 mm\nkappa_s = 1.4e-9 s/m\nkappa_i = 0.99e-9 s/m\n"
+                "length_min = 1 mm\nlength_max = 2 mm\nlength_steps = 10001\n",
+                "length_steps",
+            ),
+            (
+                "hom-scan",
+                "p0 = 0.9\np1 = 0.09\np2 = 0.01\nbeta_sq = 0.05\ntmax = 0.5\n"
+                "dip_sigma = 1 ps\ntau_steps = 1\n",
+                "tau_steps",
+            ),
+            (
+                "hom-scan",  # spectral: refused before the grid is built
+                SOURCE_CFG
+                + "p0 = 0.9\np1 = 0.09\np2 = 0.01\nbeta_sq = 0.05\n"
+                "signal_filter_fwhm = 1 nm\nreference_fwhm = 1 nm\n"
+                "tau_steps = 1000000000000\n",
+                "tau_steps",
+            ),
         ],
         ids=[
             "zero-wavelength",
             "overflowing-count",
             "overflowing-quantity",
             "overflowing-list-entry",
+            "huge-sweep",
+            "long-length-sweep",
+            "single-delay",
+            "huge-spectral-delay-axis",
         ],
     )
     def test_invalid_value_is_named(self, tmp_path, capsys, command, text, key):
@@ -499,6 +566,74 @@ class TestErrorHandling:
         code, _, err = _run(capsys, command, "--config", str(config))
         assert code == 1
         assert err.startswith("error: ") and key in err
+
+    @pytest.mark.parametrize("steps", [1, 2, 10_000, 10_001])
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            (
+                "hom-scan",
+                "p0 = 0.9\np1 = 0.09\np2 = 0.01\nbeta_sq = 0.05\ntmax = 0.5\n"
+                "dip_sigma = 1 ps\n",
+                "tau_steps",
+            ),
+            (
+                "visibility-curve",
+                "p0 = 0.9\np1 = 0.1\np2 = 0\nbeta_sq_min = 0.01\n"
+                "beta_sq_max = 0.1\n",
+                "beta_sq_steps",
+            ),
+            (
+                "pm-vs-length",
+                "length = 2.1 mm\nkappa_s = 1.4e-9 s/m\nkappa_i = 0.99e-9 s/m\n"
+                "length_min = 1 mm\nlength_max = 2 mm\n",
+                "length_steps",
+            ),
+        ],
+        ids=["delay-axis", "sweep", "length-sweep"],
+    )
+    def test_step_count_bounds(
+        self, tmp_path, capsys, command, text, key, steps
+    ):
+        config = _write(tmp_path, "c.cfg", text + f"{key} = {steps}\n")
+        code, out, err = _run(capsys, command, "--config", str(config))
+        if 2 <= steps <= 10_000:
+            assert code == 0
+            assert len(_rows(out)) == steps
+        else:
+            assert code == 1 and out == ""
+            assert err == f"error: key {key!r}: must lie in [2, 10000]\n"
+
+    # the reference width goes as 1/wavelength^2, which overflows to a
+    # float error at the huge wavelength and divides by zero at the tiny one
+    @pytest.mark.parametrize(
+        "wavelength", ["1.3407807929942597e+163 nm", "7.347339831280179e-280 nm"]
+    )
+    def test_unrepresentable_value_exits_one(self, tmp_path, capsys, wavelength):
+        config = _write(
+            tmp_path,
+            "c.cfg",
+            "p0 = 0.9\np1 = 0.09\np2 = 0.01\nbeta_sq = 0.05\ntmax = 0.5\n"
+            f"dip_sigma = 1 ps\nreference_fwhm = 1 nm\n"
+            f"center_wavelength = {wavelength}\n",
+        )
+        code, out, err = _run(capsys, "hom-scan", "--config", str(config))
+        assert (code, out, err) == (
+            1,
+            "",
+            "error: hom-scan: a value is out of range\n",
+        )
+
+    def test_angular_frequency_unit_is_refused(self, tmp_path, capsys):
+        config = _write(
+            tmp_path,
+            "c.cfg",
+            "p0 = 0.9\np1 = 0.09\np2 = 0.01\nbeta_sq = 0.05\ntmax = 0.5\n"
+            "dip_sigma = 1 rad/s\n",
+        )
+        code, out, err = _run(capsys, "hom-scan", "--config", str(config))
+        assert code == 1 and out == ""
+        assert err.startswith("error: key 'dip_sigma': unit 'rad/s'")
 
     def test_out_of_range_probability(self, tmp_path, capsys):
         config = _write(tmp_path, "c.cfg", "p0 = 0.5\np1 = 0.2\np2 = 0.1\n")
@@ -531,7 +666,8 @@ class TestScientificFormatting:
 # -- property: grid-free commands never raise out of main --------------------
 #
 # Grid commands stay out: their N x N memory grows with the drawn shape.
-# Step counts are bounded for the same reason.
+# Step counts may be drawn huge: the CLI refuses any above 10,000 before
+# it allocates.
 
 _NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -539,7 +675,7 @@ _NUMBERS = st.one_of(
 )
 _COUNTS = st.one_of(
     st.integers(min_value=-3, max_value=200).map(str),
-    st.sampled_from(["2.5", "1e400"]),
+    st.sampled_from(["2.5", "1e400", "10001", "1000000000000"]),
 )
 
 
@@ -592,8 +728,32 @@ def _grid_free_commands(draw):
     return command, keys
 
 
+_STATE = {"p0": "0.9", "p1": "0.09", "p2": "0.01"}
+
+
 @settings(max_examples=300, deadline=None)
 @given(_grid_free_commands())
+@example(
+    (
+        "hom-scan",
+        dict(_STATE, tmax="0.5", beta_sq="0.05", dip_sigma="1 ps",
+             tau_steps="1000000000000"),
+    )
+)
+@example(
+    (
+        "visibility-curve",
+        dict(_STATE, beta_sq_min="0.01", beta_sq_max="0.1",
+             beta_sq_steps="1000000000000"),
+    )
+)
+@example(
+    (
+        "hom-scan",
+        dict(p0="0.0", p1="0.0", p2="1.0", tmax="0.0", beta_sq="0.0",
+             dip_sigma="1.3407807929942597e+166 ps"),
+    )
+)
 def test_grid_free_commands_exit_cleanly(case):
     command, keys = case
     text = "".join(f"{key} = {value}\n" for key, value in keys.items())

@@ -8,20 +8,25 @@ from hypothesis import strategies as st
 from pdckit import photon_stats as ps
 
 
+def _thermal(gain_sq, nmax):
+    """One thermal mode: the single-mode case of the multimode model."""
+    return ps.multimode_dist(ps.MultimodeSource(1, gain_sq), nmax=nmax)
+
+
 class TestThermal:
     def test_zero_gain_is_vacuum(self):
-        dist = ps.thermal_dist(0.0, nmax=4)
+        dist = _thermal(0.0, nmax=4)
         assert np.array_equal(dist.probs, [1.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_geometric_sequence(self):
-        dist = ps.thermal_dist(0.5, nmax=24)
+        dist = _thermal(0.5, nmax=24)
         assert np.allclose(dist.probs[:4], [0.5, 0.25, 0.125, 0.0625], atol=1e-6)
         assert dist.mean() == pytest.approx(1.0, abs=1e-5)
 
     def test_second_moment_identity(self):
         # <n^2> = 2 mu^2 + mu for a thermal state; the brute-force sum
         # over the stored vector must agree
-        dist = ps.thermal_dist(0.35, nmax=30)
+        dist = _thermal(0.35, nmax=30)
         mu = dist.mean()
         brute = float(sum(n * n * p for n, p in enumerate(dist.probs)))
         assert brute == pytest.approx(2 * mu * mu + mu, rel=1e-9)
@@ -29,11 +34,11 @@ class TestThermal:
 
     def test_cutoff_too_small_rejected(self):
         with pytest.raises(ValueError, match="increase nmax"):
-            ps.thermal_dist(0.5, nmax=8)
+            _thermal(0.5, nmax=8)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ps.thermal_dist(1.0, nmax=10)
+            _thermal(1.0, nmax=10)
         with pytest.raises(ValueError):
             ps.PhotonNumberDist([0.5, 0.4])  # does not sum to one
 
@@ -41,9 +46,10 @@ class TestThermal:
 class TestMultimode:
     def test_single_mode_matches_thermal(self):
         source = ps.MultimodeSource(n_modes=1, gain_sq=0.2)
+        geometric = 0.8 * 0.2 ** np.arange(13)
         assert np.allclose(
             ps.multimode_dist(source, nmax=12).probs,
-            ps.thermal_dist(0.2, nmax=12).probs,
+            geometric / geometric.sum(),
             atol=1e-15,
         )
 
@@ -69,7 +75,7 @@ class TestMultimode:
     def test_moment_identities(self, n_modes, gain_sq):
         source = ps.MultimodeSource(n_modes=n_modes, gain_sq=gain_sq)
         dist = ps.multimode_dist(source, nmax=40)
-        single = ps.thermal_dist(gain_sq, nmax=40)
+        single = _thermal(gain_sq, nmax=40)
         mu, mu2 = single.mean(), single.second_moment()
         assert dist.mean() == pytest.approx(n_modes * mu, abs=1e-9)
         assert dist.second_moment() == pytest.approx(
@@ -85,7 +91,7 @@ class TestHeralded:
             assert heralded.probs[1] == pytest.approx(1.0)
 
     def test_thermal_low_loss_mean(self):
-        dist = ps.thermal_dist(0.15, nmax=20)
+        dist = _thermal(0.15, nmax=20)
         mu = dist.mean()
         heralded = ps.heralded_dist(dist, 0.0)
         assert heralded.mean() == pytest.approx(2 * mu + 1, abs=1e-7)
@@ -102,7 +108,7 @@ class TestHeralded:
     @pytest.mark.parametrize("eta_t", [1e-4, 1e-3])
     def test_total_variation_against_low_loss_limit(self, eta_t):
         for dist in (
-            ps.thermal_dist(0.15, nmax=20),
+            _thermal(0.15, nmax=20),
             ps.multimode_dist(ps.MultimodeSource(n_modes=4, gain_sq=0.05), 20),
         ):
             lossy = ps.heralded_dist(dist, eta_t)

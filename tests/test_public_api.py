@@ -1,0 +1,88 @@
+"""The public surface: every exported name resolves and has a user.
+
+A name earns its place in a model module's ``__all__`` when the command
+line reaches it, directly or through other library code, or when the
+tests use it as an independent reference for a faster route.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import pdckit
+
+PACKAGE = Path(pdckit.__file__).parent
+
+# the modules whose public functions the benchmark tracer wraps by name
+TRACED = ("scenario", "cli", "jsa", "hom_reference", "photon_stats", "twin_hom")
+
+MODEL_MODULES = ("jsa", "hom_reference", "twin_hom", "photon_stats")
+
+# reached by no command, kept as references the tests check against
+TEST_REFERENCES = {
+    "coincidence_full",  # the exact coincidence model behind the simplified one
+    "overlap_numeric",  # quadrature of the twin overlap's closed form
+    "model_grid",  # the grid that overlap_numeric integrates
+    "forward_click_dist",  # the forward model the inversion undoes
+}
+
+
+def _references(node) -> set[str]:
+    """Identifiers that a piece of code reads, as names or attributes."""
+    names = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            names.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            names.add(child.attr)
+    return names
+
+
+def _reachable() -> set[str]:
+    """Top-level names reached from cli.py and the test references.
+
+    Each module-level function or class contributes what its body reads
+    once its own name is reached; other module-level statements always
+    count.  Names are matched by identifier across the package, which
+    over-approximates but never misses a use.
+    """
+    bodies: dict[str, set[str]] = {}
+    reached = set(TEST_REFERENCES)
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        if path.stem == "cli":
+            reached |= _references(tree)
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bodies.setdefault(node.name, set()).update(_references(node))
+            else:
+                reached |= _references(node)
+    frontier = set(reached)
+    while frontier:
+        name = frontier.pop()
+        new = bodies.get(name, set()) - reached
+        reached |= new
+        frontier |= new
+    return reached
+
+
+@pytest.mark.parametrize("module_name", TRACED)
+def test_every_exported_name_resolves(module_name):
+    module = importlib.import_module(f"pdckit.{module_name}")
+    missing = [
+        name
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert missing == []
+
+
+@pytest.mark.parametrize("module_name", MODEL_MODULES)
+def test_every_exported_name_is_used(module_name):
+    module = importlib.import_module(f"pdckit.{module_name}")
+    reached = _reachable()
+    unused = [name for name in module.__all__ if name not in reached]
+    assert unused == []

@@ -123,21 +123,3 @@ class TestVisibility:
 
     def test_unit_overlap_gives_one(self):
         assert twin_hom.visibility_from_overlap(1.0) == pytest.approx(1.0)
-
-    def test_inverse_spot_value(self):
-        assert twin_hom.overlap_from_visibility(0.81) == pytest.approx(
-            0.790055, abs=1e-6
-        )
-
-    def test_round_trip(self):
-        for overlap in np.linspace(0.0, 1.0, 21):
-            visibility = twin_hom.visibility_from_overlap(float(overlap))
-            assert twin_hom.overlap_from_visibility(
-                visibility
-            ) == pytest.approx(float(overlap), abs=1e-12)
-
-    def test_inverse_rejects_unphysical(self):
-        with pytest.raises(ValueError):
-            twin_hom.overlap_from_visibility(0.2)
-        with pytest.raises(ValueError):
-            twin_hom.overlap_from_visibility(1.1)
