@@ -19,11 +19,14 @@ import numpy as np
 
 from . import hom_reference as hom
 from . import jsa, photon_stats, twin_hom, units
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, require
 from .scenario import Scenario
 
 DEFAULT_CENTER_WAVELENGTH = 796e-9
 _MAX_STEPS = 10_000  # longest sweep or delay axis a command builds
+# largest photon number or mode count herald-stats convolves: 1,000
+# modes at nmax 1,000 take about 0.2 s per distribution
+_MAX_HERALD = 1_000
 
 
 def _fmt(value) -> str:
@@ -133,12 +136,14 @@ def _source_params(sc: Scenario, default_pump_nm: float | None = None):
     )
 
 
-def _steps(sc: Scenario, key: str, default: int) -> int:
-    """A step count, checked before any array of that length exists."""
-    steps = sc.integer(key, default=default)
-    if not 2 <= steps <= _MAX_STEPS:
-        raise ConfigError(f"key {key!r}: must lie in [2, {_MAX_STEPS}]")
-    return steps
+def _count(
+    sc: Scenario, key: str, default: int, low: int = 2, high: int = _MAX_STEPS
+) -> int:
+    """A count that sizes an array or a loop, checked before either exists."""
+    count = sc.integer(key, default=default)
+    if not low <= count <= high:
+        raise ConfigError(f"key {key!r}: must lie in [{low}, {high}]")
+    return count
 
 
 def _sweep(sc: Scenario, stem: str, geometric: bool = False) -> list[float]:
@@ -147,7 +152,7 @@ def _sweep(sc: Scenario, stem: str, geometric: bool = False) -> list[float]:
         return explicit
     low = sc.number(f"{stem}_min", required=True)
     high = sc.number(f"{stem}_max", required=True)
-    steps = _steps(sc, f"{stem}_steps", 21)
+    steps = _count(sc, f"{stem}_steps", 21)
     if high <= low:
         raise ConfigError(f"key {stem!r}: need {stem}_min < {stem}_max")
     if geometric:
@@ -217,11 +222,10 @@ def _cmd_filter(sc: Scenario) -> tuple[list, list, list]:
     params = _source_params(sc)
     ws = _width_from_fwhm(sc, "filter_s_fwhm", wavelength, required=True)
     wi = _width_from_fwhm(sc, "filter_i_fwhm", wavelength, required=True)
-    m11, m12, m22 = jsa.correlation_matrix(params)
     unfiltered = jsa.build_ellipse(params)
-    # amplitude transmissions add 1/w^2 to each diagonal entry
+    source = jsa.filtered_source(params, ws, wi)
     filtered = jsa.ellipse_from_matrix(
-        m11 + 1.0 / ws**2, m12, m22 + 1.0 / wi**2
+        source.m11, source.m12, source.m22, determinant=source.determinant
     )
     rows = [
         _ellipse_row("unfiltered", unfiltered, wavelength),
@@ -244,7 +248,7 @@ def _cmd_pm_vs_length(sc: Scenario) -> tuple[list, list, list]:
 def _sweep_lengths(sc: Scenario) -> list[float]:
     low = sc.quantity("length_min", "length", required=True)
     high = sc.quantity("length_max", "length", required=True)
-    steps = _steps(sc, "length_steps", 21)
+    steps = _count(sc, "length_steps", 21)
     if high <= low:
         raise ConfigError("need length_min < length_max")
     return list(np.linspace(low, high, steps))
@@ -277,10 +281,10 @@ def _cmd_twin_hom(sc: Scenario) -> tuple[list, list, list]:
 
 
 def _cmd_herald_stats(sc: Scenario) -> tuple[list, list, list]:
-    modes_unfiltered = sc.integer("modes_unfiltered", default=31)
-    modes_filtered = sc.integer("modes_filtered", default=1)
+    modes_unfiltered = _count(sc, "modes_unfiltered", 31, 1, _MAX_HERALD)
+    modes_filtered = _count(sc, "modes_filtered", 1, 1, _MAX_HERALD)
     eta_t = sc.number("trigger_efficiency", default=0.0)
-    nmax = sc.integer("nmax", default=16)
+    nmax = _count(sc, "nmax", 16, 1, _MAX_HERALD)
     gains = _sweep(sc, "gain_sq")
     rows = []
     for gain in gains:
@@ -343,10 +347,13 @@ def _reference(sc: Scenario, wavelength: float, beta_sq: float):
     return hom.ReferenceField(mean_photons=beta_sq, amplitude_width=width)
 
 
-def _filtered_source(sc: Scenario, beta_sq: float, trigger_required: bool):
-    """Reference, signal and trigger filters, and the sampled source.
+def _reference_and_filters(
+    sc: Scenario, beta_sq: float, trigger_required: bool
+):
+    """Reference, source, and signal and trigger filter amplitude widths.
 
-    An absent trigger_filter_fwhm, where allowed, leaves the idler open.
+    An absent trigger_filter_fwhm, where allowed, leaves the idler open
+    (an infinite width).
     """
     wavelength = _center_wavelength(sc)
     params = _source_params(sc)
@@ -355,30 +362,7 @@ def _filtered_source(sc: Scenario, beta_sq: float, trigger_required: bool):
     wt = _width_from_fwhm(
         sc, "trigger_filter_fwhm", wavelength, required=trigger_required
     )
-    signal_filter = jsa.SpectralFilter(amplitude_width=ws)
-    trigger_filter = (
-        jsa.SpectralFilter(amplitude_width=wt)
-        if wt is not None
-        else jsa.SpectralFilter.open_filter()
-    )
-    axis = jsa.default_axes(params, samples_per_width=sc.grid_points)
-    grid = jsa.evaluate_jsa(params, axis, axis)
-    return reference, signal_filter, trigger_filter, grid
-
-
-def _spectral_dip(sc: Scenario, state, beta_sq: float):
-    n_points = _steps(sc, "tau_steps", 81)  # before the grid is built
-    reference, signal_filter, trigger_filter, grid = _filtered_source(
-        sc, beta_sq, trigger_required=False
-    )
-    g = jsa.reduced_density(grid, fs=signal_filter, fi=trigger_filter)
-    return hom.hom_scan(
-        state,
-        reference,
-        g,
-        n_points=n_points,
-        span_sigmas=sc.number("tau_span_sigmas", default=4.0),
-    )
+    return reference, params, ws, math.inf if wt is None else wt
 
 
 def _cmd_hom_scan(sc: Scenario) -> tuple[list, list, list]:
@@ -393,16 +377,23 @@ def _cmd_hom_scan(sc: Scenario) -> tuple[list, list, list]:
             mean_photons=beta_sq,
             amplitude_width=width if width is not None else 1.0,
         )
-        scan = hom.hom_scan_analytic(
-            state,
-            reference,
-            overlap_max,
-            sigma_t,
-            n_points=_steps(sc, "tau_steps", 81),
-            span_sigmas=sc.number("tau_span_sigmas", default=4.0),
-        )
+        center = 0.0
     else:
-        scan = _spectral_dip(sc, state, beta_sq)
+        reference, params, ws, wt = _reference_and_filters(
+            sc, beta_sq, trigger_required=False
+        )
+        source = jsa.filtered_source(params, ws, wt)
+        overlap_max = source.tmax(reference.amplitude_width)
+        sigma_t = source.dip_sigma(reference.amplitude_width)
+        center = source.delay
+    scan = hom.hom_scan_analytic(
+        state,
+        reference,
+        overlap_max,
+        sigma_t,
+        n_points=_count(sc, "tau_steps", 81),
+        span_sigmas=sc.number("tau_span_sigmas", default=4.0),
+    )
     rows = [
         [tau * 1e12, overlap, coincidence]
         for tau, overlap, coincidence in zip(
@@ -413,7 +404,7 @@ def _cmd_hom_scan(sc: Scenario) -> tuple[list, list, list]:
         f"visibility = {scan.visibility:.6g}",
         f"dip sigma = {scan.dip_sigma_t * 1e12:.6g} ps, fwhm = "
         f"{units.normal_sigma_to_fwhm(scan.dip_sigma_t) * 1e12:.6g} ps",
-        f"dip center offset = {scan.dip_center * 1e12:.6g} ps",
+        f"dip center offset = {center * 1e12:.6g} ps",
     ]
     return ["tau_ps", "overlap", "coincidence"], rows, summary
 
@@ -429,22 +420,26 @@ def _cmd_dip_width(sc: Scenario) -> tuple[list, list, list]:
     )
     sigma_pm = _width_from_fwhm(sc, "pm_fwhm", wavelength, required=True)
     tilt = sc.quantity("tilt", "angle", required=True)
-    sigma_t = hom.dip_width(sigma_pump, sigma_ref, sigma_filter, sigma_pm, tilt)
+    # M, and with it the dip width, does not depend on the length,
+    # which dip-width does not read
+    params = jsa.params_from_pm_estimate(
+        sigma_pump, sigma_pm, tilt, length=1.0
+    )
+    sigma_t = jsa.filtered_source(params, sigma_filter).dip_sigma(sigma_ref)
     rows = [[sigma_t * 1e12, units.normal_sigma_to_fwhm(sigma_t) * 1e12]]
     return ["dip_sigma_ps", "dip_fwhm_ps"], rows, []
 
 
 def _cmd_tmax(sc: Scenario) -> tuple[list, list, list]:
-    reference, signal_filter, trigger_filter, grid = _filtered_source(
+    reference, params, ws, wt = _reference_and_filters(
         sc, sc.number("beta_sq", default=0.01), trigger_required=True
     )
     rows = []
-    for label, fi in (
-        ("two-fold", jsa.SpectralFilter.open_filter()),
-        ("three-fold", trigger_filter),
-    ):
-        g = jsa.reduced_density(grid, fs=signal_filter, fi=fi)
-        rows.append([label, hom.tmax_prediction(reference, g), jsa.purity(g)])
+    for label, trigger in (("two-fold", math.inf), ("three-fold", wt)):
+        source = jsa.filtered_source(params, ws, trigger)
+        rows.append(
+            [label, source.tmax(reference.amplitude_width), source.purity]
+        )
     return ["case", "tmax", "purity"], rows, []
 
 
@@ -540,7 +535,8 @@ def _build_parser() -> _Parser:
         "--grid-points",
         type=int,
         default=12,
-        help="grid samples per amplitude width (default 12)",
+        help="samples per amplitude width, at least 8; no command samples "
+        "a grid, so it changes no output",
     )
     parser.add_argument("--verbose", action="store_true")
     return parser
@@ -551,12 +547,12 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         command = args.command
+        require(args.grid_points >= 8, "need at least 8 samples per width")
         scenario = Scenario.from_file(
             args.command,
             Path(args.config),
             out_path=Path(args.out) if args.out else None,
             data_path=Path(args.data) if args.data else None,
-            grid_points=args.grid_points,
             verbose=args.verbose,
         )
         handler = _COMMANDS[scenario.command]

@@ -8,6 +8,12 @@ spectral overlap T between the reference mode and the one-photon
 spectral density of the signal.  From the visibility against reference
 power the overlap can be fitted, and together with the one-photon
 probability it fixes the preparation fidelity sqrt(T * rho1).
+
+For the Gaussian model, T at the dip centre and the dip width are
+closed forms of the filtered source (jsa.FilteredSource), and the dip
+is Gaussian in delay (hom_scan_analytic).  overlap_T evaluates T by
+quadrature of a sampled density at any delay; it is the reference the
+closed forms are tested against.
 """
 
 from __future__ import annotations
@@ -33,10 +39,7 @@ __all__ = [
     "beta_opt",
     "max_visibility",
     "fit_overlap",
-    "dip_width",
     "fidelity",
-    "tmax_prediction",
-    "hom_scan",
     "hom_scan_analytic",
 ]
 
@@ -91,7 +94,6 @@ class HomScan:
     visibility: float
     dip_sigma_t: float
     overlap: np.ndarray
-    dip_center: float
 
 
 @dataclass(frozen=True)
@@ -248,32 +250,6 @@ def fit_overlap(measurements, state: SignalState) -> OverlapFit:
     return OverlapFit(overlap=estimate, stderr=stderr, n_points=data.shape[0])
 
 
-def dip_width(
-    sigma_pump: float,
-    sigma_ref: float,
-    sigma_signal_filter: float,
-    sigma_pm: float,
-    tilt_deg: float,
-) -> float:
-    """Gaussian sigma of the temporal interference dip, in seconds.
-
-    sigma_t^2 sums the inverse squared widths of pump, reference and
-    signal filter plus sin^2(tilt) over the squared phase-matching
-    width; the overlap then decays as exp(-tau^2 / (2 sigma_t^2)).
-    Infinite widths drop out of the sum.
-    """
-    for width in (sigma_pump, sigma_ref, sigma_signal_filter, sigma_pm):
-        require(width > 0.0, "all widths must be positive")
-    sin_tilt = math.sin(math.radians(tilt_deg))
-    total = 0.0
-    for width in (sigma_pump, sigma_ref, sigma_signal_filter):
-        if math.isfinite(width):
-            total += 1.0 / width**2
-    if math.isfinite(sigma_pm):
-        total += sin_tilt**2 / sigma_pm**2
-    return math.sqrt(total)
-
-
 def fidelity(spectral_overlap: float, one_photon: float) -> FidelityResult:
     """Preparation fidelity sqrt(T * rho1) against the one-photon target."""
     require(0.0 <= spectral_overlap <= 1.0, "overlap must lie in [0, 1]")
@@ -285,96 +261,6 @@ def fidelity(spectral_overlap: float, one_photon: float) -> FidelityResult:
     )
 
 
-def _dip_peak(
-    reference: ReferenceField, g: ReducedDensity
-) -> tuple[float, float, float]:
-    """Locate the overlap maximum in delay.
-
-    Returns (tau_peak, overlap_peak, sigma_t_estimate).  The group
-    delay carried by the kernel phase shifts the dip center away from
-    zero delay; the starting guess reads that linear phase off the
-    first off-diagonal, and a log-parabolic refinement (exact for the
-    Gaussian model) polishes it.
-    """
-    axis = g.nu_axis
-    step = axis[1] - axis[0]
-    off_diagonal = np.sum(np.diagonal(g.density, offset=1))
-    tau = float(np.angle(off_diagonal) / step) if abs(off_diagonal) > 0 else 0.0
-
-    h = 0.5 / reference.amplitude_width
-    sigma = h
-    for _ in range(3):
-        values = [overlap_T(reference, g, t) for t in (tau - h, tau, tau + h)]
-        if min(values) <= 0.0:
-            break
-        lo, mid, hi = (math.log(v) for v in values)
-        curvature = lo - 2.0 * mid + hi
-        if curvature >= 0.0:
-            break
-        tau += 0.5 * h * (lo - hi) / curvature
-        sigma = h / math.sqrt(-curvature)
-        h /= 4.0
-    return tau, overlap_T(reference, g, tau), sigma
-
-
-def tmax_prediction(reference: ReferenceField, g: ReducedDensity) -> float:
-    """Maximal spectral overlap of the prepared state with the reference.
-
-    g is the filtered one-photon density: with the trigger filter on the
-    idler when heralding, with an open idler channel otherwise.  Returns
-    the overlap at the dip center, where a delay stage would operate.
-    """
-    return _dip_peak(reference, g)[1]
-
-
-def _scan(
-    state: SignalState,
-    ref: ReferenceField,
-    tau_axis: np.ndarray,
-    overlap: np.ndarray,
-    peak: float,
-    sigma: float,
-    center: float,
-) -> HomScan:
-    """HomScan for an overlap profile on tau_axis with maximum peak."""
-    coincidence = np.array(
-        [coincidence_simplified(state, ref, t) for t in overlap]
-    )
-    baseline = coincidence_simplified(state, ref, 0.0)
-    dip = coincidence_simplified(state, ref, peak)
-    visibility = (baseline - dip) / baseline if baseline > 0 else 0.0
-    for array in (tau_axis, overlap, coincidence):
-        array.setflags(write=False)
-    return HomScan(
-        tau_axis=tau_axis,
-        coincidence=coincidence,
-        visibility=visibility,
-        dip_sigma_t=sigma,
-        overlap=overlap,
-        dip_center=center,
-    )
-
-
-def hom_scan(
-    state: SignalState,
-    ref: ReferenceField,
-    g: ReducedDensity,
-    n_points: int = 81,
-    span_sigmas: float = 4.0,
-) -> HomScan:
-    """Coincidence dip of the signal against the reference.
-
-    The delay axis is reported relative to the dip center (the group
-    delay a stage would compensate); dip_center records the removed
-    offset.  Coincidences use the leading-order model, so the reference
-    must be weak.
-    """
-    center, peak, sigma = _dip_peak(ref, g)
-    tau_axis = np.linspace(-span_sigmas * sigma, span_sigmas * sigma, n_points)
-    overlap = np.array([overlap_T(ref, g, t + center) for t in tau_axis])
-    return _scan(state, ref, tau_axis, overlap, peak, sigma, center)
-
-
 def hom_scan_analytic(
     state: SignalState,
     ref: ReferenceField,
@@ -383,7 +269,12 @@ def hom_scan_analytic(
     n_points: int = 81,
     span_sigmas: float = 4.0,
 ) -> HomScan:
-    """Coincidence dip for a Gaussian overlap profile given in closed form."""
+    """Coincidence dip for the Gaussian overlap profile
+    overlap_max exp(-tau^2 / (2 sigma_t^2)).
+
+    The delay axis is relative to the dip centre.  Coincidences use the
+    leading-order model, so the reference must be weak.
+    """
     require(0.0 <= overlap_max <= 1.0, "overlap_max must lie in [0, 1]")
     require(sigma_t > 0.0, "sigma_t must be positive")
     tau_axis = np.linspace(
@@ -391,4 +282,18 @@ def hom_scan_analytic(
     )
     # in units of sigma_t, so a huge finite sigma_t cannot overflow
     overlap = overlap_max * np.exp(-0.5 * (tau_axis / sigma_t) ** 2)
-    return _scan(state, ref, tau_axis, overlap, overlap_max, sigma_t, 0.0)
+    coincidence = np.array(
+        [coincidence_simplified(state, ref, t) for t in overlap]
+    )
+    baseline = coincidence_simplified(state, ref, 0.0)
+    dip = coincidence_simplified(state, ref, overlap_max)
+    visibility = (baseline - dip) / baseline if baseline > 0 else 0.0
+    for array in (tau_axis, overlap, coincidence):
+        array.setflags(write=False)
+    return HomScan(
+        tau_axis=tau_axis,
+        coincidence=coincidence,
+        visibility=visibility,
+        dip_sigma_t=sigma_t,
+        overlap=overlap,
+    )

@@ -93,7 +93,6 @@ class Scenario:
     values: dict[str, _RawValue]
     out_path: Path | None = None
     data_path: Path | None = None
-    grid_points: int = 12
     verbose: bool = False
     consumed: set = field(default_factory=set)
 

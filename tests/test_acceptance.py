@@ -125,13 +125,8 @@ def test_criterion_6_dip_width():
     ):
         params = _reconstructed_source()
         one_nm = _nm_width(1.0)
-        sigma_t = hom.dip_width(
-            sigma_pump=params.sigma_pump,
-            sigma_ref=one_nm,
-            sigma_signal_filter=one_nm,
-            sigma_pm=jsa.pm_width(params),
-            tilt_deg=54.7,
-        )
+        source = jsa.filtered_source(params, one_nm, one_nm)
+        sigma_t = source.dip_sigma(one_nm)
         assert units.normal_sigma_to_fwhm(sigma_t) == pytest.approx(
             2.0e-12, abs=0.3e-12
         )
@@ -144,11 +139,11 @@ def test_criterion_6_dip_width():
             jsa.SpectralFilter(amplitude_width=one_nm),
         )
         reference = hom.ReferenceField(mean_photons=0.02, amplitude_width=one_nm)
-        scan = hom.hom_scan(THREE_FOLD, reference, g)
-        taus = scan.tau_axis
-        fit = np.polyfit(taus, np.log(scan.overlap), 2)
+        taus = np.linspace(-4.0 * sigma_t, 4.0 * sigma_t, 81)
+        overlap = [hom.overlap_T(reference, g, source.delay + t) for t in taus]
+        fit = np.polyfit(taus, np.log(overlap), 2)
         fitted_sigma = math.sqrt(-1.0 / (2.0 * fit[0]))
-        assert fitted_sigma == pytest.approx(sigma_t, rel=0.02)
+        assert fitted_sigma == pytest.approx(sigma_t, rel=1e-6)
 
 
 def test_criterion_7_statistics_round_trip():
@@ -212,24 +207,22 @@ def test_criterion_9_heralding_monotonicity():
         axis = jsa.default_axes(params, samples_per_width=10, extent_widths=3.5)
         grid = jsa.evaluate_jsa(params, axis, axis)
         signal_filter = jsa.SpectralFilter(amplitude_width=one_nm)
-        trigger = jsa.SpectralFilter(amplitude_width=one_nm)
         reference = hom.ReferenceField(mean_photons=0.02, amplitude_width=one_nm)
 
-        three_fold = hom.tmax_prediction(
-            reference, jsa.reduced_density(grid, signal_filter, trigger)
-        )
-        two_fold = hom.tmax_prediction(
-            reference,
-            jsa.reduced_density(
-                grid, signal_filter, jsa.SpectralFilter.open_filter()
-            ),
-        )
-        assert three_fold > two_fold
-
-        purities = []
-        for trigger_fwhm_nm in (2.5, 1.75, 1.0):  # trigger narrows
-            fi = jsa.SpectralFilter(amplitude_width=_nm_width(trigger_fwhm_nm))
-            purities.append(
-                jsa.purity(jsa.reduced_density(grid, signal_filter, fi))
+        tmax, purities = {}, []
+        # no trigger filter, then a trigger that narrows
+        for trigger_fwhm_nm in (math.inf, 2.5, 1.75, 1.0):
+            trigger = _nm_width(trigger_fwhm_nm)
+            source = jsa.filtered_source(params, one_nm, trigger)
+            g = jsa.reduced_density(
+                grid, signal_filter, jsa.SpectralFilter(amplitude_width=trigger)
             )
-        assert purities[0] < purities[1] < purities[2]
+            tmax[trigger_fwhm_nm] = source.tmax(one_nm)
+            purities.append(source.purity)
+            # the sampled route agrees with the closed forms
+            assert hom.overlap_T(reference, g, source.delay) == pytest.approx(
+                tmax[trigger_fwhm_nm], rel=1e-9
+            )
+            assert jsa.purity(g) == pytest.approx(purities[-1], rel=1e-9)
+        assert tmax[1.0] > tmax[math.inf]
+        assert purities[1] < purities[2] < purities[3]

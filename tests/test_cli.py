@@ -322,32 +322,32 @@ class TestTmaxCommand:
             rows["two-fold"]["purity"]
         )
 
-    def test_builds_one_density_per_case(self, tmp_path, capsys, monkeypatch):
-        config = _write(
-            tmp_path,
-            "t.cfg",
-            SOURCE_CFG
-            + """
-            signal_filter_fwhm = 1 nm
-            trigger_filter_fwhm = 1 nm
-            reference_fwhm = 1 nm
-            """,
-        )
-        original = jsa.reduced_density
-        calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+SPECTRAL_CFG = SOURCE_CFG + """
+p0 = 0.94920
+p1 = 0.05065
+p2 = 0.00015
+beta_sq = 0.02
+signal_filter_fwhm = 1 nm
+trigger_filter_fwhm = 1 nm
+reference_fwhm = 1 nm
+filter_s_fwhm = 1 nm
+filter_i_fwhm = 1 nm
+"""
 
-        for module in (jsa, hom_reference):
-            if getattr(module, "reduced_density", None) is original:
-                monkeypatch.setattr(module, "reduced_density", counting)
-        code, _, _ = _run(
-            capsys, "tmax", "--config", str(config), "--grid-points", "8"
-        )
-        assert code == 0
-        assert len(calls) == 2
+
+@pytest.mark.parametrize("command", ["tmax", "hom-scan", "filter", "dip-width"])
+def test_spectral_commands_build_no_grid(tmp_path, capsys, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sampled route was called")
+
+    for name in ("default_axes", "evaluate_jsa", "reduced_density", "purity"):
+        monkeypatch.setattr(jsa, name, refuse)
+    monkeypatch.setattr(hom_reference, "overlap_T", refuse)
+    config = _write(tmp_path, "s.cfg", SPECTRAL_CFG)
+    code, out, _ = _run(capsys, command, "--config", str(config))
+    assert code == 0
+    assert _rows(out)
 
 
 class TestInvertCommand:
@@ -542,12 +542,27 @@ class TestErrorHandling:
                 "tau_steps",
             ),
             (
-                "hom-scan",  # spectral: refused before the grid is built
+                "hom-scan",  # spectral
                 SOURCE_CFG
                 + "p0 = 0.9\np1 = 0.09\np2 = 0.01\nbeta_sq = 0.05\n"
                 "signal_filter_fwhm = 1 nm\nreference_fwhm = 1 nm\n"
                 "tau_steps = 1000000000000\n",
                 "tau_steps",
+            ),
+            (
+                "herald-stats",
+                "gain_sq_list = 0.01, 0.02\nnmax = 1001\n",
+                "nmax",
+            ),
+            (
+                "herald-stats",
+                "gain_sq_list = 0.01, 0.02\nmodes_unfiltered = 1001\n",
+                "modes_unfiltered",
+            ),
+            (
+                "herald-stats",
+                "gain_sq_list = 0.01, 0.02\nmodes_filtered = 1001\n",
+                "modes_filtered",
             ),
         ],
         ids=[
@@ -559,6 +574,9 @@ class TestErrorHandling:
             "long-length-sweep",
             "single-delay",
             "huge-spectral-delay-axis",
+            "herald-photon-cutoff",
+            "herald-unfiltered-modes",
+            "herald-filtered-modes",
         ],
     )
     def test_invalid_value_is_named(self, tmp_path, capsys, command, text, key):
@@ -665,18 +683,33 @@ class TestScientificFormatting:
 
 # -- property: grid-free commands never raise out of main --------------------
 #
-# Grid commands stay out: their N x N memory grows with the drawn shape.
-# Step counts may be drawn huge: the CLI refuses any above 10,000 before
-# it allocates.
+# Every command but invert runs here; none builds a grid.  Counts may be
+# drawn huge: the CLI refuses any above its bound before it allocates.
+# Each other key is valid nine times in ten, so that most examples get
+# past validation to the arrays and the closed forms.
 
 _NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.sampled_from(["0", "-0", "1", "-1", ".5", "1e400", "-1e400"]),
 )
+# each bound, one past it and far past it
 _COUNTS = st.one_of(
     st.integers(min_value=-3, max_value=200).map(str),
-    st.sampled_from(["2.5", "1e400", "10001", "1000000000000"]),
+    st.sampled_from(
+        ["2.5", "1e400", "1000", "1001", "10000", "10001", "1000000000000"]
+    ),
 )
+
+
+def _value(draw, valid, unit=""):
+    """A value drawn from valid nine times in ten, any number otherwise."""
+    if draw(st.integers(min_value=0, max_value=9)):
+        return repr(draw(valid)) + unit
+    return draw(_NUMBERS) + unit
+
+
+def _widths(low, high):
+    return st.floats(min_value=low, max_value=high)
 
 
 @st.composite
@@ -696,15 +729,76 @@ def _optional(draw, keys, name, strategy, unit=""):
         keys[name] = draw(strategy) + unit
 
 
+def _optional_value(draw, keys, name, valid, unit=""):
+    if draw(st.booleans()):
+        keys[name] = _value(draw, valid, unit)
+
+
+def _source_keys(draw, keys, kappas=True):
+    """Keys of a source, by phase-matching width and tilt or by kappas."""
+    _optional_value(
+        draw, keys, "center_wavelength", _widths(400.0, 1600.0), " nm"
+    )
+    keys["pump_fwhm"] = _value(draw, _widths(0.1, 10.0), " nm")
+    keys["length"] = _value(draw, _widths(0.1, 10.0), " mm")
+    _optional_value(draw, keys, "gamma", _widths(0.01, 1.0))
+    if not kappas or draw(st.booleans()):
+        keys["pm_fwhm"] = _value(draw, _widths(0.05, 5.0), " nm")
+        keys["tilt"] = _value(draw, _widths(1.0, 89.0), " deg")
+    else:
+        for name in ("kappa_s", "kappa_i"):
+            keys[name] = _value(draw, _widths(-3e-9, 3e-9), " s/m")
+
+
 @st.composite
 def _grid_free_commands(draw):
     command = draw(
-        st.sampled_from(["fidelity", "hom-scan", "visibility-curve"])
+        st.sampled_from(
+            ["fidelity", "hom-scan", "visibility-curve", "tmax", "filter",
+             "dip-width", "herald-stats"]
+        )
     )
     keys = {}
     if command == "fidelity":
         _optional(draw, keys, "overlap", _NUMBERS)
         _optional(draw, keys, "one_photon", _NUMBERS)
+        return command, keys
+    if command == "herald-stats":
+        for name in ("modes_unfiltered", "modes_filtered", "nmax"):
+            _optional(draw, keys, name, _COUNTS)
+        _optional_value(draw, keys, "trigger_efficiency", _widths(0.0, 1.0))
+        # a list, not a sweep: a long sweep at the largest counts is slow
+        keys["gain_sq_list"] = ", ".join(
+            _value(draw, _widths(1e-4, 0.1))
+            for _ in range(draw(st.integers(min_value=1, max_value=3)))
+        )
+        return command, keys
+    if command in ("filter", "dip-width"):
+        # dip-width reads a source only by phase-matching width and tilt
+        _source_keys(draw, keys, kappas=command == "filter")
+        names = (
+            ("filter_s_fwhm", "filter_i_fwhm")
+            if command == "filter"
+            else ("signal_filter_fwhm", "reference_fwhm")
+        )
+        for name in names:
+            keys[name] = _value(draw, _widths(0.1, 10.0), " nm")
+        return command, keys
+    if command == "tmax" or (command == "hom-scan" and draw(st.booleans())):
+        _source_keys(draw, keys)  # spectral: the filtered source's dip
+        for name in ("signal_filter_fwhm", "reference_fwhm"):
+            keys[name] = _value(draw, _widths(0.1, 10.0), " nm")
+        if command == "tmax" or draw(st.booleans()):
+            keys["trigger_filter_fwhm"] = _value(
+                draw, _widths(0.1, 10.0), " nm"
+            )
+        if command == "tmax":
+            _optional_value(draw, keys, "beta_sq", _widths(0.0, 0.19))
+            return command, keys
+        keys["beta_sq"] = _value(draw, _widths(0.0, 0.19))
+        keys.update(draw(_state_keys()))
+        _optional(draw, keys, "tau_steps", _COUNTS)
+        _optional(draw, keys, "tau_span_sigmas", _NUMBERS)
         return command, keys
     keys.update(draw(_state_keys()))
     if command == "hom-scan":  # analytic mode: tmax is always present
@@ -733,6 +827,12 @@ _STATE = {"p0": "0.9", "p1": "0.09", "p2": "0.01"}
 
 @settings(max_examples=300, deadline=None)
 @given(_grid_free_commands())
+@example(
+    (
+        "herald-stats",
+        {"gain_sq_list": "0.01, 0.02", "nmax": "1000000000000"},
+    )
+)
 @example(
     (
         "hom-scan",

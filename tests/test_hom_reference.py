@@ -259,24 +259,38 @@ class TestFitOverlap:
 class TestDipWidth:
     def test_single_term_limits(self):
         inf = math.inf
-        assert hom.dip_width(2.0, inf, inf, inf, 54.7) == pytest.approx(0.5)
-        assert hom.dip_width(inf, 4.0, inf, inf, 54.7) == pytest.approx(0.25)
-        assert hom.dip_width(inf, inf, 8.0, inf, 54.7) == pytest.approx(0.125)
-        assert hom.dip_width(inf, inf, inf, 2.0, 90.0) == pytest.approx(0.5)
-
-    def test_guide_parameters_give_two_picoseconds(self):
-        sigma_pump = units.wavelength_fwhm_to_width(2.5e-9, WAVELENGTH_M)
-        sigma_filter = units.wavelength_fwhm_to_width(1.0e-9, WAVELENGTH_M)
-        sigma_pm = units.wavelength_fwhm_to_width(0.5e-9, WAVELENGTH_M)
-        sigma_t = hom.dip_width(
-            sigma_pump, sigma_filter, sigma_filter, sigma_pm, 54.7
+        # kappa_s = 0 leaves the pump alone in m11
+        pump_only = jsa.PdcModelParams(
+            sigma_pump=2.0, kappa_s=0.0, kappa_i=1.0, length=1.0
         )
-        fwhm = units.normal_sigma_to_fwhm(sigma_t)
+        assert jsa.filtered_source(pump_only).dip_sigma(inf) == 0.5
+        # a pump this wide adds 1e-60 to m11
+        wide = dict(sigma_pump=1e30, length=2.0, gamma=0.25)
+        no_pm = jsa.PdcModelParams(kappa_s=0.0, kappa_i=1.0, **wide)
+        assert jsa.filtered_source(no_pm).dip_sigma(4.0) == pytest.approx(
+            0.25, rel=1e-12
+        )
+        assert jsa.filtered_source(no_pm, 8.0).dip_sigma(
+            inf
+        ) == pytest.approx(0.125, rel=1e-12)
+        # tilt 90 deg: kappa_i = 0; phase-matching width 2 for kappa_s = 1
+        pm_only = jsa.PdcModelParams(kappa_s=1.0, kappa_i=0.0, **wide)
+        assert jsa.pm_width(pm_only) == pytest.approx(2.0, rel=1e-12)
+        assert jsa.filtered_source(pm_only).dip_sigma(inf) == pytest.approx(
+            0.5, rel=1e-12
+        )
+
+    def test_guide_parameters_give_two_picoseconds(self, source_params):
+        sigma_filter = units.wavelength_fwhm_to_width(1.0e-9, WAVELENGTH_M)
+        source = jsa.filtered_source(source_params, sigma_filter)
+        fwhm = units.normal_sigma_to_fwhm(source.dip_sigma(sigma_filter))
         assert fwhm == pytest.approx(2.0e-12, abs=0.3e-12)
 
-    def test_validation(self):
+    def test_validation(self, source_params):
         with pytest.raises(ValueError):
-            hom.dip_width(0.0, 1.0, 1.0, 1.0, 45.0)
+            jsa.filtered_source(source_params, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            jsa.filtered_source(source_params, 1.0, -1.0)
 
 
 class TestFidelity:
@@ -303,6 +317,19 @@ class TestFidelity:
             hom.fidelity(1.2, 0.5)
 
 
+def _grid_density(params, signal_width, trigger_width, samples=10, extent=3.5):
+    """The sampled route: the filtered reduced density on a default grid."""
+    axis = jsa.default_axes(
+        params, samples_per_width=samples, extent_widths=extent
+    )
+    grid = jsa.evaluate_jsa(params, axis, axis)
+    return jsa.reduced_density(
+        grid,
+        jsa.SpectralFilter(amplitude_width=signal_width),
+        jsa.SpectralFilter(amplitude_width=trigger_width),
+    )
+
+
 class TestTmaxPrediction:
     def test_separable_matched_reference_is_unity(self):
         sigma, ks, length, gamma = 1.0, 2.0, 2.0, 0.25
@@ -314,79 +341,62 @@ class TestTmaxPrediction:
             length=length,
             gamma=gamma,
         )
-        axis = jsa.default_axes(params, samples_per_width=10)
-        grid = jsa.evaluate_jsa(params, axis, axis)
         m11, _, _ = jsa.correlation_matrix(params)
         mode_width = 1.0 / math.sqrt(m11)
+        source = jsa.filtered_source(params)
+        assert source.tmax(mode_width) == pytest.approx(1.0, abs=1e-12)
         reference = hom.ReferenceField(
             mean_photons=0.01, amplitude_width=mode_width
         )
-        open_filter = jsa.SpectralFilter.open_filter()
-        g = jsa.reduced_density(grid, open_filter, open_filter)
-        value = hom.tmax_prediction(reference, g)
+        g = _grid_density(params, math.inf, math.inf, extent=4.0)
+        value = hom.overlap_T(reference, g, source.delay)
         assert value == pytest.approx(1.0, abs=1e-6)
 
     def test_heralding_beats_two_fold(self, source_params, one_nm_width):
-        axis = jsa.default_axes(
-            source_params, samples_per_width=10, extent_widths=3.5
-        )
-        grid = jsa.evaluate_jsa(source_params, axis, axis)
-        signal_filter = jsa.SpectralFilter(amplitude_width=one_nm_width)
-        trigger = jsa.SpectralFilter(amplitude_width=one_nm_width)
-        reference = hom.ReferenceField(
-            mean_photons=0.01, amplitude_width=one_nm_width
-        )
-        open_filter = jsa.SpectralFilter.open_filter()
-        three_fold = hom.tmax_prediction(
-            reference, jsa.reduced_density(grid, signal_filter, trigger)
-        )
-        two_fold = hom.tmax_prediction(
-            reference, jsa.reduced_density(grid, signal_filter, open_filter)
-        )
-        assert three_fold > two_fold
-        assert 0.0 < two_fold < 1.0
-
-    def test_stable_under_grid_refinement(self, source_params, one_nm_width):
-        signal_filter = jsa.SpectralFilter(amplitude_width=one_nm_width)
-        trigger = jsa.SpectralFilter(amplitude_width=one_nm_width)
         reference = hom.ReferenceField(
             mean_photons=0.01, amplitude_width=one_nm_width
         )
         values = {}
-        for samples in (8, 16):  # double the quadrature resolution
-            axis = jsa.default_axes(
-                source_params, samples_per_width=samples, extent_widths=3.0
-            )
-            grid = jsa.evaluate_jsa(source_params, axis, axis)
-            values[samples] = [
-                hom.tmax_prediction(
-                    reference, jsa.reduced_density(grid, signal_filter, fi)
+        for trigger in (one_nm_width, math.inf):
+            source = jsa.filtered_source(source_params, one_nm_width, trigger)
+            g = _grid_density(source_params, one_nm_width, trigger)
+            values[trigger] = source.tmax(one_nm_width)
+            assert hom.overlap_T(
+                reference, g, source.delay
+            ) == pytest.approx(values[trigger], rel=1e-9)
+        three_fold, two_fold = values[one_nm_width], values[math.inf]
+        assert three_fold > two_fold
+        assert 0.0 < two_fold < 1.0
+
+    def test_stable_under_grid_refinement(self, source_params, one_nm_width):
+        reference = hom.ReferenceField(
+            mean_photons=0.01, amplitude_width=one_nm_width
+        )
+        for trigger in (math.inf, one_nm_width):
+            source = jsa.filtered_source(source_params, one_nm_width, trigger)
+            for samples in (8, 16):  # double the quadrature resolution
+                g = _grid_density(
+                    source_params, one_nm_width, trigger, samples, 3.0
                 )
-                for fi in (jsa.SpectralFilter.open_filter(), trigger)
-            ]
-        assert values[8] == pytest.approx(values[16], abs=1e-3)
+                assert hom.overlap_T(
+                    reference, g, source.delay
+                ) == pytest.approx(source.tmax(one_nm_width), rel=1e-9)
 
     def test_narrowing_trigger_does_not_reduce_overlap(
         self, source_params, one_nm_width
     ):
-        axis = jsa.default_axes(
-            source_params, samples_per_width=10, extent_widths=3.5
-        )
-        grid = jsa.evaluate_jsa(source_params, axis, axis)
-        signal_filter = jsa.SpectralFilter(amplitude_width=one_nm_width)
         reference = hom.ReferenceField(
             mean_photons=0.01, amplitude_width=one_nm_width
         )
         values = []
         for factor in (2.5, 1.6, 1.0):  # trigger narrows left to right
-            trigger = jsa.SpectralFilter(
-                amplitude_width=factor * one_nm_width
-            )
-            values.append(
-                hom.tmax_prediction(
-                    reference, jsa.reduced_density(grid, signal_filter, trigger)
-                )
-            )
+            trigger = factor * one_nm_width
+            source = jsa.filtered_source(source_params, one_nm_width, trigger)
+            values.append(source.tmax(one_nm_width))
+            g = _grid_density(source_params, one_nm_width, trigger)
+            assert hom.overlap_T(
+                reference, g, source.delay
+            ) == pytest.approx(values[-1], rel=1e-9)
         assert values[0] <= values[1] <= values[2]
 
 
@@ -418,30 +428,23 @@ class TestHomScan:
     def test_spectral_scan_matches_width_formula(
         self, source_params, one_nm_width
     ):
-        axis = jsa.default_axes(
-            source_params, samples_per_width=10, extent_widths=3.5
-        )
-        grid = jsa.evaluate_jsa(source_params, axis, axis)
-        g = jsa.reduced_density(
-            grid,
-            jsa.SpectralFilter(amplitude_width=one_nm_width),
-            jsa.SpectralFilter(amplitude_width=one_nm_width),
-        )
+        source = jsa.filtered_source(source_params, one_nm_width, one_nm_width)
+        g = _grid_density(source_params, one_nm_width, one_nm_width)
         reference = hom.ReferenceField(
             mean_photons=0.02, amplitude_width=one_nm_width
         )
-        scan = hom.hom_scan(THREE_FOLD, reference, g)
-        expected_sigma = hom.dip_width(
-            source_params.sigma_pump,
-            one_nm_width,
-            one_nm_width,
-            jsa.pm_width(source_params),
-            54.7,
+        scan = hom.hom_scan_analytic(
+            THREE_FOLD,
+            reference,
+            source.tmax(one_nm_width),
+            source.dip_sigma(one_nm_width),
         )
-        assert scan.dip_sigma_t == pytest.approx(expected_sigma, rel=0.02)
-        assert scan.dip_center == pytest.approx(
-            -source_params.length * source_params.kappa_s / 2.0, rel=1e-3
-        )
+        # the quadrature overlap is the closed-form Gaussian around the delay
+        quadrature = [
+            hom.overlap_T(reference, g, source.delay + tau)
+            for tau in scan.tau_axis
+        ]
+        np.testing.assert_allclose(scan.overlap, quadrature, rtol=1e-9)
         center = np.argmin(np.abs(scan.tau_axis))
         assert scan.coincidence[center] == np.min(scan.coincidence)
         assert 0.0 < scan.visibility < 1.0

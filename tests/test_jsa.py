@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pdckit import hom_reference as hom
 from pdckit import jsa, units
 from pdckit.errors import NumericalError
 
@@ -278,6 +281,73 @@ class TestReducedDensity:
         )
         with pytest.raises(NumericalError, match="support"):
             jsa.reduced_density(grid, far, far)
+
+
+def _nm(fwhm_nm):
+    return units.wavelength_fwhm_to_width(fwhm_nm * 1e-9, WAVELENGTH_M)
+
+
+def _quadrature_axis(params, source, reference_width, samples_per_width):
+    """A common detuning axis for the sampled route.
+
+    The step resolves the unfiltered amplitude as default_axes does.
+    The span covers four widths of the filtered amplitude
+    exp(-nu^T M' nu), whose support is what the filtered density
+    integrates, and of the reference, which overlap_T normalises on
+    the axis; and the four pump and phase-matching widths that
+    evaluate_jsa asks for.  The unfiltered support of a strongly
+    correlated source would need up to 24 times as many points.
+    """
+    m11, _, m22 = jsa.correlation_matrix(params)
+    pm = [
+        2.0 / (math.sqrt(params.gamma) * params.length * abs(kappa))
+        for kappa in (params.kappa_s, params.kappa_i)
+    ]
+    half = max(
+        4.0 * math.sqrt(max(source.m11, source.m22) / source.determinant),
+        4.0 * reference_width,
+        2.0 * max(params.sigma_pump, *pm),
+    )
+    step = 1.0 / math.sqrt(max(m11, m22)) / samples_per_width
+    return np.linspace(-half, half, 2 * math.ceil(half / step) + 1)
+
+
+class TestFilteredSource:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        pump=st.floats(1.5, 4.0),
+        phase_matching=st.floats(0.3, 0.8),
+        tilt=st.floats(48.0, 62.0),
+        signal=st.floats(0.5, 3.0),
+        trigger=st.one_of(st.none(), st.floats(0.5, 3.0)),
+        reference=st.floats(0.5, 3.0),
+        samples=st.sampled_from([8, 12, 16]),
+    )
+    def test_closed_forms_match_quadrature(
+        self, pump, phase_matching, tilt, signal, trigger, reference, samples
+    ):
+        """Tmax, purity and dip sigma of the form equal the sampled route's."""
+        params = jsa.params_from_pm_estimate(
+            _nm(pump), _nm(phase_matching), tilt, LENGTH_M
+        )
+        ws, wr = _nm(signal), _nm(reference)
+        wt = math.inf if trigger is None else _nm(trigger)
+        source = jsa.filtered_source(params, ws, wt)
+        axis = _quadrature_axis(params, source, wr, samples)
+        g = jsa.reduced_density(
+            jsa.evaluate_jsa(params, axis, axis),
+            jsa.SpectralFilter(amplitude_width=ws),
+            jsa.SpectralFilter(amplitude_width=wt),
+        )
+        field = hom.ReferenceField(mean_photons=0.01, amplitude_width=wr)
+        peak = hom.overlap_T(field, g, source.delay)
+        assert peak == pytest.approx(source.tmax(wr), rel=1e-12)
+        assert jsa.purity(g) == pytest.approx(source.purity, rel=1e-12)
+        sigma = source.dip_sigma(wr)
+        for tau in (source.delay - sigma, source.delay + sigma):
+            assert hom.overlap_T(field, g, tau) / peak == pytest.approx(
+                math.exp(-0.5), rel=1e-12
+            )
 
 
 class TestPaperScaleEllipse:

@@ -26,6 +26,13 @@ TEST_REFERENCES = {
     "overlap_numeric",  # quadrature of the twin overlap's closed form
     "model_grid",  # the grid that overlap_numeric integrates
     "forward_click_dist",  # the forward model the inversion undoes
+    # the sampled route, the quadrature the FilteredSource closed forms
+    # are checked against and the way to non-Gaussian phase matching
+    "default_axes",  # sizes the grid from the source's form
+    "evaluate_jsa",  # samples the joint amplitude
+    "reduced_density",  # filters it and traces out the idler
+    "purity",  # the density's purity by quadrature
+    "overlap_T",  # the density's overlap with the reference at a delay
 }
 
 
