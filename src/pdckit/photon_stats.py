@@ -1,10 +1,12 @@
 """Photon-number statistics of the heralded source.
 
-Covers the thermal statistics of one or more down-conversion modes,
-heralding on a lossy trigger detector, the forward model of a two-bin
-time-multiplexed click detector (loss matrix followed by a splitting
-convolution), its maximum-likelihood inversion, and the mode-count
-estimate from the power dependence of the heralded mean.
+Covers the thermal statistics of one or more down-conversion modes
+(K identical modes sum to a negative binomial distribution, evaluated
+in closed form), heralding on a lossy trigger detector, the forward
+model of a two-bin time-multiplexed click detector (loss matrix
+followed by a splitting convolution), its maximum-likelihood inversion,
+and the mode-count estimate from the power dependence of the heralded
+mean.
 
 A note on inversion: a two-bin detector resolves three outcomes, so at
 most the photon-number components 0, 1 and 2 are identifiable from one
@@ -119,32 +121,51 @@ class MultimodeSource:
 
 
 def _finalize(raw: np.ndarray, nmax: int, what: str) -> PhotonNumberDist:
-    # The stored tail must stay negligible or the cutoff distorts moments.
+    # Both the stored tail and the mass beyond the cutoff must stay
+    # negligible, or the cutoff distorts moments.
     if raw[nmax] >= _TAIL_LIMIT:
         raise ValueError(
             f"cutoff too small for {what}: tail probability "
             f"{raw[nmax]:.2e} at n={nmax} exceeds {_TAIL_LIMIT:.0e}; "
             "increase nmax"
         )
-    return PhotonNumberDist(raw / raw.sum())
+    total = raw.sum()
+    if 1.0 - total >= _TAIL_LIMIT:
+        raise ValueError(
+            f"cutoff too small for {what}: probability {1.0 - total:.2e} "
+            f"beyond n={nmax} exceeds {_TAIL_LIMIT:.0e}; increase nmax"
+        )
+    return PhotonNumberDist(raw / total)
 
 
 def multimode_dist(source: MultimodeSource, nmax: int = 10) -> PhotonNumberDist:
-    """Convolution of n_modes identical thermal modes.
+    """Photon-number distribution of n_modes identical thermal modes.
 
-    The leading entries of the convolution are exact under truncation,
-    so the head of the result is the true multimode distribution before
-    renormalization.
+    The sum of K thermal modes of gain g is negative binomial,
+    P(n) = C(n + K - 1, n) (1 - g)^K g^n, whose head n <= nmax is
+    computed exactly in log space,
+    log P(n) = K log(1 - g) + sum_{j <= n} log(g (j + K - 1) / j),
+    and then exponentiated, so a factor (1 - g)^K below the float range
+    does not zero it.  The sums are accumulated outward from the mode,
+    which keeps their rounding small where the probabilities are large.
+    The head is renormalized once the cutoff is shown to lose nothing:
+    the last stored entry P(nmax) and the mass beyond the cutoff,
+    1 - sum_{n <= nmax} P(n), must each stay below 1e-6.
     """
     require(nmax >= 1, "nmax must be at least 1")
-    single = (1.0 - source.gain_sq) * source.gain_sq ** np.arange(
-        nmax + 1, dtype=float
-    )
-    acc = np.zeros(nmax + 1)
-    acc[0] = 1.0
-    for _ in range(source.n_modes):
-        acc = np.convolve(acc, single)[: nmax + 1]
-    return _finalize(acc, nmax, "multimode distribution")
+    K, g = source.n_modes, source.gain_sq
+    if g == 0.0:  # the vacuum, exactly
+        raw = np.zeros(nmax + 1)
+        raw[0] = 1.0
+        return _finalize(raw, nmax, "multimode distribution")
+    j = np.arange(1.0, nmax + 1)
+    steps = np.log(g * (j + (K - 1)) / j)  # log P(j) - log P(j - 1)
+    m = min(nmax, int((K - 1) * g / (1.0 - g)))  # the mode, or the cutoff
+    above = np.cumsum(steps[m:])  # log P(n) - log P(m), n = m + 1 ... nmax
+    below = np.cumsum(steps[:m][::-1])  # log P(m) - log P(n), n = m - 1 ... 0
+    log_pm = K * math.log1p(-g) + (below[-1] if m else 0.0)
+    log_p = np.concatenate((log_pm - below[::-1], [log_pm], log_pm + above))
+    return _finalize(np.exp(log_p), nmax, "multimode distribution")
 
 
 def heralded_dist(joint: PhotonNumberDist, eta_t: float) -> PhotonNumberDist:

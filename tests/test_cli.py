@@ -1,6 +1,10 @@
+import argparse
 import contextlib
 import csv
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -432,6 +436,46 @@ class TestFidelityCommand:
         assert code == 0
         (row,) = _rows(out)
         assert float(row["fidelity"]) == pytest.approx(0.78, abs=0.01)
+
+
+class TestRepeatedCalls:
+    """main() may be called many times in one process; it shares only
+    the parser, which is built once at import."""
+
+    def test_parser_is_not_rebuilt(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an argument parser was built")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+        config = _write(tmp_path, "f.cfg", "overlap = 0.65\none_photon = 0.931\n")
+        code, out, _ = _run(capsys, "fidelity", "--config", str(config))
+        assert code == 0
+        assert _rows(out)
+
+    def test_options_do_not_carry_over(self, tmp_path, capsys):
+        config = _write(
+            tmp_path, "f.cfg", "overlap = 0.65\none_photon = 0.931\nnote = 1\n"
+        )
+        out_path = tmp_path / "out.csv"
+        code, out, err = _run(
+            capsys, "fidelity", "--config", str(config),
+            "--out", str(out_path), "--verbose",
+        )
+        assert code == 0 and out == "" and "ignored keys: note" in err
+        code, out, err = _run(capsys, "fidelity", "--verbose")
+        assert code == 1 and out == "" and err.startswith("error: ")
+        code, out, err = _run(capsys, "fidelity", "--config", str(config))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "pdckit.cli", "fidelity",
+             "--config", str(config)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+        )
+        assert fresh.returncode == 0
+        assert code == 0
+        assert out == fresh.stdout == out_path.read_text()
+        assert "ignored keys" not in err
 
 
 class TestErrorHandling:

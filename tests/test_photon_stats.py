@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pdckit import photon_stats as ps
@@ -81,6 +81,73 @@ class TestMultimode:
         assert dist.second_moment() == pytest.approx(
             n_modes * mu2 + n_modes * (n_modes - 1) * mu * mu, abs=1e-9
         )
+
+
+def _convolved(n_modes, gain_sq, nmax):
+    """n_modes-fold convolution of the single-mode distribution, truncated.
+
+    The power is taken by repeated squaring, so about 2 log2(n_modes)
+    convolutions replace n_modes of them; the head of a truncated
+    product is exact either way.  It is the reference the negative
+    binomial closed form is checked against.
+    """
+    def times(a, b):
+        return np.convolve(a, b)[: nmax + 1]
+
+    power = (1.0 - gain_sq) * gain_sq ** np.arange(nmax + 1, dtype=float)
+    acc = np.zeros(nmax + 1)
+    acc[0] = 1.0
+    while n_modes:
+        if n_modes & 1:
+            acc = times(acc, power)
+        n_modes >>= 1
+        if n_modes:
+            power = times(power, power)
+    return acc / acc.sum()
+
+
+class TestNegativeBinomial:
+    # The reference costs O(log K nmax^2), about 6 ms an example at
+    # K = nmax = 1000.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 1000),
+        st.floats(0.0, 0.5, exclude_max=True),
+        st.integers(1, 1000),
+    )
+    @example(1000, 0.42, 1000)
+    @example(1000, 0.2, 1000)
+    def test_matches_convolution(self, n_modes, gain_sq, nmax):
+        try:
+            dist = ps.multimode_dist(ps.MultimodeSource(n_modes, gain_sq), nmax)
+        except ValueError:
+            assume(False)  # the cutoff refuses this draw
+        reference = _convolved(n_modes, gain_sq, nmax)
+        gap = np.abs(dist.probs - reference)
+        assert gap.max() <= 1e-13 * reference.max()
+        large = reference > 1e-250
+        assert np.all(gap[large] <= 1e-9 * reference[large])
+
+    def test_moments_where_the_vacuum_factor_underflows(self):
+        # (1 - g)^K is exactly 0 in floating point here, so only a
+        # log-space evaluation keeps the distribution
+        n_modes, gain_sq = 1000, 0.53
+        assert (1.0 - gain_sq) ** n_modes == 0.0
+        dist = ps.multimode_dist(ps.MultimodeSource(n_modes, gain_sq), 5000)
+        mean = dist.mean()
+        variance = dist.second_moment() - mean * mean
+        assert mean == pytest.approx(
+            n_modes * gain_sq / (1 - gain_sq), rel=1e-9
+        )
+        assert variance == pytest.approx(
+            n_modes * gain_sq / (1 - gain_sq) ** 2, rel=1e-9
+        )
+
+    def test_mass_beyond_cutoff_rejected(self):
+        # mean K g / (1 - g) = 1500 lies beyond nmax: the stored head
+        # holds about 1e-19 of the mass although its last entry is tiny
+        with pytest.raises(ValueError, match="beyond n=1000"):
+            ps.multimode_dist(ps.MultimodeSource(1000, 0.6), nmax=1000)
 
 
 class TestHeralded:
