@@ -29,20 +29,26 @@ _MAX_STEPS = 10_000  # longest sweep or delay axis a command builds
 _MAX_HERALD = 1_000
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    value = float(value)
-    if value == 0.0:
-        return "0"
-    if abs(value) < 1e-3:
-        return f"{value:.9e}"
-    return f"{value:.9g}"
-
-
 def _emit(header, rows, out_path: Path | None) -> None:
+    """Write the table as CSV: text cells as they are, 0 for a zero,
+    %.9e below 1e-3 in magnitude and %.9g otherwise (nan and inf too).
+
+    Cells are text or Python numbers; pass numpy results through
+    .tolist().
+    """
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    lines.extend(
+        ",".join(
+            [
+                cell if cell.__class__ is str
+                else "0" if cell == 0
+                else "%.9e" % cell if -1e-3 < cell < 1e-3
+                else "%.9g" % cell
+                for cell in row
+            ]
+        )
+        for row in rows
+    )
     text = "\n".join(lines) + "\n"
     if out_path is None:
         sys.stdout.write(text)
@@ -158,8 +164,8 @@ def _sweep(sc: Scenario, stem: str, geometric: bool = False) -> list[float]:
     if geometric:
         if low <= 0:
             raise ConfigError(f"key {stem}_min must be positive")
-        return list(np.geomspace(low, high, steps))
-    return list(np.linspace(low, high, steps))
+        return np.geomspace(low, high, steps).tolist()
+    return np.linspace(low, high, steps).tolist()
 
 
 def _signal_state(sc: Scenario) -> hom.SignalState:
@@ -251,7 +257,7 @@ def _sweep_lengths(sc: Scenario) -> list[float]:
     steps = _count(sc, "length_steps", 21)
     if high <= low:
         raise ConfigError("need length_min < length_max")
-    return list(np.linspace(low, high, steps))
+    return np.linspace(low, high, steps).tolist()
 
 
 def _cmd_twin_hom(sc: Scenario) -> tuple[list, list, list]:
@@ -320,9 +326,8 @@ def _cmd_visibility_curve(sc: Scenario) -> tuple[list, list, list]:
     state = _signal_state(sc)
     overlap = sc.number("overlap", default=1.0)
     betas = _sweep(sc, "beta_sq", geometric=True)
-    rows = [
-        [beta, hom.visibility_vs_beta(state, overlap, beta)] for beta in betas
-    ]
+    visibility = hom.visibility_vs_beta(state, overlap, betas)
+    rows = list(zip(betas, visibility.tolist()))
     optimum = hom.beta_opt(state)
     summary = [
         f"beta_sq_opt = {optimum:.6g}, "
@@ -394,12 +399,9 @@ def _cmd_hom_scan(sc: Scenario) -> tuple[list, list, list]:
         n_points=_count(sc, "tau_steps", 81),
         span_sigmas=sc.number("tau_span_sigmas", default=4.0),
     )
-    rows = [
-        [tau * 1e12, overlap, coincidence]
-        for tau, overlap, coincidence in zip(
-            scan.tau_axis, scan.overlap, scan.coincidence
-        )
-    ]
+    rows = np.column_stack(
+        (scan.tau_axis * 1e12, scan.overlap, scan.coincidence)
+    ).tolist()
     summary = [
         f"visibility = {scan.visibility:.6g}",
         f"dip sigma = {scan.dip_sigma_t * 1e12:.6g} ps, fwhm = "
@@ -481,7 +483,7 @@ def _cmd_invert(sc: Scenario) -> tuple[list, list, list]:
             f"inversion did not converge in {result.iterations} of "
             f"{max_iter} iterations: {reason}"
         )
-    rows = [[n, p] for n, p in enumerate(result.state.probs)]
+    rows = list(enumerate(result.state.probs.tolist()))
     summary = [
         f"converged in {result.iterations} iterations, "
         f"log-likelihood {result.log_likelihood:.9g}, "

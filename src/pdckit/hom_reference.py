@@ -161,13 +161,12 @@ def coincidence_full(
     )
 
 
-def coincidence_simplified(
-    state: SignalState, ref: ReferenceField, overlap_t: float
-) -> float:
+def coincidence_simplified(state: SignalState, ref: ReferenceField, overlap_t):
     """Leading-order coincidence probability p0 x^2 + p1 x (1 - T) + p2/2.
 
-    Valid for weak references; enforce mean_photons < 0.2 so that
-    1 - exp(-x) is linear to better than ten percent.  Use
+    overlap_t is one overlap or a numpy array of them; the result has
+    its shape.  Valid for weak references; enforce mean_photons < 0.2
+    so that 1 - exp(-x) is linear to better than ten percent.  Use
     coincidence_full beyond that.
     """
     if ref.mean_photons >= 0.2:
@@ -179,24 +178,27 @@ def coincidence_simplified(
     return state.p0 * x * x + state.p1 * x * (1.0 - overlap_t) + state.p2 / 2.0
 
 
-def visibility_vs_beta(
-    state: SignalState, overlap_t0: float, beta_sq: float
-) -> float:
-    """Dip visibility at a given reference mean photon number.
+def visibility_vs_beta(state: SignalState, overlap_t0: float, beta_sq):
+    """Dip visibility at one reference mean photon number or at a
+    sequence of them; the result has the shape of beta_sq.
 
     p1 T / (p0 beta^2/2 + p1 + p2/beta^2); the beta_sq -> 0 limit is 0
     when a two-photon background exists and T otherwise.  Without a
     one-photon component there is no dip.
     """
-    require(beta_sq >= 0.0, "beta_sq must be nonnegative")
+    beta_sq = np.asarray(beta_sq, dtype=float)
+    require(np.all(beta_sq >= 0.0), "beta_sq must be nonnegative")
     if state.p1 == 0.0:
-        return 0.0
-    if beta_sq == 0.0:
-        return 0.0 if state.p2 > 0.0 else overlap_t0
-    denominator = (
-        state.p0 * beta_sq / 2.0 + state.p1 + state.p2 / beta_sq
-    )
-    return state.p1 * overlap_t0 / denominator
+        return np.zeros_like(beta_sq)[()]
+    # p2/beta_sq may overflow to inf, silently as in Python floats; the
+    # entries at beta_sq = 0, divisions by zero, take the limit below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        denominator = (
+            state.p0 * beta_sq / 2.0 + state.p1 + state.p2 / beta_sq
+        )
+        visibility = state.p1 * overlap_t0 / denominator
+    limit = 0.0 if state.p2 > 0.0 else overlap_t0
+    return np.where(beta_sq == 0.0, limit, visibility)[()]
 
 
 def beta_opt(state: SignalState) -> float:
@@ -238,9 +240,7 @@ def fit_overlap(measurements, state: SignalState) -> OverlapFit:
         np.unique(beta_sq).size >= 2,
         "degenerate design: need at least two distinct beta_sq values",
     )
-    predictor = np.array(
-        [visibility_vs_beta(state, 1.0, b) for b in beta_sq]
-    )
+    predictor = visibility_vs_beta(state, 1.0, beta_sq)
     gram = float(predictor @ predictor)
     require(gram > 0.0, "predictor vanishes for this state")
     estimate = float(predictor @ visibility) / gram
@@ -282,9 +282,7 @@ def hom_scan_analytic(
     )
     # in units of sigma_t, so a huge finite sigma_t cannot overflow
     overlap = overlap_max * np.exp(-0.5 * (tau_axis / sigma_t) ** 2)
-    coincidence = np.array(
-        [coincidence_simplified(state, ref, t) for t in overlap]
-    )
+    coincidence = coincidence_simplified(state, ref, overlap)
     baseline = coincidence_simplified(state, ref, 0.0)
     dip = coincidence_simplified(state, ref, overlap_max)
     visibility = (baseline - dip) / baseline if baseline > 0 else 0.0

@@ -355,10 +355,16 @@ def build_ellipse(params: PdcModelParams) -> CorrelationEllipse:
     )
 
 
-def pm_width(params: PdcModelParams) -> float:
-    """Phase-matching amplitude width, the broadband-pump minor axis."""
+def pm_width(params: PdcModelParams, length=None):
+    """Phase-matching amplitude width, the broadband-pump minor axis.
+
+    It is taken at params.length, or at the given length: one length
+    or a numpy array of lengths, whose shape the result has.
+    """
+    if length is None:
+        length = params.length
     return 2.0 / (
-        params.length
+        length
         * math.sqrt(
             params.gamma * (params.kappa_s**2 + params.kappa_i**2)
         )
@@ -380,22 +386,14 @@ def pm_width_vs_length(
     Returns:
         List of (length, fwhm_in_meters) pairs.
     """
-    require(all(L > 0 for L in lengths), "lengths must be positive")
-    out = []
-    for L in lengths:
-        scaled = PdcModelParams(
-            sigma_pump=params.sigma_pump,
-            kappa_s=params.kappa_s,
-            kappa_i=params.kappa_i,
-            length=L,
-            gamma=params.gamma,
-            center_wavelengths=params.center_wavelengths,
-        )
+    lengths = np.asarray(lengths, dtype=float)
+    require(np.all(lengths > 0), "lengths must be positive")
+    # a width too large for a float is inf, and the table says so
+    with np.errstate(divide="ignore", over="ignore"):
         fwhm = units.width_to_wavelength_fwhm(
-            pm_width(scaled), params.signal_wavelength
+            pm_width(params, lengths), params.signal_wavelength
         )
-        out.append((L, fwhm))
-    return out
+    return list(zip(lengths.tolist(), fwhm.tolist()))
 
 
 def params_from_pm_estimate(

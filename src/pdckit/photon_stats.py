@@ -135,7 +135,13 @@ def _finalize(raw: np.ndarray, nmax: int, what: str) -> PhotonNumberDist:
             f"cutoff too small for {what}: probability {1.0 - total:.2e} "
             f"beyond n={nmax} exceeds {_TAIL_LIMIT:.0e}; increase nmax"
         )
-    return PhotonNumberDist(raw / total)
+    # a fresh array that is nonnegative and sums to one by construction,
+    # so the constructor's checks and copy would only repeat this work
+    probs = raw / total
+    probs.setflags(write=False)
+    dist = object.__new__(PhotonNumberDist)
+    object.__setattr__(dist, "probs", probs)
+    return dist
 
 
 def multimode_dist(source: MultimodeSource, nmax: int = 10) -> PhotonNumberDist:

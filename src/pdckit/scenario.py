@@ -45,14 +45,9 @@ _NUMBER = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _RawValue:
-    text: str
-    line: int
-
-
-def parse_config(text: str) -> dict[str, _RawValue]:
-    values: dict[str, _RawValue] = {}
+def parse_config(text: str) -> dict[str, str]:
+    """Value text by key; parse errors name the line."""
+    values: dict[str, str] = {}
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -70,7 +65,7 @@ def parse_config(text: str) -> dict[str, _RawValue]:
             )
         if key in values:
             raise ConfigError(f"duplicate key {key!r} (line {line_number})")
-        values[key] = _RawValue(text=value, line=line_number)
+        values[key] = value
     return values
 
 
@@ -90,7 +85,7 @@ class Scenario:
     """A parsed command invocation: name, parameters, paths, options."""
 
     command: str
-    values: dict[str, _RawValue]
+    values: dict[str, str]
     out_path: Path | None = None
     data_path: Path | None = None
     verbose: bool = False
@@ -106,7 +101,7 @@ class Scenario:
 
     # -- scalar accessors -------------------------------------------------
 
-    def _raw(self, key: str, required: bool):
+    def _raw(self, key: str, required: bool) -> str | None:
         if key not in self.values:
             if required:
                 raise ConfigError(f"missing required key {key!r}")
@@ -125,9 +120,9 @@ class Scenario:
         raw = self._raw(key, required)
         if raw is None:
             return default
-        number, unit = _split_number_unit(raw.text)
+        number, unit = _split_number_unit(raw)
         if number is None:
-            raise ConfigError(f"key {key!r}: not a number: {raw.text!r}")
+            raise ConfigError(f"key {key!r}: not a number: {raw!r}")
         scales = _UNIT_SCALES[kind]
         if unit not in scales:
             allowed = ", ".join(u for u in scales if u) or "no unit"
@@ -138,7 +133,7 @@ class Scenario:
         value = number * scales[unit]
         if not math.isfinite(value):
             raise ConfigError(
-                f"key {key!r}: not a finite number: {raw.text!r}"
+                f"key {key!r}: not a finite number: {raw!r}"
             )
         return value
 
@@ -167,12 +162,12 @@ class Scenario:
         raw = self._raw(key, required)
         if raw is None:
             return default
-        if raw.text not in choices:
+        if raw not in choices:
             raise ConfigError(
                 f"key {key!r}: expected one of {', '.join(choices)}; "
-                f"got {raw.text!r}"
+                f"got {raw!r}"
             )
-        return raw.text
+        return raw
 
     def number_list(
         self, key: str, required: bool = False
@@ -181,7 +176,7 @@ class Scenario:
         if raw is None:
             return None
         items = []
-        for token in raw.text.split(","):
+        for token in raw.split(","):
             token = token.strip()
             if not _NUMBER.match(token):
                 raise ConfigError(
@@ -201,7 +196,7 @@ class Scenario:
         raw = self._raw(key, required)
         if raw is None:
             return None
-        return Path(raw.text)
+        return Path(raw)
 
     def unused_keys(self) -> list[str]:
         """Keys the command never read; extras are legal so that one

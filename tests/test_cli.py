@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
@@ -725,12 +726,58 @@ class TestScientificFormatting:
         assert "e-04" in out  # beta_sq column below 1e-3
 
 
+def _cell_rule(value) -> str:
+    """The per-cell CSV rule, one call per cell: the reference for _emit."""
+    if isinstance(value, str):
+        return value
+    value = float(value)
+    if value == 0.0:
+        return "0"
+    if abs(value) < 1e-3:
+        return f"{value:.9e}"
+    return f"{value:.9g}"
+
+
+_TINY_NORMAL = 2.2250738585072014e-308
+_EDGE_CELLS = [
+    0.0, -0.0, 0, 1, -1, 5e-324, -5e-324, _TINY_NORMAL, -_TINY_NORMAL,
+    math.nextafter(_TINY_NORMAL, 0.0), math.nan, math.inf, -math.inf,
+    *(
+        math.nextafter(edge, toward)
+        for edge in (1e-3, -1e-3)
+        for toward in (0.0, 2.0 * edge)
+    ),
+    1e-3, -1e-3,
+]
+_CELLS = st.one_of(
+    st.sampled_from(_EDGE_CELLS),
+    st.floats(),
+    st.integers(min_value=-(10**15), max_value=10**15),
+    st.text(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_CELLS, min_size=1, max_size=4), max_size=6))
+@example([_EDGE_CELLS])
+def test_emit_matches_per_cell_rule(rows):
+    header = ["first", "second"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(header, rows, None)
+    lines = [",".join(header)]
+    lines += [",".join(_cell_rule(cell) for cell in row) for row in rows]
+    assert out.getvalue() == "\n".join(lines) + "\n"
+
+
 # -- property: grid-free commands never raise out of main --------------------
 #
-# Every command but invert runs here; none builds a grid.  Counts may be
-# drawn huge: the CLI refuses any above its bound before it allocates.
-# Each other key is valid nine times in ten, so that most examples get
-# past validation to the arrays and the closed forms.
+# Every command runs here; none builds a grid.  Counts may be drawn huge:
+# the CLI refuses any above its bound before it allocates.  invert's
+# max_iter is the exception, since an inversion on a face of the simplex
+# runs that many steps; it is drawn at most 1,000.  Each other key is
+# valid nine times in ten, so that most examples get past validation to
+# the arrays, the closed forms and the inversions.
 
 _NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -799,7 +846,7 @@ def _grid_free_commands(draw):
     command = draw(
         st.sampled_from(
             ["fidelity", "hom-scan", "visibility-curve", "tmax", "filter",
-             "dip-width", "herald-stats"]
+             "dip-width", "herald-stats", "invert"]
         )
     )
     keys = {}
@@ -816,6 +863,31 @@ def _grid_free_commands(draw):
             _value(draw, _widths(1e-4, 0.1))
             for _ in range(draw(st.integers(min_value=1, max_value=3)))
         )
+        return command, keys
+    if command == "invert":
+        keys["efficiency"] = _value(draw, _widths(0.01, 1.0))
+        clicks = draw(st.booleans())
+        if clicks:
+            keys["observable"] = "clicks"
+        elif draw(st.booleans()):
+            keys["observable"] = draw(st.sampled_from(["photon", "counts"]))
+        size = 3 if clicks else draw(st.integers(min_value=1, max_value=5))
+        if draw(st.integers(min_value=0, max_value=9)):  # a distribution
+            weights = draw(
+                st.lists(_widths(0.0, 1.0), min_size=size, max_size=size)
+            )
+            total = sum(weights) or 1.0
+            observed = [repr(w / total) for w in weights]
+        else:
+            observed = draw(st.lists(_NUMBERS, min_size=1, max_size=5))
+        keys["observed"] = ", ".join(observed)
+        keys["max_iter"] = draw(
+            st.one_of(
+                st.integers(min_value=-3, max_value=1000).map(str),
+                st.sampled_from(["2.5", "1e400", "-1e400"]),
+            )
+        )
+        _optional(draw, keys, "tol", _NUMBERS)
         return command, keys
     if command in ("filter", "dip-width"):
         # dip-width reads a source only by phase-matching width and tilt

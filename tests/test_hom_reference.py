@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pdckit import hom_reference as hom
 from pdckit import jsa, units
@@ -254,6 +257,99 @@ class TestFitOverlap:
             hom.fit_overlap(
                 [(0.01, 0.3), (0.01, 0.31), (0.01, 0.29)], THREE_FOLD
             )
+
+
+# -- array forms against the per-point rules --------------------------------
+#
+# The per-point rules below are the scalar forms, in Python floats, that
+# the array forms replace; each array entry must equal them bit for bit.
+
+
+def _coincidence_rule(state, mean_photons, overlap):
+    x = mean_photons / 2.0
+    return state.p0 * x * x + state.p1 * x * (1.0 - overlap) + state.p2 / 2.0
+
+
+def _visibility_rule(state, overlap, beta_sq):
+    if state.p1 == 0.0:
+        return 0.0
+    if beta_sq == 0.0:
+        return 0.0 if state.p2 > 0.0 else overlap
+    denominator = state.p0 * beta_sq / 2.0 + state.p1 + state.p2 / beta_sq
+    return state.p1 * overlap / denominator
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+_STATES = st.one_of(
+    st.sampled_from(
+        [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.9, 0.1, 0.0),
+         (0.0, 0.5, 0.5), (0.94920, 0.05065, 0.00015)]
+    ),
+    st.tuples(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=1.0),
+    ).filter(lambda p: p[0] + p[1] <= 1.0).map(
+        lambda p: (p[0], p[1], max(0.0, 1.0 - p[0] - p[1]))
+    ),
+).map(lambda p: hom.SignalState(*p))
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# zero of both signs, the subnormal and huge ends, and any finite power
+_BETAS = st.lists(
+    st.one_of(
+        st.sampled_from(
+            [0.0, -0.0, 5e-324, 1e-310, 1e-300, 1e300, 1.7976931348623157e308]
+        ),
+        st.floats(min_value=0.0, allow_infinity=False),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestArrayForms:
+    @settings(max_examples=300, deadline=None)
+    @given(_STATES, _FINITE, _BETAS)
+    @example(hom.SignalState(0.0, 0.5, 0.5), -0.65, [0.0, 5e-324, 1e-3])
+    @example(hom.SignalState(0.9, 0.1, 0.0), -0.8, [0.0, -0.0, 1e300])
+    @example(hom.SignalState(1.0, 0.0, 0.0), -0.8, [0.0, 0.1])
+    def test_visibility_matches_rule(self, state, overlap, betas):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning
+            array = hom.visibility_vs_beta(state, overlap, np.array(betas))
+            scalars = [hom.visibility_vs_beta(state, overlap, b) for b in betas]
+        expected = _bits([_visibility_rule(state, overlap, b) for b in betas])
+        assert array.shape == (len(betas),)
+        assert _bits(array) == expected
+        assert _bits(scalars) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _STATES,
+        st.floats(min_value=0.0, max_value=0.2, exclude_max=True),
+        st.lists(_FINITE, min_size=1, max_size=8),
+    )
+    def test_coincidence_matches_rule(self, state, mean_photons, overlaps):
+        reference = hom.ReferenceField(mean_photons, amplitude_width=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            array = hom.coincidence_simplified(
+                state, reference, np.array(overlaps)
+            )
+        expected = [_coincidence_rule(state, mean_photons, t) for t in overlaps]
+        assert _bits(array) == _bits(expected)
+
+    def test_array_refusals(self):
+        with pytest.raises(ValueError, match="coincidence_full"):
+            hom.coincidence_simplified(
+                THREE_FOLD,
+                hom.ReferenceField(0.2, amplitude_width=1.0),
+                np.array([0.0, 0.5]),
+            )
+        with pytest.raises(ValueError, match="nonnegative"):
+            hom.visibility_vs_beta(THREE_FOLD, 0.65, np.array([0.1, -1e-300]))
 
 
 class TestDipWidth:
