@@ -57,24 +57,33 @@ def _emit(header, rows, out_path: Path | None) -> None:
 
 
 def _read_csv_columns(path: Path, names: tuple[str, ...]) -> list[tuple]:
+    """The named columns of a CSV file, as rows of finite floats."""
     try:
         with open(path, newline="") as handle:
             reader = csv.DictReader(handle)
             fields = reader.fieldnames or []
-            for name in names:
-                if name not in fields:
-                    raise ConfigError(
-                        f"data file {path} lacks column {name!r}"
-                    )
-            rows = [
-                tuple(float(row[name]) for name in names) for row in reader
-            ]
+            # a short row leaves None in its missing cells
+            cells = [[row.get(name) for name in names] for row in reader]
     except OSError as exc:
         raise ConfigError(f"cannot read data file {path}: {exc}")
-    except ValueError as exc:
+    except ValueError as exc:  # bytes that do not decode
         raise ConfigError(f"non-numeric entry in {path}: {exc}")
-    if not rows:
+    for name in names:
+        if name not in fields:
+            raise ConfigError(f"data file {path} lacks column {name!r}")
+    if not cells:
         raise ConfigError(f"data file {path} contains no rows")
+    try:
+        rows = [tuple(float(cell) for cell in row) for row in cells]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"non-numeric entry in {path}: {exc}")
+    for row in rows:
+        for name, value in zip(names, row):
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"data file {path}: column {name!r}: "
+                    f"not a finite number: {value!r}"
+                )
     return rows
 
 
@@ -114,7 +123,6 @@ def _source_params(sc: Scenario, default_pump_nm: float | None = None):
     gamma = sc.number("gamma", default=0.193)
     kappa_s = sc.quantity("kappa_s", "inverse_velocity")
     kappa_i = sc.quantity("kappa_i", "inverse_velocity")
-    wavelengths = (wavelength / 2.0, wavelength, wavelength)
     if kappa_s is not None or kappa_i is not None:
         if kappa_s is None or kappa_i is None:
             raise ConfigError("kappa_s and kappa_i must be given together")
@@ -124,7 +132,6 @@ def _source_params(sc: Scenario, default_pump_nm: float | None = None):
             kappa_i=kappa_i,
             length=length,
             gamma=gamma,
-            center_wavelengths=wavelengths,
         )
     pm = _width_from_fwhm(sc, "pm_fwhm", wavelength)
     tilt = sc.quantity("tilt", "angle")
@@ -138,7 +145,6 @@ def _source_params(sc: Scenario, default_pump_nm: float | None = None):
         tilt_deg=tilt,
         length=length,
         gamma=gamma,
-        center_wavelengths=wavelengths,
     )
 
 
@@ -245,19 +251,23 @@ def _cmd_filter(sc: Scenario) -> tuple[list, list, list]:
 
 
 def _cmd_pm_vs_length(sc: Scenario) -> tuple[list, list, list]:
+    """Phase-matching intensity FWHM at the center wavelength against
+    medium length; it scales as 1/L."""
     params = _source_params(sc, default_pump_nm=2.5)
-    table = jsa.pm_width_vs_length(params, _sweep_lengths(sc))
-    rows = [[L * 1e3, fwhm * 1e9] for L, fwhm in table]
-    return ["length_mm", "pm_fwhm_nm"], rows, []
-
-
-def _sweep_lengths(sc: Scenario) -> list[float]:
     low = sc.quantity("length_min", "length", required=True)
     high = sc.quantity("length_max", "length", required=True)
     steps = _count(sc, "length_steps", 21)
     if high <= low:
         raise ConfigError("need length_min < length_max")
-    return np.linspace(low, high, steps).tolist()
+    lengths = np.linspace(low, high, steps)
+    require(np.all(lengths > 0), "lengths must be positive")
+    # a width too large for a float is inf, and the table says so
+    with np.errstate(divide="ignore", over="ignore"):
+        fwhm_nm = units.width_to_wavelength_fwhm(
+            jsa.pm_width(params, lengths), _center_wavelength(sc)
+        ) * 1e9
+    rows = np.column_stack((lengths * 1e3, fwhm_nm)).tolist()
+    return ["length_mm", "pm_fwhm_nm"], rows, []
 
 
 def _cmd_twin_hom(sc: Scenario) -> tuple[list, list, list]:
@@ -347,27 +357,35 @@ def _cmd_fit_overlap(sc: Scenario) -> tuple[list, list, list]:
     return ["overlap", "stderr", "n_points"], rows, []
 
 
-def _reference(sc: Scenario, wavelength: float, beta_sq: float):
-    width = _width_from_fwhm(sc, "reference_fwhm", wavelength, required=True)
-    return hom.ReferenceField(mean_photons=beta_sq, amplitude_width=width)
-
-
-def _reference_and_filters(
-    sc: Scenario, beta_sq: float, trigger_required: bool
-):
-    """Reference, source, and signal and trigger filter amplitude widths.
+def _reference_and_filters(sc: Scenario, trigger_required: bool):
+    """Source, and reference, signal and trigger filter amplitude widths.
 
     An absent trigger_filter_fwhm, where allowed, leaves the idler open
     (an infinite width).
     """
     wavelength = _center_wavelength(sc)
     params = _source_params(sc)
-    reference = _reference(sc, wavelength, beta_sq)
+    wr = _width_from_fwhm(sc, "reference_fwhm", wavelength, required=True)
     ws = _width_from_fwhm(sc, "signal_filter_fwhm", wavelength, required=True)
     wt = _width_from_fwhm(
         sc, "trigger_filter_fwhm", wavelength, required=trigger_required
     )
-    return reference, params, ws, math.inf if wt is None else wt
+    return params, wr, ws, math.inf if wt is None else wt
+
+
+def _span_sigmas(sc: Scenario, sigma_t: float) -> float:
+    """tau_span_sigmas, refused unless the delay axis in ps and
+    (tau/sigma_t)^2 at its ends are finite."""
+    span = sc.number("tau_span_sigmas", default=4.0)
+    half = span * sigma_t
+    # a sigma_t that is not positive is the library's to refuse
+    ratio = half / sigma_t if sigma_t > 0 else 0.0
+    if not span > 0 or not math.isfinite(half * 1e12 + ratio * ratio):
+        raise ConfigError(
+            "key 'tau_span_sigmas': must be positive, with a finite "
+            "delay axis and a finite (tau/dip_sigma)^2"
+        )
+    return span
 
 
 def _cmd_hom_scan(sc: Scenario) -> tuple[list, list, list]:
@@ -376,36 +394,28 @@ def _cmd_hom_scan(sc: Scenario) -> tuple[list, list, list]:
     if "tmax" in sc.values:
         overlap_max = sc.number("tmax", required=True)
         sigma_t = sc.quantity("dip_sigma", "time", required=True)
-        wavelength = _center_wavelength(sc)
-        width = _width_from_fwhm(sc, "reference_fwhm", wavelength)
-        reference = hom.ReferenceField(
-            mean_photons=beta_sq,
-            amplitude_width=width if width is not None else 1.0,
-        )
         center = 0.0
     else:
-        reference, params, ws, wt = _reference_and_filters(
-            sc, beta_sq, trigger_required=False
-        )
+        params, wr, ws, wt = _reference_and_filters(sc, trigger_required=False)
         source = jsa.filtered_source(params, ws, wt)
-        overlap_max = source.tmax(reference.amplitude_width)
-        sigma_t = source.dip_sigma(reference.amplitude_width)
+        overlap_max = source.tmax(wr)
+        sigma_t = source.dip_sigma(wr)
         center = source.delay
     scan = hom.hom_scan_analytic(
         state,
-        reference,
+        beta_sq,
         overlap_max,
         sigma_t,
         n_points=_count(sc, "tau_steps", 81),
-        span_sigmas=sc.number("tau_span_sigmas", default=4.0),
+        span_sigmas=_span_sigmas(sc, sigma_t),
     )
     rows = np.column_stack(
         (scan.tau_axis * 1e12, scan.overlap, scan.coincidence)
     ).tolist()
     summary = [
         f"visibility = {scan.visibility:.6g}",
-        f"dip sigma = {scan.dip_sigma_t * 1e12:.6g} ps, fwhm = "
-        f"{units.normal_sigma_to_fwhm(scan.dip_sigma_t) * 1e12:.6g} ps",
+        f"dip sigma = {sigma_t * 1e12:.6g} ps, fwhm = "
+        f"{units.normal_sigma_to_fwhm(sigma_t) * 1e12:.6g} ps",
         f"dip center offset = {center * 1e12:.6g} ps",
     ]
     return ["tau_ps", "overlap", "coincidence"], rows, summary
@@ -433,15 +443,11 @@ def _cmd_dip_width(sc: Scenario) -> tuple[list, list, list]:
 
 
 def _cmd_tmax(sc: Scenario) -> tuple[list, list, list]:
-    reference, params, ws, wt = _reference_and_filters(
-        sc, sc.number("beta_sq", default=0.01), trigger_required=True
-    )
+    params, wr, ws, wt = _reference_and_filters(sc, trigger_required=True)
     rows = []
     for label, trigger in (("two-fold", math.inf), ("three-fold", wt)):
         source = jsa.filtered_source(params, ws, trigger)
-        rows.append(
-            [label, source.tmax(reference.amplitude_width), source.purity]
-        )
+        rows.append([label, source.tmax(wr), source.purity])
     return ["case", "tmax", "purity"], rows, []
 
 
@@ -460,18 +466,17 @@ def _cmd_invert(sc: Scenario) -> tuple[list, list, list]:
     )
     max_iter = sc.integer("max_iter", default=100_000)
     tol = sc.number("tol", default=1e-10)
-    detector = photon_stats.DetectorModel(efficiency=efficiency)
     if observable == "clicks":
         result = photon_stats.ml_invert(
             photon_stats.ClickDist(np.asarray(observed)),
-            detector,
+            efficiency,
             max_iter=max_iter,
             tol=tol,
         )
     else:
         result = photon_stats.invert_loss_only(
             np.asarray(observed),
-            detector,
+            efficiency,
             max_iter=max_iter,
             tol=tol,
         )

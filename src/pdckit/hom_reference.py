@@ -9,11 +9,13 @@ spectral density of the signal.  From the visibility against reference
 power the overlap can be fitted, and together with the one-photon
 probability it fixes the preparation fidelity sqrt(T * rho1).
 
-For the Gaussian model, T at the dip centre and the dip width are
-closed forms of the filtered source (jsa.FilteredSource), and the dip
-is Gaussian in delay (hom_scan_analytic).  overlap_T evaluates T by
-quadrature of a sampled density at any delay; it is the reference the
-closed forms are tested against.
+The reference is a centred Gaussian amplitude exp(-nu^2/w_r^2) with
+mean photon number beta_sq; every function takes these two numbers
+directly.  For the Gaussian model, T at the dip centre and the dip
+width are closed forms of the filtered source (jsa.FilteredSource),
+and the dip is Gaussian in delay (hom_scan_analytic).  overlap_T
+evaluates T by quadrature of a sampled density at any delay; it is the
+reference the closed forms are tested against.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .jsa import ReducedDensity, trapezoid_weights
 
 __all__ = [
     "SignalState",
-    "ReferenceField",
     "HomScan",
     "FidelityResult",
     "OverlapFit",
@@ -61,30 +62,6 @@ class SignalState:
         )
 
 
-@dataclass(frozen=True)
-class ReferenceField:
-    """Weak coherent reference with a Gaussian spectral amplitude."""
-
-    mean_photons: float
-    amplitude_width: float
-    center_detuning: float = 0.0
-
-    def __post_init__(self) -> None:
-        require(self.mean_photons >= 0.0, "mean_photons must be nonnegative")
-        require(self.amplitude_width > 0.0, "amplitude_width must be positive")
-
-    def amplitude_samples(self, nu_axis: np.ndarray) -> np.ndarray:
-        """Spectral amplitude normalized to unit quadrature norm."""
-        nu_axis = np.asarray(nu_axis, dtype=float)
-        profile = np.exp(
-            -(((nu_axis - self.center_detuning) / self.amplitude_width) ** 2)
-        )
-        weights = trapezoid_weights(nu_axis)
-        norm = math.sqrt(float(profile**2 @ weights))
-        require(norm > 0.0, "reference support does not meet the grid")
-        return profile / norm
-
-
 @dataclass(frozen=True, eq=False)
 class HomScan:
     """Coincidence probability against relative delay, dip centered at zero."""
@@ -92,7 +69,6 @@ class HomScan:
     tau_axis: np.ndarray
     coincidence: np.ndarray
     visibility: float
-    dip_sigma_t: float
     overlap: np.ndarray
 
 
@@ -114,22 +90,29 @@ class OverlapFit:
     n_points: int
 
 
-def overlap_T(reference, g: ReducedDensity, tau: float = 0.0) -> float:
+def overlap_T(
+    reference_width: float, g: ReducedDensity, tau: float = 0.0
+) -> float:
     """Spectral overlap of the reference with a mixed one-photon density.
 
     Evaluates the double integral of u*(w1) g(w1, w2) u(w2)
-    exp(i tau (w1 - w2)) by trapezoid quadrature.  For a Hermitian
-    kernel the result is real; an imaginary remnant above 1e-9 of the
-    modulus raises.
+    exp(i tau (w1 - w2)) by trapezoid quadrature, where u is the
+    reference amplitude exp(-nu^2/w_r^2) normalised to unit quadrature
+    norm on the density's axis.  For a Hermitian kernel the result is
+    real; an imaginary remnant above 1e-9 of the modulus raises.
 
     Args:
-        reference: the coherent reference field.
+        reference_width: amplitude 1/e half-width w_r of the reference
+            (rad/s).
         g: unit-trace spectral density.
         tau: relative delay in seconds.
     """
-    u = reference.amplitude_samples(g.nu_axis)
+    require(reference_width > 0.0, "reference_width must be positive")
     weights = trapezoid_weights(g.nu_axis)
-    vector = u * np.exp(-1j * tau * g.nu_axis) * weights
+    u = np.exp(-((g.nu_axis / reference_width) ** 2))
+    norm = math.sqrt(float(u**2 @ weights))
+    require(norm > 0.0, "reference support does not meet the grid")
+    vector = u / norm * np.exp(-1j * tau * g.nu_axis) * weights
     value = complex(np.vdot(vector, g.density @ vector))
     if abs(value) > 0 and abs(value.imag) > 1e-9 * abs(value):
         raise AssertionError("overlap of a Hermitian kernel must be real")
@@ -138,7 +121,7 @@ def overlap_T(reference, g: ReducedDensity, tau: float = 0.0) -> float:
 
 def coincidence_full(
     state: SignalState,
-    ref: ReferenceField,
+    beta_sq: float,
     overlap_t: float,
     overlap_tprime: float,
 ) -> float:
@@ -148,9 +131,10 @@ def coincidence_full(
     signal/reference singles term with its interference reduction, the
     two-photon background and its two interference corrections.  The
     splitter halves the reference, so the working amplitude is
-    beta/sqrt(2).
+    beta/sqrt(2).  beta_sq is the reference mean photon number |beta|^2.
     """
-    x = ref.mean_photons / 2.0  # |beta'|^2 after the balanced splitter
+    require(beta_sq >= 0.0, "beta_sq must be nonnegative")
+    x = beta_sq / 2.0  # |beta'|^2 after the balanced splitter
     e = math.exp(-x)
     return (
         state.p0 * (1.0 - e) ** 2
@@ -161,20 +145,22 @@ def coincidence_full(
     )
 
 
-def coincidence_simplified(state: SignalState, ref: ReferenceField, overlap_t):
-    """Leading-order coincidence probability p0 x^2 + p1 x (1 - T) + p2/2.
+def coincidence_simplified(state: SignalState, beta_sq: float, overlap_t):
+    """Leading-order coincidence probability p0 x^2 + p1 x (1 - T) + p2/2,
+    x = beta_sq / 2.
 
     overlap_t is one overlap or a numpy array of them; the result has
-    its shape.  Valid for weak references; enforce mean_photons < 0.2
-    so that 1 - exp(-x) is linear to better than ten percent.  Use
+    its shape.  Valid for weak references; enforce beta_sq < 0.2 so
+    that 1 - exp(-x) is linear to better than ten percent.  Use
     coincidence_full beyond that.
     """
-    if ref.mean_photons >= 0.2:
+    require(beta_sq >= 0.0, "beta_sq must be nonnegative")
+    if beta_sq >= 0.2:
         raise ValueError(
-            "mean_photons >= 0.2 is outside the linearized regime; "
+            "beta_sq >= 0.2 is outside the linearized regime; "
             "use coincidence_full"
         )
-    x = ref.mean_photons / 2.0
+    x = beta_sq / 2.0
     return state.p0 * x * x + state.p1 * x * (1.0 - overlap_t) + state.p2 / 2.0
 
 
@@ -246,7 +232,10 @@ def fit_overlap(measurements, state: SignalState) -> OverlapFit:
     estimate = float(predictor @ visibility) / gram
     residual = visibility - estimate * predictor
     dof = data.shape[0] - 1
-    stderr = math.sqrt(float(residual @ residual) / dof / gram)
+    # a residual too large to square gives an infinite error, silently
+    with np.errstate(over="ignore"):
+        squares = float(residual @ residual)
+    stderr = math.sqrt(squares / dof / gram)
     return OverlapFit(overlap=estimate, stderr=stderr, n_points=data.shape[0])
 
 
@@ -263,7 +252,7 @@ def fidelity(spectral_overlap: float, one_photon: float) -> FidelityResult:
 
 def hom_scan_analytic(
     state: SignalState,
-    ref: ReferenceField,
+    beta_sq: float,
     overlap_max: float,
     sigma_t: float,
     n_points: int = 81,
@@ -272,9 +261,11 @@ def hom_scan_analytic(
     """Coincidence dip for the Gaussian overlap profile
     overlap_max exp(-tau^2 / (2 sigma_t^2)).
 
-    The delay axis is relative to the dip centre.  Coincidences use the
-    leading-order model, so the reference must be weak.
+    The delay axis spans span_sigmas * sigma_t on either side of the
+    dip centre.  Coincidences use the leading-order model, so the
+    reference mean photon number beta_sq must be below 0.2.
     """
+    require(beta_sq >= 0.0, "beta_sq must be nonnegative")
     require(0.0 <= overlap_max <= 1.0, "overlap_max must lie in [0, 1]")
     require(sigma_t > 0.0, "sigma_t must be positive")
     tau_axis = np.linspace(
@@ -282,9 +273,9 @@ def hom_scan_analytic(
     )
     # in units of sigma_t, so a huge finite sigma_t cannot overflow
     overlap = overlap_max * np.exp(-0.5 * (tau_axis / sigma_t) ** 2)
-    coincidence = coincidence_simplified(state, ref, overlap)
-    baseline = coincidence_simplified(state, ref, 0.0)
-    dip = coincidence_simplified(state, ref, overlap_max)
+    coincidence = coincidence_simplified(state, beta_sq, overlap)
+    baseline = coincidence_simplified(state, beta_sq, 0.0)
+    dip = coincidence_simplified(state, beta_sq, overlap_max)
     visibility = (baseline - dip) / baseline if baseline > 0 else 0.0
     for array in (tau_axis, overlap, coincidence):
         array.setflags(write=False)
@@ -292,6 +283,5 @@ def hom_scan_analytic(
         tau_axis=tau_axis,
         coincidence=coincidence,
         visibility=visibility,
-        dip_sigma_t=sigma_t,
         overlap=overlap,
     )

@@ -15,13 +15,16 @@ main lobe.  The modulus is exp(-nu^T M nu) for a symmetric positive
 2x2 form M; its unit level set is the correlation ellipse whose tilt
 and aspect ratio quantify the spectral correlation of the pair.
 
-Gaussian filters keep the amplitude Gaussian: they add 1/w^2 to the
-diagonal of M.  The filtered form M' and the group delay of the
-linear phase, held by FilteredSource, give the purity of the heralded
-signal and its overlap with a Gaussian reference in closed form.  The
-sampled route (default_axes, evaluate_jsa, reduced_density, purity)
-computes the same quantities by quadrature and serves as their
-independent reference.
+A Gaussian filter of amplitude width w transmits the intensity
+exp(-2 nu^2/w^2), centred on the channel's central frequency; an
+infinite width leaves the channel open.  Filters keep the amplitude
+Gaussian: they add 1/w^2 to the diagonal of M.  The filtered form M'
+and the group delay of the linear phase, held by FilteredSource, give
+the purity of the heralded signal and its overlap with a Gaussian
+reference in closed form.  The sampled route (default_axes,
+evaluate_jsa, reduced_density, purity) computes the same quantities by
+quadrature and serves as their independent reference;
+filtered_source and reduced_density take the same two filter widths.
 
 All widths follow the amplitude 1/e convention of :mod:`pdckit.units`.
 Every type is immutable after construction and every operation is a
@@ -35,13 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import units
 from .errors import NumericalError, require
 
 __all__ = [
     "PdcModelParams",
     "CorrelationEllipse",
-    "SpectralFilter",
     "FilteredSource",
     "SpectralGrid",
     "ReducedDensity",
@@ -49,7 +50,6 @@ __all__ = [
     "ellipse_from_matrix",
     "correlation_matrix",
     "pm_width",
-    "pm_width_vs_length",
     "params_from_pm_estimate",
     "filtered_source",
     "evaluate_jsa",
@@ -70,8 +70,6 @@ class PdcModelParams:
             the pump (s/m).  Material inputs, not computed here.
         length: length of the nonlinear medium (m).
         gamma: sinc-to-Gaussian width adaptation factor, 0.193 by default.
-        center_wavelengths: (pump, signal, idler) central wavelengths in
-            meters; metadata used only for unit conversion.
     """
 
     sigma_pump: float
@@ -79,7 +77,6 @@ class PdcModelParams:
     kappa_i: float
     length: float
     gamma: float = 0.193
-    center_wavelengths: tuple[float, float, float] = (398e-9, 796e-9, 796e-9)
 
     def __post_init__(self) -> None:
         require(self.sigma_pump > 0, "sigma_pump must be positive")
@@ -89,15 +86,6 @@ class PdcModelParams:
             self.kappa_s != 0 or self.kappa_i != 0,
             "kappa_s and kappa_i must not both vanish",
         )
-        require(
-            len(self.center_wavelengths) == 3
-            and all(w > 0 for w in self.center_wavelengths),
-            "center_wavelengths must be three positive lengths",
-        )
-
-    @property
-    def signal_wavelength(self) -> float:
-        return self.center_wavelengths[1]
 
 
 @dataclass(frozen=True)
@@ -119,37 +107,6 @@ class CorrelationEllipse:
     major_width: float
     minor_width: float
     aspect_ratio: float
-
-
-@dataclass(frozen=True)
-class SpectralFilter:
-    """Gaussian spectral filter acting on intensity transmission.
-
-    The intensity transmission is
-    exp(-2 (nu - center)^2 / amplitude_width^2), so amplitude_width
-    follows the same amplitude 1/e convention as every other width and
-    the intensity FWHM converts with sqrt(2 ln 2).
-    """
-
-    center_detuning: float = 0.0
-    amplitude_width: float = math.inf
-
-    def __post_init__(self) -> None:
-        require(self.amplitude_width > 0, "filter width must be positive")
-
-    @classmethod
-    def open_filter(cls) -> "SpectralFilter":
-        """Unit transmission everywhere (no filtering)."""
-        return cls()
-
-    def amplitude_transmission(self, nu: np.ndarray) -> np.ndarray:
-        detuning = np.asarray(nu, dtype=float) - self.center_detuning
-        if math.isinf(self.amplitude_width):
-            return np.ones_like(detuning)
-        return np.exp(-(detuning / self.amplitude_width) ** 2)
-
-    def intensity_transmission(self, nu: np.ndarray) -> np.ndarray:
-        return self.amplitude_transmission(nu) ** 2
 
 
 @dataclass(frozen=True)
@@ -371,38 +328,12 @@ def pm_width(params: PdcModelParams, length=None):
     )
 
 
-def pm_width_vs_length(
-    params: PdcModelParams, lengths: "list[float]"
-) -> "list[tuple[float, float]]":
-    """Predicted phase-matching bandwidth against medium length.
-
-    The bandwidth is reported as the intensity FWHM in wavelength units
-    at the signal central wavelength; it scales as 1/L.
-
-    Args:
-        params: source description (only kappas and gamma are used).
-        lengths: medium lengths in meters, all positive.
-
-    Returns:
-        List of (length, fwhm_in_meters) pairs.
-    """
-    lengths = np.asarray(lengths, dtype=float)
-    require(np.all(lengths > 0), "lengths must be positive")
-    # a width too large for a float is inf, and the table says so
-    with np.errstate(divide="ignore", over="ignore"):
-        fwhm = units.width_to_wavelength_fwhm(
-            pm_width(params, lengths), params.signal_wavelength
-        )
-    return list(zip(lengths.tolist(), fwhm.tolist()))
-
-
 def params_from_pm_estimate(
     sigma_pump: float,
     pm_amplitude_width: float,
     tilt_deg: float,
     length: float,
     gamma: float = 0.193,
-    center_wavelengths: tuple[float, float, float] = (398e-9, 796e-9, 796e-9),
 ) -> PdcModelParams:
     """Reconstruct source parameters from measured estimates.
 
@@ -416,7 +347,6 @@ def params_from_pm_estimate(
         tilt_deg: measured ellipse tilt in (0, 90) degrees.
         length: medium length (m).
         gamma: sinc adaptation factor.
-        center_wavelengths: metadata passed through.
     """
     require(0.0 < tilt_deg < 90.0, "tilt must lie strictly in (0, 90) deg")
     require(pm_amplitude_width > 0, "phase-matching width must be positive")
@@ -428,7 +358,6 @@ def params_from_pm_estimate(
         kappa_i=magnitude * math.cos(tilt),
         length=length,
         gamma=gamma,
-        center_wavelengths=center_wavelengths,
     )
 
 
@@ -565,23 +494,30 @@ def evaluate_jsa(
 
 
 def reduced_density(
-    grid: SpectralGrid, fs: SpectralFilter, fi: SpectralFilter
+    grid: SpectralGrid,
+    signal_width: float = math.inf,
+    idler_width: float = math.inf,
 ) -> ReducedDensity:
     """One-photon spectral density after filtering and idler trace-out.
 
     g(w1, w2) is the idler-integrated product
     phi(w1, nu) phi*(w2, nu) t_i(nu), bracketed by the signal filter
     amplitudes sqrt(t_s(w1)) sqrt(t_s(w2)) and normalized to unit trace
-    under trapezoid quadrature.  The kernel is Hermitian and positive
-    semi-definite by construction.
+    under trapezoid quadrature.  The filters are those of
+    filtered_source: t(nu) = exp(-2 nu^2/w^2) for amplitude width w, and
+    an infinite width leaves the channel open.  The kernel is Hermitian
+    and positive semi-definite by construction.
 
     Raises:
         NumericalError: when the filters remove essentially all spectral
             weight and no normalizable kernel remains.
     """
+    require(
+        signal_width > 0 and idler_width > 0, "filter widths must be positive"
+    )
     weights_i = trapezoid_weights(grid.nu_i_axis)
-    ti = fi.intensity_transmission(grid.nu_i_axis)
-    ts_amp = fs.amplitude_transmission(grid.nu_s_axis)
+    ti = np.exp(-2.0 * (grid.nu_i_axis / idler_width) ** 2)
+    ts_amp = np.exp(-((grid.nu_s_axis / signal_width) ** 2))
 
     kernel = (grid.amplitude * (ti * weights_i)[None, :]) @ np.conj(
         grid.amplitude.T

@@ -30,7 +30,6 @@ from .errors import require
 __all__ = [
     "PhotonNumberDist",
     "ClickDist",
-    "DetectorModel",
     "MultimodeSource",
     "InversionResult",
     "ModeReductionFit",
@@ -94,18 +93,6 @@ class ClickDist:
         probs = probs.copy()
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
-
-
-@dataclass(frozen=True)
-class DetectorModel:
-    """Binomial loss channel preceding the two-bin click detector."""
-
-    efficiency: float
-    nmax: int = 10
-
-    def __post_init__(self) -> None:
-        require(0.0 <= self.efficiency <= 1.0, "efficiency must be in [0, 1]")
-        require(self.nmax >= 2, "nmax must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -201,13 +188,14 @@ def heralded_dist(joint: PhotonNumberDist, eta_t: float) -> PhotonNumberDist:
     return _finalize(raw / total, joint.nmax, "heralded distribution")
 
 
-def loss_matrix(detector: DetectorModel) -> np.ndarray:
-    """Binomial loss map from n photons to m surviving photons.
+def loss_matrix(efficiency: float, nmax: int) -> np.ndarray:
+    """Binomial loss map from n <= nmax photons to m surviving photons.
 
     L[m, n] = C(n, m) eta^m (1-eta)^(n-m); every column sums to one.
     """
-    eta = detector.efficiency
-    size = detector.nmax + 1
+    require(0.0 <= efficiency <= 1.0, "efficiency must be in [0, 1]")
+    eta = efficiency
+    size = nmax + 1
     L = np.zeros((size, size))
     for n in range(size):
         for m in range(n + 1):
@@ -230,16 +218,15 @@ def tmd_convolution_matrix(nmax: int) -> np.ndarray:
     return C
 
 
-def forward_click_dist(
-    rho: PhotonNumberDist, detector: DetectorModel
-) -> ClickDist:
+def forward_click_dist(rho: PhotonNumberDist, efficiency: float) -> ClickDist:
     """Predicted click statistics: loss first, then the splitter map."""
     probs = rho.probs
     if probs.size < 3:  # the splitter map needs at least two photons
         probs = np.pad(probs, (0, 3 - probs.size))
     nmax = probs.size - 1
-    model = DetectorModel(detector.efficiency, nmax=nmax)
-    clicks = tmd_convolution_matrix(nmax) @ (loss_matrix(model) @ probs)
+    clicks = tmd_convolution_matrix(nmax) @ (
+        loss_matrix(efficiency, nmax) @ probs
+    )
     return ClickDist(clicks)
 
 
@@ -344,7 +331,7 @@ def _ml_estimate(
 
 def ml_invert(
     clicks: ClickDist,
-    detector: DetectorModel,
+    efficiency: float,
     max_iter: int = 100_000,
     tol: float = 1e-10,
 ) -> InversionResult:
@@ -361,22 +348,23 @@ def ml_invert(
 
     Args:
         clicks: observed 0/1/2-click probabilities.
-        detector: calibrated efficiency (must be positive).
+        efficiency: calibrated detection efficiency in (0, 1].
         max_iter: iteration budget.
         tol: bound on the KKT gap max_n g_n - 1 at which the result
             counts as converged; the log-likelihood is then within
             log(1 + tol) of its maximum.
     """
-    require(detector.efficiency > 0.0, "inversion requires efficiency > 0")
     nmax = clicks.probs.size - 1
-    model = DetectorModel(detector.efficiency, nmax=nmax)
-    response = tmd_convolution_matrix(nmax) @ loss_matrix(model)
+    # loss_matrix refuses an efficiency outside [0, 1] before this
+    # function refuses zero
+    response = tmd_convolution_matrix(nmax) @ loss_matrix(efficiency, nmax)
+    require(efficiency > 0.0, "inversion requires efficiency > 0")
     return _ml_estimate(clicks.probs, response, max_iter, tol)
 
 
 def invert_loss_only(
     observed: np.ndarray,
-    detector: DetectorModel,
+    efficiency: float,
     max_iter: int = 100_000,
     tol: float = 1e-10,
 ) -> InversionResult:
@@ -390,9 +378,9 @@ def invert_loss_only(
     the iteration stopped on its KKT gap.
 
     Args:
-        observed: probabilities of 0 .. K-1 detected photons, summing
-            to one.
-        detector: calibrated efficiency (must be positive).
+        observed: probabilities of 0 .. K-1 detected photons, K >= 2,
+            summing to one.
+        efficiency: calibrated detection efficiency in (0, 1].
         max_iter: iteration budget.
         tol: bound on the KKT gap, as for ml_invert.
     """
@@ -403,9 +391,9 @@ def invert_loss_only(
         abs(observed.sum() - 1.0) <= 1e-9,
         "probabilities must sum to one within 1e-9",
     )
-    require(detector.efficiency > 0.0, "inversion requires efficiency > 0")
-    model = DetectorModel(detector.efficiency, nmax=observed.size - 1)
-    return _ml_estimate(observed, loss_matrix(model), max_iter, tol)
+    response = loss_matrix(efficiency, observed.size - 1)
+    require(efficiency > 0.0, "inversion requires efficiency > 0")
+    return _ml_estimate(observed, response, max_iter, tol)
 
 
 @dataclass(frozen=True)

@@ -81,7 +81,7 @@ def test_criterion_3_maximum_likelihood_inversion():
         observed = np.array([0.94920, 0.05065, 0.00015])
         result = photon_stats.invert_loss_only(
             observed,
-            photon_stats.DetectorModel(0.048),
+            0.048,
             max_iter=400_000,
             tol=1e-12,
         )
@@ -133,14 +133,9 @@ def test_criterion_6_dip_width():
 
         axis = jsa.default_axes(params, samples_per_width=10, extent_widths=3.5)
         grid = jsa.evaluate_jsa(params, axis, axis)
-        g = jsa.reduced_density(
-            grid,
-            jsa.SpectralFilter(amplitude_width=one_nm),
-            jsa.SpectralFilter(amplitude_width=one_nm),
-        )
-        reference = hom.ReferenceField(mean_photons=0.02, amplitude_width=one_nm)
+        g = jsa.reduced_density(grid, one_nm, one_nm)
         taus = np.linspace(-4.0 * sigma_t, 4.0 * sigma_t, 81)
-        overlap = [hom.overlap_T(reference, g, source.delay + t) for t in taus]
+        overlap = [hom.overlap_T(one_nm, g, source.delay + t) for t in taus]
         fit = np.polyfit(taus, np.log(overlap), 2)
         fitted_sigma = math.sqrt(-1.0 / (2.0 * fit[0]))
         assert fitted_sigma == pytest.approx(sigma_t, rel=1e-6)
@@ -159,11 +154,11 @@ def test_criterion_7_statistics_round_trip():
             eta = rng.uniform(0.03, 0.5)
             clicks = photon_stats.forward_click_dist(
                 photon_stats.PhotonNumberDist(truth),
-                photon_stats.DetectorModel(eta),
+                eta,
             )
             result = photon_stats.ml_invert(
                 clicks,
-                photon_stats.DetectorModel(eta),
+                eta,
                 max_iter=400_000,
                 tol=1e-13,
             )
@@ -206,21 +201,17 @@ def test_criterion_9_heralding_monotonicity():
         one_nm = _nm_width(1.0)
         axis = jsa.default_axes(params, samples_per_width=10, extent_widths=3.5)
         grid = jsa.evaluate_jsa(params, axis, axis)
-        signal_filter = jsa.SpectralFilter(amplitude_width=one_nm)
-        reference = hom.ReferenceField(mean_photons=0.02, amplitude_width=one_nm)
 
         tmax, purities = {}, []
         # no trigger filter, then a trigger that narrows
         for trigger_fwhm_nm in (math.inf, 2.5, 1.75, 1.0):
             trigger = _nm_width(trigger_fwhm_nm)
             source = jsa.filtered_source(params, one_nm, trigger)
-            g = jsa.reduced_density(
-                grid, signal_filter, jsa.SpectralFilter(amplitude_width=trigger)
-            )
+            g = jsa.reduced_density(grid, one_nm, trigger)
             tmax[trigger_fwhm_nm] = source.tmax(one_nm)
             purities.append(source.purity)
             # the sampled route agrees with the closed forms
-            assert hom.overlap_T(reference, g, source.delay) == pytest.approx(
+            assert hom.overlap_T(one_nm, g, source.delay) == pytest.approx(
                 tmax[trigger_fwhm_nm], rel=1e-9
             )
             assert jsa.purity(g) == pytest.approx(purities[-1], rel=1e-9)

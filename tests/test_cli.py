@@ -119,6 +119,43 @@ class TestPmVsLength:
             2.0 * float(rows[1]["pm_fwhm_nm"]), rel=1e-7
         )
 
+    def test_hand_evaluation_at_the_center_wavelength(self, tmp_path, capsys):
+        config = _write(
+            tmp_path,
+            "p.cfg",
+            """
+            center_wavelength = 1550 nm
+            length = 2.1 mm
+            gamma = 0.2
+            kappa_s = 1.1e-9 s/m
+            kappa_i = 0.4e-9 s/m
+            length_min = 2.5 mm
+            length_max = 5 mm
+            length_steps = 2
+            """,
+        )
+        code, out, _ = _run(capsys, "pm-vs-length", "--config", str(config))
+        assert code == 0
+        row = _rows(out)[0]
+        width = 2.0 / (2.5e-3 * math.sqrt(0.2 * (1.1e-9**2 + 0.4e-9**2)))
+        lam = 1550e-9
+        fwhm = lam**2 / (2 * math.pi * 299_792_458.0) * width * math.sqrt(
+            2 * math.log(2)
+        )
+        assert float(row["length_mm"]) == pytest.approx(2.5, rel=1e-9)
+        assert float(row["pm_fwhm_nm"]) == pytest.approx(fwhm * 1e9, rel=1e-8)
+
+    def test_rejects_nonpositive_length(self, tmp_path, capsys):
+        config = _write(
+            tmp_path,
+            "p.cfg",
+            "length = 2.1 mm\nkappa_s = 1.4e-9 s/m\nkappa_i = 0.99e-9 s/m\n"
+            "length_min = -1 mm\nlength_max = 2 mm\nlength_steps = 4\n",
+        )
+        code, out, err = _run(capsys, "pm-vs-length", "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err == "error: pm-vs-length: lengths must be positive\n"
+
 
 class TestTwinHomCommand:
     def test_aspect_sweep(self, tmp_path, capsys):
@@ -196,6 +233,84 @@ class TestVisibilityAndFit:
         assert float(row["overlap"]) == pytest.approx(0.65, abs=1e-9)
         assert float(row["stderr"]) == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "lines, column, cell",
+        [
+            # an inf among cells whose squares would overflow the fit
+            (
+                ["0.2,0.5", "inf,2.2250738585072014e-308", "0.5,1e-3", "1,1",
+                 "1.7976931348623157e308,1e300"],
+                "beta_sq",
+                "inf",
+            ),
+            (["0.01,0.3", "nan,0.4", "0.05,0.5"], "beta_sq", "nan"),
+            (["0.01,0.3", "0.02,-inf", "0.05,0.5"], "visibility", "-inf"),
+        ],
+        ids=["overflowing-fit", "nan-beta", "infinite-visibility"],
+    )
+    def test_non_finite_cell_is_refused(
+        self, tmp_path, capsys, lines, column, cell
+    ):
+        data = _write(
+            tmp_path,
+            "d.csv",
+            "beta_sq,visibility\n" + "".join(line + "\n" for line in lines),
+        )
+        config = _write(tmp_path, "fit.cfg", "p0 = 0.5\np1 = 0.5\np2 = 0\n")
+        code, out, err = _run(
+            capsys, "fit-overlap", "--config", str(config), "--data", str(data)
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: data file {data}: column {column!r}: "
+            f"not a finite number: {cell}\n"
+        )
+
+    def test_residual_too_large_to_square(self, tmp_path, capsys):
+        # finite cells whose squared residual overflows: the error reads inf
+        data = _write(
+            tmp_path,
+            "d.csv",
+            "beta_sq,visibility\n0.2,0.5\n0.5,1e-3\n1,1\n"
+            "1.7976931348623157e308,1e300\n",
+        )
+        config = _write(tmp_path, "fit.cfg", "p0 = 0.5\np1 = 0.5\np2 = 0\n")
+        code, out, err = _run(
+            capsys, "fit-overlap", "--config", str(config), "--data", str(data)
+        )
+        assert (code, err) == (0, "")
+        (row,) = _rows(out)
+        assert math.isfinite(float(row["overlap"]))
+        assert row["stderr"] == "inf"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("beta,visibility\n0.1,0.2\n", "lacks column 'beta_sq'"),
+            ("beta_sq,visibility\n", "contains no rows"),
+            (
+                "beta_sq,visibility\n0.01,0.3\n0.02\n0.05,0.5\n",
+                "non-numeric entry in",
+            ),
+            (
+                "beta_sq,visibility\n0.01,0.3\n0.02,x\n0.05,0.5\n",
+                "non-numeric entry in",
+            ),
+        ],
+        ids=["missing-column", "no-rows", "short-row", "word"],
+    )
+    def test_malformed_data_file_is_refused(
+        self, tmp_path, capsys, text, message
+    ):
+        data = _write(tmp_path, "d.csv", text)
+        config = _write(tmp_path, "fit.cfg", "p0 = 0.5\np1 = 0.5\np2 = 0\n")
+        code, out, err = _run(
+            capsys, "fit-overlap", "--config", str(config), "--data", str(data)
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and message in err
+        assert len(err.splitlines()) == 1
+
     def test_optimum_summary(self, tmp_path, capsys):
         config = _write(
             tmp_path,
@@ -263,6 +378,27 @@ class TestHomScanCommand:
         middle = len(coincidences) // 2
         assert coincidences[middle] == min(coincidences)
 
+    def test_analytic_mode_ignores_reference_keys(self, tmp_path, capsys):
+        text = (
+            "p0 = 0.9\np1 = 0.09\np2 = 0.01\nbeta_sq = 0.05\ntmax = 0.5\n"
+            "dip_sigma = 1 ps\n"
+        )
+        plain = _write(tmp_path, "plain.cfg", text)
+        extra = _write(
+            tmp_path,
+            "extra.cfg",
+            text + "reference_fwhm = -1 nm\ncenter_wavelength = 0 nm\n",
+        )
+        code, out, err = _run(capsys, "hom-scan", "--config", str(plain))
+        assert code == 0
+        code, out_extra, err_extra = _run(
+            capsys, "hom-scan", "--config", str(extra), "--verbose"
+        )
+        assert code == 0 and out_extra == out
+        assert err_extra == err + (
+            "ignored keys: center_wavelength, reference_fwhm\n"
+        )
+
     def test_dip_wider_than_a_squared_double(self, tmp_path, capsys):
         config = _write(
             tmp_path,
@@ -327,6 +463,21 @@ class TestTmaxCommand:
             rows["two-fold"]["purity"]
         )
 
+    def test_beta_sq_is_ignored(self, tmp_path, capsys):
+        text = SOURCE_CFG + (
+            "signal_filter_fwhm = 1 nm\ntrigger_filter_fwhm = 1 nm\n"
+            "reference_fwhm = 1 nm\n"
+        )
+        plain = _write(tmp_path, "plain.cfg", text)
+        extra = _write(tmp_path, "extra.cfg", text + "beta_sq = 5\n")
+        code, out, err = _run(capsys, "tmax", "--config", str(plain))
+        assert code == 0
+        code, out_extra, err_extra = _run(
+            capsys, "tmax", "--config", str(extra), "--verbose"
+        )
+        assert code == 0 and out_extra == out
+        assert err_extra == err + "ignored keys: beta_sq\n"
+
 
 SPECTRAL_CFG = SOURCE_CFG + """
 p0 = 0.94920
@@ -379,6 +530,15 @@ class TestInvertCommand:
         (summary,) = err.splitlines()
         assert summary.startswith("converged in 0 iterations, log-likelihood ")
         assert ", KKT gap " in summary and ", cond(R) " in summary
+
+    def test_two_outcomes(self, tmp_path, capsys):
+        config = _write(
+            tmp_path, "i.cfg", "observed = 0.9, 0.1\nefficiency = 0.5\n"
+        )
+        code, out, err = _run(capsys, "invert", "--config", str(config))
+        assert code == 0
+        assert out == "n,probability\n0,0.8\n1,0.2\n"
+        assert err.startswith("converged in 0 iterations, ")
 
     def test_non_convergence_exits_two(self, tmp_path, capsys):
         # at this efficiency the optimum has p0 = 0, so the direct solve
@@ -546,9 +706,10 @@ class TestErrorHandling:
         "command, text, key",
         [
             (
-                "hom-scan",
-                "p0 = 0\np1 = 1\np2 = 0\nbeta_sq = 0.05\ntmax = 1\n"
-                "dip_sigma = 1 ps\ncenter_wavelength = 0 nm\n",
+                "hom-scan",  # spectral
+                SOURCE_CFG.replace("796 nm", "0 nm")
+                + "p0 = 0\np1 = 1\np2 = 0\nbeta_sq = 0.05\n"
+                "signal_filter_fwhm = 1 nm\nreference_fwhm = 1 nm\n",
                 "center_wavelength",
             ),
             (
@@ -609,6 +770,39 @@ class TestErrorHandling:
                 "gain_sq_list = 0.01, 0.02\nmodes_filtered = 1001\n",
                 "modes_filtered",
             ),
+            (
+                "hom-scan",
+                "p0 = 0.9\np1 = 0.09\np2 = 0.01\nbeta_sq = 0.05\ntmax = 0.5\n"
+                "dip_sigma = 1 ps\ntau_span_sigmas = 1e200\n",
+                "tau_span_sigmas",
+            ),
+            (
+                "hom-scan",
+                "p0 = 0\np1 = 1\np2 = 0\nbeta_sq = 0\ntmax = 1\n"
+                "dip_sigma = 1.7976931348623157e308 ps\n"
+                "tau_span_sigmas = 1.7976931348623157e308\n",
+                "tau_span_sigmas",
+            ),
+            (
+                "hom-scan",
+                "p0 = 0.9\np1 = 0.09\np2 = 0.01\nbeta_sq = 0.05\ntmax = 0.5\n"
+                "dip_sigma = 1e300 ps\ntau_span_sigmas = 1e10\n",
+                "tau_span_sigmas",
+            ),
+            (
+                "hom-scan",
+                "p0 = 0.9\np1 = 0.09\np2 = 0.01\nbeta_sq = 0.05\ntmax = 0.5\n"
+                "dip_sigma = 1 ps\ntau_span_sigmas = 0\n",
+                "tau_span_sigmas",
+            ),
+            (
+                "hom-scan",  # spectral
+                SOURCE_CFG
+                + "p0 = 0.9\np1 = 0.09\np2 = 0.01\nbeta_sq = 0.05\n"
+                "signal_filter_fwhm = 1 nm\nreference_fwhm = 1 nm\n"
+                "tau_span_sigmas = -4\n",
+                "tau_span_sigmas",
+            ),
         ],
         ids=[
             "zero-wavelength",
@@ -622,6 +816,11 @@ class TestErrorHandling:
             "herald-photon-cutoff",
             "herald-unfiltered-modes",
             "herald-filtered-modes",
+            "overflowing-span-square",
+            "overflowing-delay-axis",
+            "overflowing-delay-axis-ps",
+            "zero-span",
+            "negative-spectral-span",
         ],
     )
     def test_invalid_value_is_named(self, tmp_path, capsys, command, text, key):
@@ -667,8 +866,8 @@ class TestErrorHandling:
             assert code == 1 and out == ""
             assert err == f"error: key {key!r}: must lie in [2, 10000]\n"
 
-    # the reference width goes as 1/wavelength^2, which overflows to a
-    # float error at the huge wavelength and divides by zero at the tiny one
+    # a width goes as 1/wavelength^2, which overflows to a float error
+    # at the huge wavelength and divides by zero at the tiny one
     @pytest.mark.parametrize(
         "wavelength", ["1.3407807929942597e+163 nm", "7.347339831280179e-280 nm"]
     )
@@ -676,9 +875,9 @@ class TestErrorHandling:
         config = _write(
             tmp_path,
             "c.cfg",
-            "p0 = 0.9\np1 = 0.09\np2 = 0.01\nbeta_sq = 0.05\ntmax = 0.5\n"
-            f"dip_sigma = 1 ps\nreference_fwhm = 1 nm\n"
-            f"center_wavelength = {wavelength}\n",
+            SOURCE_CFG.replace("796 nm", wavelength)
+            + "p0 = 0.9\np1 = 0.09\np2 = 0.01\nbeta_sq = 0.05\n"
+            "signal_filter_fwhm = 1 nm\nreference_fwhm = 1 nm\n",
         )
         code, out, err = _run(capsys, "hom-scan", "--config", str(config))
         assert (code, out, err) == (
@@ -970,6 +1169,21 @@ _STATE = {"p0": "0.9", "p1": "0.09", "p2": "0.01"}
              dip_sigma="1.3407807929942597e+166 ps"),
     )
 )
+@example(
+    (
+        "hom-scan",
+        dict(p0="0", p1="1", p2="0", tmax="1", beta_sq="0",
+             dip_sigma="1.7976931348623157e308 ps",
+             tau_span_sigmas="1.7976931348623157e308"),
+    )
+)
+@example(
+    (
+        "hom-scan",
+        dict(_STATE, tmax="0.5", beta_sq="0.05", dip_sigma="1 ps",
+             tau_span_sigmas="1e200"),
+    )
+)
 def test_grid_free_commands_exit_cleanly(case):
     command, keys = case
     text = "".join(f"{key} = {value}\n" for key, value in keys.items())
@@ -980,7 +1194,9 @@ def test_grid_free_commands_exit_cleanly(case):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main([command, "--config", str(config)])
     assert code in (0, 1, 2)
-    if code == 1:  # numpy may warn about overflow on stderr first
-        assert any(
-            line.startswith("error: ") for line in err.getvalue().splitlines()
-        )
+    if code == 0:
+        cells = out.getvalue().replace("\n", ",").split(",")
+        assert "nan" not in cells
+    if code == 1:
+        assert err.getvalue().startswith("error: ")
+        assert len(err.getvalue().splitlines()) == 1

@@ -15,9 +15,9 @@ TWO_FOLD = hom.SignalState(p0=0.997896, p1=0.002101, p2=0.000003)
 THREE_FOLD = hom.SignalState(p0=0.94920, p1=0.05065, p2=0.00015)
 
 
-def _pure_density(axis, width, center=0.0):
-    """Rank-one density from a normalized Gaussian mode."""
-    amplitude = np.exp(-(((axis - center) / width) ** 2))
+def _pure_density(axis, width):
+    """Rank-one density from a normalized centred Gaussian mode."""
+    amplitude = np.exp(-((axis / width) ** 2))
     weights = jsa.trapezoid_weights(axis)
     amplitude = amplitude / math.sqrt(float(amplitude**2 @ weights))
     density = np.outer(amplitude, np.conj(amplitude))
@@ -59,46 +59,37 @@ class TestOverlapT:
     def test_matched_pure_mode_gives_unity(self):
         axis = np.linspace(-8.0, 8.0, 301)
         g = _pure_density(axis, 1.3)
-        reference = hom.ReferenceField(mean_photons=0.01, amplitude_width=1.3)
-        assert hom.overlap_T(reference, g) == pytest.approx(1.0, abs=1e-9)
+        assert hom.overlap_T(1.3, g) == pytest.approx(1.0, abs=1e-9)
 
-    def test_displaced_modes_are_orthogonal(self):
-        axis = np.linspace(-16.0, 16.0, 801)
-        g = _pure_density(axis, 1.0, center=-5.0)
-        reference = hom.ReferenceField(
-            mean_photons=0.01, amplitude_width=1.0, center_detuning=5.0
-        )
-        assert hom.overlap_T(reference, g) < 1e-10
+    def test_reference_width_must_be_positive(self):
+        g = _pure_density(np.linspace(-8.0, 8.0, 65), 1.0)
+        for width in (0.0, -1.0):
+            with pytest.raises(ValueError, match="reference_width"):
+                hom.overlap_T(width, g)
 
     def test_matches_gaussian_closed_form(self, source_params, one_nm_width):
         axis = jsa.default_axes(
             source_params, samples_per_width=10, extent_widths=3.5
         )
         grid = jsa.evaluate_jsa(source_params, axis, axis)
-        signal_filter = jsa.SpectralFilter(amplitude_width=one_nm_width)
-        trigger = jsa.SpectralFilter(amplitude_width=one_nm_width)
-        g = jsa.reduced_density(grid, signal_filter, trigger)
-        reference = hom.ReferenceField(
-            mean_photons=0.01, amplitude_width=one_nm_width
-        )
+        g = jsa.reduced_density(grid, one_nm_width, one_nm_width)
         center = -source_params.length * source_params.kappa_s / 2.0
         for tau in (center, 0.0, center + 1e-12, center - 0.5e-12):
             expected = _closed_form_overlap(
                 source_params, one_nm_width, one_nm_width, one_nm_width, tau
             )
-            assert hom.overlap_T(reference, g, tau) == pytest.approx(
+            assert hom.overlap_T(one_nm_width, g, tau) == pytest.approx(
                 expected, rel=1e-4, abs=1e-9
             )
 
     def test_even_in_tau_with_peak_at_zero_for_real_kernels(self):
         axis = np.linspace(-8.0, 8.0, 257)
         g = _pure_density(axis, 1.1)
-        reference = hom.ReferenceField(mean_photons=0.01, amplitude_width=0.8)
         taus = np.linspace(0.1, 3.0, 7)
-        t0 = hom.overlap_T(reference, g, 0.0)
+        t0 = hom.overlap_T(0.8, g, 0.0)
         for tau in taus:
-            forward = hom.overlap_T(reference, g, float(tau))
-            backward = hom.overlap_T(reference, g, float(-tau))
+            forward = hom.overlap_T(0.8, g, float(tau))
+            backward = hom.overlap_T(0.8, g, float(-tau))
             assert forward == pytest.approx(backward, rel=1e-9)
             assert t0 >= forward
 
@@ -106,33 +97,36 @@ class TestOverlapT:
 class TestCoincidence:
     def test_dark_input_gives_none(self):
         state = hom.SignalState(p0=1.0, p1=0.0, p2=0.0)
-        reference = hom.ReferenceField(mean_photons=0.0, amplitude_width=1.0)
-        assert hom.coincidence_full(state, reference, 1.0, 1.0) == 0.0
+        assert hom.coincidence_full(state, 0.0, 1.0, 1.0) == 0.0
 
     def test_perfect_bunching_is_fourth_order(self):
         state = hom.SignalState(p0=0.0, p1=1.0, p2=0.0)
         for beta_sq in (1e-3, 1e-2, 5e-2):
-            reference = hom.ReferenceField(
-                mean_photons=beta_sq, amplitude_width=1.0
-            )
-            assert hom.coincidence_full(state, reference, 1.0, 1.0) < beta_sq**2
+            assert hom.coincidence_full(state, beta_sq, 1.0, 1.0) < beta_sq**2
 
     def test_reference_only_accidentals(self):
         state = hom.SignalState(p0=1.0, p1=0.0, p2=0.0)
-        reference = hom.ReferenceField(mean_photons=0.1, amplitude_width=1.0)
-        value = hom.coincidence_simplified(state, reference, 0.9)
+        value = hom.coincidence_simplified(state, 0.1, 0.9)
         assert value == pytest.approx(0.1**2 / 4.0, rel=1e-12)
 
     def test_pure_single_photon_dip_reaches_zero(self):
         state = hom.SignalState(p0=0.0, p1=1.0, p2=0.0)
-        reference = hom.ReferenceField(mean_photons=0.05, amplitude_width=1.0)
-        assert hom.coincidence_simplified(state, reference, 1.0) == 0.0
+        assert hom.coincidence_simplified(state, 0.05, 1.0) == 0.0
 
     def test_simplified_requires_weak_reference(self):
         state = hom.SignalState(p0=1.0, p1=0.0, p2=0.0)
-        reference = hom.ReferenceField(mean_photons=0.25, amplitude_width=1.0)
         with pytest.raises(ValueError, match="coincidence_full"):
-            hom.coincidence_simplified(state, reference, 1.0)
+            hom.coincidence_simplified(state, 0.25, 1.0)
+
+    def test_negative_beta_sq_is_refused(self):
+        state = hom.SignalState(p0=0.9, p1=0.1, p2=0.0)
+        for call in (
+            lambda: hom.coincidence_full(state, -1e-3, 1.0, 1.0),
+            lambda: hom.coincidence_simplified(state, -1e-3, 1.0),
+            lambda: hom.hom_scan_analytic(state, -1e-3, 2.0, -1.0),
+        ):
+            with pytest.raises(ValueError, match="^beta_sq must be nonnegative"):
+                call()
 
     @pytest.mark.parametrize("p1", [0.05, 0.3, 0.7])
     @pytest.mark.parametrize("p2", [1e-4, 1e-3])
@@ -144,12 +138,9 @@ class TestCoincidence:
         # the sub-percent regime ends near |beta|^2 = 0.02
         state = hom.SignalState(p0=1.0 - p1 - p2, p1=p1, p2=p2)
         for beta_sq, bound in ((1e-3, 0.01), (2e-2, 0.01), (5e-2, 0.03)):
-            reference = hom.ReferenceField(
-                mean_photons=beta_sq, amplitude_width=1.0
-            )
-            full = hom.coincidence_full(state, reference, overlap, overlap**2)
-            simplified = hom.coincidence_simplified(state, reference, overlap)
-            baseline = hom.coincidence_simplified(state, reference, 0.0)
+            full = hom.coincidence_full(state, beta_sq, overlap, overlap**2)
+            simplified = hom.coincidence_simplified(state, beta_sq, overlap)
+            baseline = hom.coincidence_simplified(state, beta_sq, 0.0)
             assert abs(full - simplified) / baseline < bound
 
     def test_three_fold_visibility_near_optimum(self):
@@ -162,11 +153,9 @@ class TestCoincidence:
         # diagnostic from the exact formula: a lone one-photon component
         # interferes almost perfectly while a lone two-photon component
         # contributes only a few percent, so it acts as background
-        reference = hom.ReferenceField(mean_photons=beta_sq, amplitude_width=1.0)
-
         def dip_visibility(state):
-            baseline = hom.coincidence_full(state, reference, 0.0, 0.0)
-            bottom = hom.coincidence_full(state, reference, 1.0, 1.0)
+            baseline = hom.coincidence_full(state, beta_sq, 0.0, 0.0)
+            bottom = hom.coincidence_full(state, beta_sq, 1.0, 1.0)
             return (baseline - bottom) / baseline
 
         one_photon = hom.SignalState(p0=0.0, p1=1.0, p2=0.0)
@@ -332,22 +321,17 @@ class TestArrayForms:
         st.lists(_FINITE, min_size=1, max_size=8),
     )
     def test_coincidence_matches_rule(self, state, mean_photons, overlaps):
-        reference = hom.ReferenceField(mean_photons, amplitude_width=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             array = hom.coincidence_simplified(
-                state, reference, np.array(overlaps)
+                state, mean_photons, np.array(overlaps)
             )
         expected = [_coincidence_rule(state, mean_photons, t) for t in overlaps]
         assert _bits(array) == _bits(expected)
 
     def test_array_refusals(self):
         with pytest.raises(ValueError, match="coincidence_full"):
-            hom.coincidence_simplified(
-                THREE_FOLD,
-                hom.ReferenceField(0.2, amplitude_width=1.0),
-                np.array([0.0, 0.5]),
-            )
+            hom.coincidence_simplified(THREE_FOLD, 0.2, np.array([0.0, 0.5]))
         with pytest.raises(ValueError, match="nonnegative"):
             hom.visibility_vs_beta(THREE_FOLD, 0.65, np.array([0.1, -1e-300]))
 
@@ -419,11 +403,7 @@ def _grid_density(params, signal_width, trigger_width, samples=10, extent=3.5):
         params, samples_per_width=samples, extent_widths=extent
     )
     grid = jsa.evaluate_jsa(params, axis, axis)
-    return jsa.reduced_density(
-        grid,
-        jsa.SpectralFilter(amplitude_width=signal_width),
-        jsa.SpectralFilter(amplitude_width=trigger_width),
-    )
+    return jsa.reduced_density(grid, signal_width, trigger_width)
 
 
 class TestTmaxPrediction:
@@ -441,33 +421,24 @@ class TestTmaxPrediction:
         mode_width = 1.0 / math.sqrt(m11)
         source = jsa.filtered_source(params)
         assert source.tmax(mode_width) == pytest.approx(1.0, abs=1e-12)
-        reference = hom.ReferenceField(
-            mean_photons=0.01, amplitude_width=mode_width
-        )
         g = _grid_density(params, math.inf, math.inf, extent=4.0)
-        value = hom.overlap_T(reference, g, source.delay)
+        value = hom.overlap_T(mode_width, g, source.delay)
         assert value == pytest.approx(1.0, abs=1e-6)
 
     def test_heralding_beats_two_fold(self, source_params, one_nm_width):
-        reference = hom.ReferenceField(
-            mean_photons=0.01, amplitude_width=one_nm_width
-        )
         values = {}
         for trigger in (one_nm_width, math.inf):
             source = jsa.filtered_source(source_params, one_nm_width, trigger)
             g = _grid_density(source_params, one_nm_width, trigger)
             values[trigger] = source.tmax(one_nm_width)
             assert hom.overlap_T(
-                reference, g, source.delay
+                one_nm_width, g, source.delay
             ) == pytest.approx(values[trigger], rel=1e-9)
         three_fold, two_fold = values[one_nm_width], values[math.inf]
         assert three_fold > two_fold
         assert 0.0 < two_fold < 1.0
 
     def test_stable_under_grid_refinement(self, source_params, one_nm_width):
-        reference = hom.ReferenceField(
-            mean_photons=0.01, amplitude_width=one_nm_width
-        )
         for trigger in (math.inf, one_nm_width):
             source = jsa.filtered_source(source_params, one_nm_width, trigger)
             for samples in (8, 16):  # double the quadrature resolution
@@ -475,15 +446,12 @@ class TestTmaxPrediction:
                     source_params, one_nm_width, trigger, samples, 3.0
                 )
                 assert hom.overlap_T(
-                    reference, g, source.delay
+                    one_nm_width, g, source.delay
                 ) == pytest.approx(source.tmax(one_nm_width), rel=1e-9)
 
     def test_narrowing_trigger_does_not_reduce_overlap(
         self, source_params, one_nm_width
     ):
-        reference = hom.ReferenceField(
-            mean_photons=0.01, amplitude_width=one_nm_width
-        )
         values = []
         for factor in (2.5, 1.6, 1.0):  # trigger narrows left to right
             trigger = factor * one_nm_width
@@ -491,7 +459,7 @@ class TestTmaxPrediction:
             values.append(source.tmax(one_nm_width))
             g = _grid_density(source_params, one_nm_width, trigger)
             assert hom.overlap_T(
-                reference, g, source.delay
+                one_nm_width, g, source.delay
             ) == pytest.approx(values[-1], rel=1e-9)
         assert values[0] <= values[1] <= values[2]
 
@@ -499,8 +467,7 @@ class TestTmaxPrediction:
 class TestHomScan:
     def test_matched_single_photon_dips_to_zero(self):
         state = hom.SignalState(p0=0.0, p1=1.0, p2=0.0)
-        reference = hom.ReferenceField(mean_photons=0.05, amplitude_width=1.0)
-        scan = hom.hom_scan_analytic(state, reference, 1.0, sigma_t=2.0)
+        scan = hom.hom_scan_analytic(state, 0.05, 1.0, sigma_t=2.0)
         center = np.argmin(np.abs(scan.tau_axis))
         assert scan.coincidence[center] == pytest.approx(0.0, abs=1e-15)
         assert scan.visibility == pytest.approx(1.0)
@@ -510,9 +477,8 @@ class TestHomScan:
         "sigma_t", [2e-12, 1.3407807929942597e154, 1e307]
     )
     def test_analytic_overlap_is_gaussian_in_delay(self, sigma_t):
-        reference = hom.ReferenceField(mean_photons=0.05, amplitude_width=1.0)
         scan = hom.hom_scan_analytic(
-            THREE_FOLD, reference, 0.65, sigma_t, n_points=41, span_sigmas=4.0
+            THREE_FOLD, 0.05, 0.65, sigma_t, n_points=41, span_sigmas=4.0
         )
         assert scan.tau_axis[0] == pytest.approx(-4.0 * sigma_t)
         assert scan.tau_axis[-1] == pytest.approx(4.0 * sigma_t)
@@ -526,18 +492,15 @@ class TestHomScan:
     ):
         source = jsa.filtered_source(source_params, one_nm_width, one_nm_width)
         g = _grid_density(source_params, one_nm_width, one_nm_width)
-        reference = hom.ReferenceField(
-            mean_photons=0.02, amplitude_width=one_nm_width
-        )
         scan = hom.hom_scan_analytic(
             THREE_FOLD,
-            reference,
+            0.02,
             source.tmax(one_nm_width),
             source.dip_sigma(one_nm_width),
         )
         # the quadrature overlap is the closed-form Gaussian around the delay
         quadrature = [
-            hom.overlap_T(reference, g, source.delay + tau)
+            hom.overlap_T(one_nm_width, g, source.delay + tau)
             for tau in scan.tau_axis
         ]
         np.testing.assert_allclose(scan.overlap, quadrature, rtol=1e-9)

@@ -117,16 +117,22 @@ class TestBuildEllipse:
 
 
 class TestPmWidth:
-    def test_doubling_length_halves_fwhm(self):
-        params = _params()
-        table = jsa.pm_width_vs_length(params, [1.0, 2.0])
-        assert table[0][1] == pytest.approx(2.0 * table[1][1], rel=1e-12)
+    def test_doubling_length_halves_width(self):
+        widths = jsa.pm_width(_params(), np.array([1.0, 2.0]))
+        assert widths[0] == pytest.approx(2.0 * widths[1], rel=1e-12)
 
     def test_strictly_decreasing_in_length(self):
-        params = _params()
-        table = jsa.pm_width_vs_length(params, list(np.linspace(0.5, 4.0, 9)))
-        widths = [fwhm for _, fwhm in table]
+        widths = jsa.pm_width(_params(), np.linspace(0.5, 4.0, 9))
         assert all(a > b for a, b in zip(widths, widths[1:]))
+
+    def test_array_of_lengths_matches_each_length(self):
+        params = _params()
+        lengths = np.linspace(0.5, 4.0, 9)
+        widths = jsa.pm_width(params, lengths)
+        assert widths.shape == lengths.shape
+        for length, width in zip(lengths.tolist(), widths.tolist()):
+            assert width == jsa.pm_width(params, length)
+        assert jsa.pm_width(params) == jsa.pm_width(params, params.length)
 
     def test_guide_scale_bandwidth(self):
         # mismatch coefficients of a few-mm potassium-titanyl-phosphate
@@ -137,24 +143,13 @@ class TestPmWidth:
             kappa_i=0.99e-9,
             length=2.1e-3,
         )
-        ((_, fwhm),) = jsa.pm_width_vs_length(params, [2.1e-3])
+        fwhm = units.width_to_wavelength_fwhm(jsa.pm_width(params), WAVELENGTH_M)
         assert 0.4e-9 <= fwhm <= 0.6e-9
 
     def test_single_point_hand_evaluation(self):
         params = _params(sigma=3.0, ks=1.1, ki=0.4, length=2.5, gamma=0.2)
-        ((_, fwhm),) = jsa.pm_width_vs_length(params, [2.5])
-        width = 2.0 / (2.5 * math.sqrt(0.2 * (1.1**2 + 0.4**2)))
-        lam = params.signal_wavelength
-        expected = (
-            lam**2
-            / (2 * math.pi * units.C_LIGHT)
-            * (width * math.sqrt(2 * math.log(2)))
-        )
-        assert fwhm == pytest.approx(expected, rel=1e-12)
-
-    def test_rejects_nonpositive_length(self):
-        with pytest.raises(ValueError):
-            jsa.pm_width_vs_length(_params(), [1.0, -2.0])
+        expected = 2.0 / (2.5 * math.sqrt(0.2 * (1.1**2 + 0.4**2)))
+        assert jsa.pm_width(params) == pytest.approx(expected, rel=1e-12)
 
 
 class TestEvaluateJsa:
@@ -212,14 +207,10 @@ class TestReducedDensity:
             sigma_pump=sigma, kappa_s=ks, kappa_i=ki, length=length, gamma=gamma
         )
 
-    def _density(self, params, fs=None, fi=None, spw=10, extent=3.5):
+    def _density(self, params, ws=math.inf, wi=math.inf, spw=10, extent=3.5):
         axis = jsa.default_axes(params, samples_per_width=spw, extent_widths=extent)
         grid = jsa.evaluate_jsa(params, axis, axis)
-        return jsa.reduced_density(
-            grid,
-            fs or jsa.SpectralFilter.open_filter(),
-            fi or jsa.SpectralFilter.open_filter(),
-        )
+        return jsa.reduced_density(grid, ws, wi)
 
     def test_separable_state_is_pure(self):
         g = self._density(self._separable_params())
@@ -269,18 +260,35 @@ class TestReducedDensity:
     ):
         purities = []
         for factor in (1.0, 2.5, 5.0):
-            fi = jsa.SpectralFilter(amplitude_width=factor * one_nm_width)
-            purities.append(jsa.purity(self._density(source_params, fi=fi)))
+            wi = factor * one_nm_width
+            purities.append(jsa.purity(self._density(source_params, wi=wi)))
         assert purities[0] > purities[1] > purities[2]
 
-    def test_filters_outside_support_raise(self, source_params, one_nm_width):
-        g = jsa.default_axes(source_params, samples_per_width=10, extent_widths=3.5)
-        grid = jsa.evaluate_jsa(source_params, g, g)
-        far = jsa.SpectralFilter(
-            center_detuning=g[-1] * 10.0, amplitude_width=one_nm_width / 100.0
+    def test_filters_between_samples_raise(self, source_params, one_nm_width):
+        # shifted by half a step, the axes miss the filters' centre, and
+        # filters this narrow transmit nothing at any sample
+        axis = jsa.default_axes(
+            source_params, samples_per_width=10, extent_widths=3.5
         )
+        axis = axis + 0.5 * (axis[1] - axis[0])
+        grid = jsa.evaluate_jsa(source_params, axis, axis)
+        narrow = one_nm_width / 1e4
         with pytest.raises(NumericalError, match="support"):
-            jsa.reduced_density(grid, far, far)
+            jsa.reduced_density(grid, narrow, narrow)
+
+    def test_open_filters_are_infinite_widths(self, source_params):
+        axis = jsa.default_axes(
+            source_params, samples_per_width=10, extent_widths=3.5
+        )
+        grid = jsa.evaluate_jsa(source_params, axis, axis)
+        g = jsa.reduced_density(grid)
+        assert g.density.shape == (axis.size, axis.size)
+        assert np.array_equal(
+            g.density, jsa.reduced_density(grid, math.inf, math.inf).density
+        )
+        for width in (0.0, -1.0):
+            with pytest.raises(ValueError, match="positive"):
+                jsa.reduced_density(grid, width)
 
 
 def _nm(fwhm_nm):
@@ -334,18 +342,13 @@ class TestFilteredSource:
         wt = math.inf if trigger is None else _nm(trigger)
         source = jsa.filtered_source(params, ws, wt)
         axis = _quadrature_axis(params, source, wr, samples)
-        g = jsa.reduced_density(
-            jsa.evaluate_jsa(params, axis, axis),
-            jsa.SpectralFilter(amplitude_width=ws),
-            jsa.SpectralFilter(amplitude_width=wt),
-        )
-        field = hom.ReferenceField(mean_photons=0.01, amplitude_width=wr)
-        peak = hom.overlap_T(field, g, source.delay)
+        g = jsa.reduced_density(jsa.evaluate_jsa(params, axis, axis), ws, wt)
+        peak = hom.overlap_T(wr, g, source.delay)
         assert peak == pytest.approx(source.tmax(wr), rel=1e-12)
         assert jsa.purity(g) == pytest.approx(source.purity, rel=1e-12)
         sigma = source.dip_sigma(wr)
         for tau in (source.delay - sigma, source.delay + sigma):
-            assert hom.overlap_T(field, g, tau) / peak == pytest.approx(
+            assert hom.overlap_T(wr, g, tau) / peak == pytest.approx(
                 math.exp(-0.5), rel=1e-12
             )
 

@@ -191,19 +191,19 @@ class TestHeralded:
 
 class TestDetectorMatrices:
     def test_loss_identity_and_absorbing(self):
-        identity = ps.loss_matrix(ps.DetectorModel(1.0, nmax=5))
+        identity = ps.loss_matrix(1.0, 5)
         assert np.array_equal(identity, np.eye(6))
-        dark = ps.loss_matrix(ps.DetectorModel(0.0, nmax=5))
+        dark = ps.loss_matrix(0.0, 5)
         assert np.allclose(dark[0], 1.0)
         assert np.allclose(dark[1:], 0.0)
 
     def test_loss_half_two_photons(self):
-        L = ps.loss_matrix(ps.DetectorModel(0.5, nmax=3))
+        L = ps.loss_matrix(0.5, 3)
         assert np.allclose(L[:3, 2], [0.25, 0.5, 0.25])
 
     def test_columns_are_stochastic(self):
         for eta in (0.048, 0.3, 0.77):
-            L = ps.loss_matrix(ps.DetectorModel(eta, nmax=9))
+            L = ps.loss_matrix(eta, 9)
             assert np.allclose(L.sum(axis=0), 1.0, atol=1e-12)
             assert np.all(L >= 0)
 
@@ -219,13 +219,13 @@ class TestDetectorMatrices:
 class TestForwardModel:
     def test_vacuum(self):
         clicks = ps.forward_click_dist(
-            ps.PhotonNumberDist([1.0, 0.0, 0.0]), ps.DetectorModel(0.5)
+            ps.PhotonNumberDist([1.0, 0.0, 0.0]), 0.5
         )
         assert np.array_equal(clicks.probs, [1.0, 0.0, 0.0])
 
     def test_single_photon_low_efficiency(self):
         clicks = ps.forward_click_dist(
-            ps.PhotonNumberDist([0.0, 1.0, 0.0]), ps.DetectorModel(0.048)
+            ps.PhotonNumberDist([0.0, 1.0, 0.0]), 0.048
         )
         assert np.allclose(clicks.probs, [0.952, 0.048, 0.0], atol=1e-12)
 
@@ -242,7 +242,7 @@ class TestForwardModel:
                 expected[1] += weight * 0.5
                 expected[2] += weight * 0.5
         clicks = ps.forward_click_dist(
-            ps.PhotonNumberDist([0.0, 0.0, 1.0]), ps.DetectorModel(0.5)
+            ps.PhotonNumberDist([0.0, 0.0, 1.0]), 0.5
         )
         assert np.allclose(clicks.probs, expected, atol=1e-12)
 
@@ -251,10 +251,10 @@ class TestInversion:
     def test_round_trip_low_gain_state(self):
         truth = np.array([0.9488, 0.051, 0.0002, 0.0, 0.0, 0.0, 0.0])
         clicks = ps.forward_click_dist(
-            ps.PhotonNumberDist(truth), ps.DetectorModel(0.048)
+            ps.PhotonNumberDist(truth), 0.048
         )
         result = ps.ml_invert(
-            clicks, ps.DetectorModel(0.048), max_iter=400_000, tol=1e-13
+            clicks, 0.048, max_iter=400_000, tol=1e-13
         )
         assert result.converged
         recovered = np.zeros(truth.size)
@@ -263,20 +263,20 @@ class TestInversion:
 
     def test_vacuum_clicks_give_vacuum(self):
         result = ps.ml_invert(
-            ps.ClickDist([1.0, 0.0, 0.0]), ps.DetectorModel(0.3)
+            ps.ClickDist([1.0, 0.0, 0.0]), 0.3
         )
         assert result.state.probs[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_non_convergence_is_flagged(self):
         clicks = ps.ClickDist([0.9, 0.08, 0.02])
-        result = ps.ml_invert(clicks, ps.DetectorModel(0.1), max_iter=3)
+        result = ps.ml_invert(clicks, 0.1, max_iter=3)
         assert not result.converged
         assert result.iterations == 3
 
     def test_loss_only_inversion_of_tmd_corrected_statistics(self):
         observed = np.array([0.94920, 0.05065, 0.00015])
         result = ps.invert_loss_only(
-            observed, ps.DetectorModel(0.048), max_iter=400_000, tol=1e-12
+            observed, 0.048, max_iter=400_000, tol=1e-12
         )
         assert result.converged
         rho = result.state.probs
@@ -286,7 +286,7 @@ class TestInversion:
     def test_likelihood_is_monotone(self):
         # the iteration asserts monotonicity internally on every step
         clicks = ps.ClickDist([0.7, 0.25, 0.05])
-        result = ps.ml_invert(clicks, ps.DetectorModel(0.4), max_iter=5_000)
+        result = ps.ml_invert(clicks, 0.4, max_iter=5_000)
         assert math.isfinite(result.log_likelihood)
 
     def test_random_round_trips(self):
@@ -297,10 +297,10 @@ class TestInversion:
             truth = np.zeros(7)
             truth[:3] = p
             clicks = ps.forward_click_dist(
-                ps.PhotonNumberDist(truth), ps.DetectorModel(eta)
+                ps.PhotonNumberDist(truth), eta
             )
             result = ps.ml_invert(
-                clicks, ps.DetectorModel(eta), max_iter=400_000, tol=1e-13
+                clicks, eta, max_iter=400_000, tol=1e-13
             )
             recovered = np.zeros(7)
             recovered[:3] = result.state.probs
@@ -315,13 +315,12 @@ class TestInversion:
     def test_feasible_data_are_solved_directly(self, observable, seed, eta):
         truth = np.random.default_rng(seed).dirichlet([1.0, 1.0, 1.0])
         assume(truth.min() >= 1e-3)
-        detector = ps.DetectorModel(eta)
         if observable == "clicks":
-            clicks = ps.forward_click_dist(ps.PhotonNumberDist(truth), detector)
-            result = ps.ml_invert(clicks, detector)
+            clicks = ps.forward_click_dist(ps.PhotonNumberDist(truth), eta)
+            result = ps.ml_invert(clicks, eta)
         else:
-            observed = ps.loss_matrix(ps.DetectorModel(eta, nmax=2)) @ truth
-            result = ps.invert_loss_only(observed, detector)
+            observed = ps.loss_matrix(eta, 2) @ truth
+            result = ps.invert_loss_only(observed, eta)
         assert result.converged
         assert result.iterations == 0
         assert result.kkt_gap <= 1e-14
@@ -334,13 +333,13 @@ class TestInversion:
         observed = np.array([0.94920, 0.05065, 0.00015])
         eta, tol = 0.046, 1e-12
         result = ps.invert_loss_only(
-            observed, ps.DetectorModel(eta), max_iter=400_000, tol=tol
+            observed, eta, max_iter=400_000, tol=tol
         )
         assert result.converged
         assert 0 < result.iterations < 400_000
         assert result.kkt_gap <= tol
         assert result.state.probs[0] < 1e-6
-        response = ps.loss_matrix(ps.DetectorModel(eta, nmax=2))
+        response = ps.loss_matrix(eta, 2)
         rng = np.random.default_rng(5)
         candidates = np.vstack([np.eye(3), rng.dirichlet([1.0, 1.0, 1.0], 2000)])
         with np.errstate(divide="ignore"):
@@ -352,11 +351,11 @@ class TestInversion:
         # from the truth, when the iteration started from the uniform
         # state and stopped on its step size
         rng = np.random.default_rng(0)
-        detector = ps.DetectorModel(0.03)
+        eta = 0.03
         for _ in range(4):
             truth = rng.dirichlet([1.0, 1.0, 1.0])
-            clicks = ps.forward_click_dist(ps.PhotonNumberDist(truth), detector)
-            result = ps.ml_invert(clicks, detector, max_iter=400_000, tol=1e-13)
+            clicks = ps.forward_click_dist(ps.PhotonNumberDist(truth), eta)
+            result = ps.ml_invert(clicks, eta, max_iter=400_000, tol=1e-13)
             assert result.converged
             assert result.kkt_gap <= 1e-13
             error = np.max(np.abs(result.state.probs - truth))
@@ -366,14 +365,31 @@ class TestInversion:
         # eta^2 underflows, so no state predicts the observed two clicks
         # and no log-likelihood is finite
         result = ps.ml_invert(
-            ps.ClickDist([0.7, 0.25, 0.05]), ps.DetectorModel(1e-200)
+            ps.ClickDist([0.7, 0.25, 0.05]), 1e-200
         )
         assert not result.converged
         assert result.kkt_gap == math.inf
 
     def test_requires_positive_efficiency(self):
         with pytest.raises(ValueError):
-            ps.ml_invert(ps.ClickDist([1.0, 0, 0]), ps.DetectorModel(0.0))
+            ps.ml_invert(ps.ClickDist([1.0, 0, 0]), 0.0)
+
+    @pytest.mark.parametrize(
+        "efficiency, message",
+        [
+            (-1.0, r"efficiency must be in \[0, 1\]"),
+            (1.5, r"efficiency must be in \[0, 1\]"),
+            (0.0, "inversion requires efficiency > 0"),
+        ],
+    )
+    def test_efficiency_checks_in_order(self, efficiency, message):
+        with pytest.raises(ValueError, match=message):
+            ps.ml_invert(ps.ClickDist([0.7, 0.25, 0.05]), efficiency)
+        with pytest.raises(ValueError, match=message):
+            ps.invert_loss_only([0.7, 0.25, 0.05], efficiency)
+        if efficiency != 0.0:
+            with pytest.raises(ValueError, match=message):
+                ps.loss_matrix(efficiency, 2)
 
 
 class TestModeReduction:
