@@ -181,23 +181,24 @@ def _signal_state(sc: Scenario) -> hom.SignalState:
     return hom.SignalState(p0=p0, p1=p1, p2=p2)
 
 
-def _ellipse_row(label: str, e: jsa.CorrelationEllipse, wavelength: float):
+def _ellipse_row(label: str, source: jsa.FilteredSource, wavelength: float):
     def to_nm(width: float) -> float:
         if math.isinf(width):
             return math.inf
         return units.width_to_wavelength_fwhm(width, wavelength) * 1e9
 
+    tilt_deg, major_width, minor_width, aspect_ratio = source.axes()
     return [
         label,
-        e.m11,
-        e.m12,
-        e.m22,
-        e.tilt_deg,
-        e.major_width,
-        e.minor_width,
-        e.aspect_ratio,
-        to_nm(e.major_width),
-        to_nm(e.minor_width),
+        source.m11,
+        source.m12,
+        source.m22,
+        tilt_deg,
+        major_width,
+        minor_width,
+        aspect_ratio,
+        to_nm(major_width),
+        to_nm(minor_width),
     ]
 
 
@@ -220,12 +221,11 @@ _ELLIPSE_HEADER = [
 
 def _cmd_ellipse(sc: Scenario) -> tuple[list, list, list]:
     wavelength = _center_wavelength(sc)
-    params = _source_params(sc)
-    ellipse = jsa.build_ellipse(params)
-    rows = [_ellipse_row("source", ellipse, wavelength)]
+    source = jsa.filtered_source(_source_params(sc))
+    rows = [_ellipse_row("source", source, wavelength)]
+    tilt_deg, _, _, aspect_ratio = source.axes()
     return _ELLIPSE_HEADER, rows, [
-        f"tilt = {ellipse.tilt_deg:.3f} deg, aspect ratio = "
-        f"{ellipse.aspect_ratio:.3f}"
+        f"tilt = {tilt_deg:.3f} deg, aspect ratio = {aspect_ratio:.3f}"
     ]
 
 
@@ -234,18 +234,13 @@ def _cmd_filter(sc: Scenario) -> tuple[list, list, list]:
     params = _source_params(sc)
     ws = _width_from_fwhm(sc, "filter_s_fwhm", wavelength, required=True)
     wi = _width_from_fwhm(sc, "filter_i_fwhm", wavelength, required=True)
-    unfiltered = jsa.build_ellipse(params)
-    source = jsa.filtered_source(params, ws, wi)
-    filtered = jsa.ellipse_from_matrix(
-        source.m11, source.m12, source.m22, determinant=source.determinant
-    )
-    rows = [
-        _ellipse_row("unfiltered", unfiltered, wavelength),
-        _ellipse_row("filtered", filtered, wavelength),
-    ]
+    unfiltered = jsa.filtered_source(params)
+    rows = [_ellipse_row("unfiltered", unfiltered, wavelength)]
+    filtered = jsa.filtered_source(params, ws, wi)
+    rows.append(_ellipse_row("filtered", filtered, wavelength))
     summary = [
-        f"aspect ratio {unfiltered.aspect_ratio:.3f} -> "
-        f"{filtered.aspect_ratio:.3f} after filtering"
+        f"aspect ratio {unfiltered.axes()[3]:.3f} -> "
+        f"{filtered.axes()[3]:.3f} after filtering"
     ]
     return _ELLIPSE_HEADER, rows, summary
 
@@ -276,14 +271,17 @@ def _cmd_twin_hom(sc: Scenario) -> tuple[list, list, list]:
     aspects = _sweep(sc, "aspect", geometric=True)
     rows = []
     for aspect in aspects:
-        breakdown = twin_hom.overlap_breakdown(aspect, tilt, gamma)
+        spectral, temporal = twin_hom.model_source(
+            aspect, tilt, gamma
+        ).twin_overlap()
+        total = spectral * temporal
         rows.append(
             [
                 aspect,
-                breakdown.o_spectral,
-                breakdown.o_temporal,
-                breakdown.o_total,
-                twin_hom.visibility_from_overlap(breakdown.o_total),
+                spectral,
+                temporal,
+                total,
+                twin_hom.visibility_from_overlap(total),
             ]
         )
     header = [

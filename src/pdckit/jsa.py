@@ -12,19 +12,19 @@ phase-matching factor
 where kappa_s, kappa_i are group-velocity mismatch coefficients, L the
 medium length, and gamma rescales a Gaussian to the width of the sinc
 main lobe.  The modulus is exp(-nu^T M nu) for a symmetric positive
-2x2 form M; its unit level set is the correlation ellipse whose tilt
-and aspect ratio quantify the spectral correlation of the pair.
+2x2 form M.
 
 A Gaussian filter of amplitude width w transmits the intensity
 exp(-2 nu^2/w^2), centred on the channel's central frequency; an
 infinite width leaves the channel open.  Filters keep the amplitude
-Gaussian: they add 1/w^2 to the diagonal of M.  The filtered form M'
-and the group delay of the linear phase, held by FilteredSource, give
-the purity of the heralded signal and its overlap with a Gaussian
-reference in closed form.  The sampled route (default_axes,
-evaluate_jsa, reduced_density, purity) computes the same quantities by
-quadrature and serves as their independent reference;
-filtered_source and reduced_density take the same two filter widths.
+Gaussian: they add 1/w^2 to the diagonal of M.  FilteredSource holds
+the filtered form M' and the slopes of the linear phase.  The
+correlation ellipse (whose tilt and aspect ratio quantify the spectral
+correlation of the pair), the purity of the heralded signal, its
+overlap with a Gaussian reference and the twins' exchange overlap are
+Gaussian integrals of that form, in closed form.  The sampled route
+(default_axes, evaluate_jsa, reduced_density, purity) computes them by
+quadrature and serves as their independent reference.
 
 All widths follow the amplitude 1/e convention of :mod:`pdckit.units`.
 Every type is immutable after construction and every operation is a
@@ -42,13 +42,9 @@ from .errors import NumericalError, require
 
 __all__ = [
     "PdcModelParams",
-    "CorrelationEllipse",
     "FilteredSource",
     "SpectralGrid",
     "ReducedDensity",
-    "build_ellipse",
-    "ellipse_from_matrix",
-    "correlation_matrix",
     "pm_width",
     "params_from_pm_estimate",
     "filtered_source",
@@ -89,49 +85,70 @@ class PdcModelParams:
 
 
 @dataclass(frozen=True)
-class CorrelationEllipse:
-    """Quadratic form of the joint-amplitude modulus and derived geometry.
-
-    m11, m12, m22 are the entries of the symmetric matrix M in
-    |phi| = exp(-nu^T M nu), in s^2.  The widths are amplitude 1/e
-    half-widths along the eigen-axes (rad/s); the eigenvector of the
-    smaller eigenvalue spans the major axis.  tilt_deg is the acute
-    angle between the major axis and the signal-detuning axis, which is
-    what marginal-width measurements determine.
-    """
-
-    m11: float
-    m12: float
-    m22: float
-    tilt_deg: float
-    major_width: float
-    minor_width: float
-    aspect_ratio: float
-
-
-@dataclass(frozen=True)
 class FilteredSource:
-    """Quadratic form and group delay of a source behind Gaussian filters.
+    """Gaussian form of a source behind Gaussian filters.
 
+    The amplitude is exp(-nu^T M' nu + i (phase_s nu_s + phase_i nu_i)).
     m11, m12, m22 are the entries of M' = M + diag(1/w_s^2, 1/w_i^2) in
     s^2, and determinant is det M', accurate also where M' is close to
-    rank one.  delay is the delay (s) at which the heralded signal
-    overlaps a centred reference best: the linear phase
-    L (kappa_s nu_s + kappa_i nu_i) / 2 of the amplitude delays the
-    signal by -L kappa_s / 2, and the idler's part drops out when the
-    idler is traced out.
+    rank one.  phase_s and phase_i are the slopes L kappa / 2 (s) of the
+    phase-matching phase.
 
     Tracing out the idler, filtered in intensity by exp(-2 nu^2/w_i^2),
-    leaves the signal kernel exp(-A (w1^2 + w2^2) + 2 B w1 w2) times that
-    phase, with A + B = m11 and A - B = det M' / m22.  The results below
-    are its Gaussian integrals.
+    leaves the signal kernel exp(-A (w1^2 + w2^2) + 2 B w1 w2) times the
+    signal's phase, with A + B = m11 and A - B = det M' / m22.  purity,
+    tmax and dip_sigma are its Gaussian integrals.
     """
 
     m11: float
     m12: float
     m22: float
     determinant: float
-    delay: float
+    phase_s: float
+    phase_i: float
+
+    @property
+    def delay(self) -> float:
+        """Delay (s) at which the heralded signal overlaps a centred
+        reference best: the phase delays the signal by -phase_s, and the
+        idler's part drops out when the idler is traced out."""
+        return -self.phase_s
+
+    def axes(self) -> tuple[float, float, float, float]:
+        """(tilt_deg, major_width, minor_width, aspect_ratio) of the
+        correlation ellipse, the level set exp(-nu^T M' nu) = 1/e.
+
+        The widths are amplitude 1/e half-widths (rad/s) along the
+        eigen-axes; the smaller eigenvalue's axis is the major one, and
+        is infinite for a rank-one form.  tilt_deg is the acute angle
+        between the major axis and the signal-detuning axis, which is
+        what marginal-width measurements determine.
+        """
+        m11, m12, m22 = self.m11, self.m12, self.m22
+        require(m11 > 0 and m22 > 0, "diagonal entries must be positive")
+        half_trace = 0.5 * (m11 + m22)
+        discriminant = math.hypot(0.5 * (m11 - m22), m12)
+        lam_max = half_trace + discriminant
+        # lam_min via det/lam_max keeps precision when the form is nearly
+        # singular; the subtraction half_trace - discriminant does not.
+        require(
+            self.determinant >= 0.0, "the form must be positive semi-definite"
+        )
+        lam_min = self.determinant / lam_max
+
+        minor_width = 1.0 / math.sqrt(lam_max)
+        if lam_min == 0.0:
+            major_width = math.inf
+            aspect_ratio = math.inf
+        else:
+            major_width = 1.0 / math.sqrt(lam_min)
+            aspect_ratio = major_width / minor_width
+
+        if m12 == 0.0:
+            tilt_deg = 0.0 if m11 <= m22 else 90.0
+        else:
+            tilt_deg = math.degrees(math.atan((m11 - lam_min) / abs(m12)))
+        return tilt_deg, major_width, minor_width, aspect_ratio
 
     @property
     def purity(self) -> float:
@@ -156,6 +173,29 @@ class FilteredSource:
         The overlap falls off as exp(-(tau - delay)^2 / (2 sigma^2)).
         """
         return math.sqrt(self.m11 + 1.0 / reference_width**2)
+
+    def twin_overlap(self) -> tuple[float, float]:
+        """Spectral and temporal factors of the twins' exchange overlap.
+
+        The overlap of the amplitude with its twin-swapped image is a
+        Gaussian integral of M' + P M' P (P swaps the arms), whose
+        eigenvalues D+- = m11 + m22 +- 2 m12 lie along (1, 1) and
+        (1, -1): 2 sqrt(det M' / (D+ D-)) times
+        exp(-(phase_s - phase_i)^2 / (2 D-)).  The product
+        D+ D- = 4 det M' + (m11 - m22)^2 has no cancellation, and gives
+        D- where m11 + m22 - 2 m12 would cancel, for m12 > 0.
+        """
+        product = 4.0 * self.determinant + (self.m11 - self.m22) ** 2
+        total = self.m11 + self.m22
+        if self.m12 > 0.0:
+            d_minus = product / (total + 2.0 * self.m12)
+        else:
+            d_minus = total - 2.0 * self.m12
+        spread = self.phase_s - self.phase_i
+        return (
+            2.0 * math.sqrt(self.determinant / product),
+            math.exp(-spread * spread / (2.0 * d_minus)),
+        )
 
 
 def trapezoid_weights(axis: np.ndarray) -> np.ndarray:
@@ -232,86 +272,6 @@ class ReducedDensity:
         return np.linalg.eigvalsh(symmetric)
 
 
-def correlation_matrix(params: PdcModelParams) -> tuple[float, float, float]:
-    """Entries (m11, m12, m22) of the joint-amplitude quadratic form."""
-    pump = 1.0 / params.sigma_pump**2
-    pm = params.gamma * params.length**2 / 4.0
-    m11 = pump + pm * params.kappa_s**2
-    m12 = pump + pm * params.kappa_s * params.kappa_i
-    m22 = pump + pm * params.kappa_i**2
-    return m11, m12, m22
-
-
-def _matrix_determinant(params: PdcModelParams) -> float:
-    # Algebraically equal to m11*m22 - m12^2 but immune to cancellation
-    # for the strongly correlated (nearly rank-one) regime.
-    pm = params.gamma * params.length**2 / 4.0
-    return pm * (params.kappa_s - params.kappa_i) ** 2 / params.sigma_pump**2
-
-
-def ellipse_from_matrix(
-    m11: float,
-    m12: float,
-    m22: float,
-    determinant: float | None = None,
-) -> CorrelationEllipse:
-    """Geometry of the amplitude level set exp(-nu^T M nu) = 1/e.
-
-    Args:
-        m11, m12, m22: entries of the symmetric positive form (s^2).
-        determinant: optional externally computed det M for forms close
-            to rank one, where m11*m22 - m12^2 cancels badly.
-    """
-    require(m11 > 0 and m22 > 0, "diagonal entries must be positive")
-    half_trace = 0.5 * (m11 + m22)
-    discriminant = math.hypot(0.5 * (m11 - m22), m12)
-    lam_max = half_trace + discriminant
-    # lam_min via det/lam_max keeps precision when the form is nearly
-    # singular; the subtraction half_trace - discriminant does not.
-    if determinant is None:
-        determinant = m11 * m22 - m12 * m12
-    require(determinant >= 0.0, "the form must be positive semi-definite")
-    lam_min = determinant / lam_max
-
-    minor_width = 1.0 / math.sqrt(lam_max)
-    if lam_min == 0.0:
-        major_width = math.inf
-        aspect_ratio = math.inf
-    else:
-        major_width = 1.0 / math.sqrt(lam_min)
-        aspect_ratio = major_width / minor_width
-
-    if m12 == 0.0:
-        tilt_deg = 0.0 if m11 <= m22 else 90.0
-    else:
-        tilt_deg = math.degrees(math.atan((m11 - lam_min) / abs(m12)))
-
-    return CorrelationEllipse(
-        m11=m11,
-        m12=m12,
-        m22=m22,
-        tilt_deg=tilt_deg,
-        major_width=major_width,
-        minor_width=minor_width,
-        aspect_ratio=aspect_ratio,
-    )
-
-
-def build_ellipse(params: PdcModelParams) -> CorrelationEllipse:
-    """Construct the correlation ellipse of the source.
-
-    The eigenvalues of M set the inverse squared widths of the
-    amplitude level set; the smaller eigenvalue therefore belongs to
-    the major axis.  A rank-one form (kappa_s equal to kappa_i) is
-    reported with an infinite major axis instead of an overflowing
-    float.
-    """
-    m11, m12, m22 = correlation_matrix(params)
-    return ellipse_from_matrix(
-        m11, m12, m22, determinant=_matrix_determinant(params)
-    )
-
-
 def pm_width(params: PdcModelParams, length=None):
     """Phase-matching amplitude width, the broadband-pump minor axis.
 
@@ -375,15 +335,27 @@ def filtered_source(
     require(
         signal_width > 0 and idler_width > 0, "filter widths must be positive"
     )
-    m11, m12, m22 = correlation_matrix(params)
+    pump = 1.0 / params.sigma_pump**2
+    pm = params.gamma * params.length**2 / 4.0
+    m11 = pump + pm * params.kappa_s**2
+    m12 = pump + pm * params.kappa_s * params.kappa_i
+    m22 = pump + pm * params.kappa_i**2
+    # det M written without the cancellation of m11 m22 - m12^2, which
+    # would lose the strongly correlated (nearly rank-one) regime
+    determinant = (
+        pm * (params.kappa_s - params.kappa_i) ** 2 / params.sigma_pump**2
+    )
     s = 1.0 / signal_width**2
     t = 1.0 / idler_width**2
+    if s or t:  # an open pair adds nothing, not even 0 * inf
+        determinant += s * m22 + t * m11 + s * t
     return FilteredSource(
         m11=m11 + s,
         m12=m12,
         m22=m22 + t,
-        determinant=_matrix_determinant(params) + s * m22 + t * m11 + s * t,
-        delay=-0.5 * params.length * params.kappa_s,
+        determinant=determinant,
+        phase_s=0.5 * params.length * params.kappa_s,
+        phase_i=0.5 * params.length * params.kappa_i,
     )
 
 
@@ -402,30 +374,40 @@ def default_axes(
         ValueError: for a rank-one correlation form, whose support is
             unbounded along the major axis.
     """
-    m11, m12, m22 = correlation_matrix(params)
-    determinant = _matrix_determinant(params)
-    if determinant == 0.0:
+    source = filtered_source(params)
+    if source.determinant == 0.0:
         raise ValueError(
             "correlation form is rank one; the amplitude has unbounded "
             "support and cannot be sampled on a finite grid"
         )
-    return _symmetric_axis(m11, m22, determinant, samples_per_width, extent_widths)
+    return _symmetric_axis(source, samples_per_width, extent_widths)
 
 
 def _symmetric_axis(
-    m11: float,
-    m22: float,
-    determinant: float,
-    samples_per_width: int,
-    extent_widths: float,
+    source: FilteredSource, samples_per_width: int, extent_widths: float
 ) -> np.ndarray:
-    """default_axes for the form exp(-nu^T M nu) given by m11, m22, det M."""
+    """default_axes for the form of the given source."""
     require(samples_per_width >= 8, "need at least 8 samples per width")
-    projection = math.sqrt(max(m11, m22) / determinant)
-    step = 1.0 / math.sqrt(max(m11, m22)) / samples_per_width
+    widest = max(source.m11, source.m22)
+    projection = math.sqrt(widest / source.determinant)
+    step = 1.0 / math.sqrt(widest) / samples_per_width
     half = extent_widths * projection
     n = 2 * int(math.ceil(half / step)) + 1
     return np.linspace(-half, half, n)
+
+
+def _sample(
+    source: FilteredSource, nu_s_axis: np.ndarray, nu_i_axis: np.ndarray
+) -> SpectralGrid:
+    """The source's complex amplitude on the grid of the two axes."""
+    ns = nu_s_axis[:, None]
+    ni = nu_i_axis[None, :]
+    exponent = -(
+        source.m11 * ns**2 + 2.0 * source.m12 * ns * ni + source.m22 * ni**2
+    )
+    phase = source.phase_s * ns + source.phase_i * ni
+    amplitude = np.exp(exponent + 1j * phase)
+    return SpectralGrid.from_amplitude(nu_s_axis, nu_i_axis, amplitude)
 
 
 def evaluate_jsa(
@@ -452,11 +434,11 @@ def evaluate_jsa(
     """
     nu_s_axis = _check_axis(nu_s_axis, "nu_s_axis")
     nu_i_axis = _check_axis(nu_i_axis, "nu_i_axis")
-    m11, m12, m22 = correlation_matrix(params)
+    source = filtered_source(params)
 
-    for axis, m_diag, kappa, name in (
-        (nu_s_axis, m11, params.kappa_s, "nu_s_axis"),
-        (nu_i_axis, m22, params.kappa_i, "nu_i_axis"),
+    for axis, m_diag, phase, name in (
+        (nu_s_axis, source.m11, source.phase_s, "nu_s_axis"),
+        (nu_i_axis, source.m22, source.phase_i, "nu_i_axis"),
     ):
         step = axis[1] - axis[0]
         line_width = 1.0 / math.sqrt(m_diag)
@@ -466,31 +448,19 @@ def evaluate_jsa(
                 f"width (step {step:.3e}, width {line_width:.3e})"
             )
         span = axis[-1] - axis[0]
+        # the phase-matching width along the axis, 2/(sqrt(gamma) L |kappa|),
+        # is unbounded, and asks for nothing, where kappa vanishes
         pm_axis_width = (
-            math.inf
-            if kappa == 0
-            else 2.0 / (math.sqrt(params.gamma) * params.length * abs(kappa))
+            0.0 if phase == 0 else 1.0 / (math.sqrt(params.gamma) * abs(phase))
         )
-        needed = 4.0 * max(
-            params.sigma_pump,
-            pm_axis_width if math.isfinite(pm_axis_width) else 0.0,
-        )
+        needed = 4.0 * max(params.sigma_pump, pm_axis_width)
         if span < needed:
             raise ValueError(
                 f"{name} spans {span:.3e} rad/s; needs at least "
                 f"{needed:.3e} (four pump/phase-matching widths)"
             )
 
-    ns = nu_s_axis[:, None]
-    ni = nu_i_axis[None, :]
-    exponent = -(m11 * ns**2 + 2.0 * m12 * ns * ni + m22 * ni**2)
-    phase = (
-        0.5
-        * params.length
-        * (params.kappa_s * ns + params.kappa_i * ni)
-    )
-    amplitude = np.exp(exponent + 1j * phase)
-    return SpectralGrid.from_amplitude(nu_s_axis, nu_i_axis, amplitude)
+    return _sample(source, nu_s_axis, nu_i_axis)
 
 
 def reduced_density(

@@ -47,6 +47,18 @@ __all__ = [
 _TAIL_LIMIT = 1e-6
 
 
+def _checked_probabilities(probs: np.ndarray) -> np.ndarray:
+    """A read-only copy of a nonnegative vector that sums to one."""
+    require(np.all(probs >= 0), "probabilities must be nonnegative")
+    require(
+        abs(probs.sum() - 1.0) <= 1e-9,
+        "probabilities must sum to one within 1e-9",
+    )
+    probs = probs.copy()
+    probs.setflags(write=False)
+    return probs
+
+
 @dataclass(frozen=True, eq=False)
 class PhotonNumberDist:
     """Normalized photon-number probability vector with cutoff nmax."""
@@ -56,14 +68,7 @@ class PhotonNumberDist:
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=float)
         require(probs.ndim == 1 and probs.size >= 1, "probs must be 1-d")
-        require(np.all(probs >= 0), "probabilities must be nonnegative")
-        require(
-            abs(probs.sum() - 1.0) <= 1e-9,
-            "probabilities must sum to one within 1e-9",
-        )
-        probs = probs.copy()
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", _checked_probabilities(probs))
 
     @property
     def nmax(self) -> int:
@@ -85,14 +90,7 @@ class ClickDist:
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=float)
         require(probs.shape == (3,), "a two-bin detector has 3 outcomes")
-        require(np.all(probs >= 0), "probabilities must be nonnegative")
-        require(
-            abs(probs.sum() - 1.0) <= 1e-9,
-            "probabilities must sum to one within 1e-9",
-        )
-        probs = probs.copy()
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", _checked_probabilities(probs))
 
 
 @dataclass(frozen=True)
@@ -192,14 +190,20 @@ def loss_matrix(efficiency: float, nmax: int) -> np.ndarray:
     """Binomial loss map from n <= nmax photons to m surviving photons.
 
     L[m, n] = C(n, m) eta^m (1-eta)^(n-m); every column sums to one.
+    Column n is built from column n - 1 by Pascal's rule: each photon
+    survives with probability eta, so
+    L[m, n] = (1 - eta) L[m, n-1] + eta L[m-1, n-1].  Every entry is a
+    convex combination of earlier ones, so none overflows.
     """
     require(0.0 <= efficiency <= 1.0, "efficiency must be in [0, 1]")
     eta = efficiency
     size = nmax + 1
     L = np.zeros((size, size))
-    for n in range(size):
-        for m in range(n + 1):
-            L[m, n] = math.comb(n, m) * eta**m * (1.0 - eta) ** (n - m)
+    L[0, 0] = 1.0
+    for n in range(1, size):
+        previous = L[:n, n - 1]
+        L[:n, n] = (1.0 - eta) * previous
+        L[1 : n + 1, n] += eta * previous
     return L
 
 
@@ -386,11 +390,7 @@ def invert_loss_only(
     """
     observed = np.asarray(observed, dtype=float)
     require(observed.ndim == 1 and observed.size >= 2, "need >= 2 outcomes")
-    require(np.all(observed >= 0), "probabilities must be nonnegative")
-    require(
-        abs(observed.sum() - 1.0) <= 1e-9,
-        "probabilities must sum to one within 1e-9",
-    )
+    observed = _checked_probabilities(observed)
     response = loss_matrix(efficiency, observed.size - 1)
     require(efficiency > 0.0, "inversion requires efficiency > 0")
     return _ml_estimate(observed, response, max_iter, tol)

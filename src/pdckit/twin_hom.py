@@ -1,98 +1,68 @@
 """Hong-Ou-Mandel interference between the twin beams of one source.
 
 The interference contrast is set by the overlap of the joint amplitude
-with its argument-swapped mirror image.  In the Gaussian model the
-overlap factors into a spectral part, fixed by the correlation-ellipse
-geometry, and a temporal part produced by the phase-matching phase;
-both depend on the tilt only through sin(2*tilt).
+with its argument-swapped mirror image.  In the Gaussian model that
+overlap is a closed form of the source's quadratic form and phase,
+jsa.FilteredSource.twin_overlap, and factors into a spectral part, set
+by the correlation ellipse, and a temporal part produced by the
+phase-matching phase.  model_source builds the form that a given
+ellipse geometry prescribes; overlap_numeric integrates a sampled
+amplitude and serves as the quadrature reference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .jsa import SpectralGrid, _symmetric_axis, trapezoid_weights
+from .jsa import (
+    FilteredSource,
+    SpectralGrid,
+    _sample,
+    _symmetric_axis,
+    trapezoid_weights,
+)
 
 __all__ = [
-    "OverlapBreakdown",
-    "spectral_overlap",
-    "temporal_overlap",
-    "overlap_breakdown",
+    "model_source",
     "overlap_numeric",
     "model_grid",
     "visibility_from_overlap",
 ]
 
 
-@dataclass(frozen=True)
-class OverlapBreakdown:
-    """Spectral, temporal and total twin overlap, each in [0, 1]."""
-
-    o_spectral: float
-    o_temporal: float
-    o_total: float
-
-    def __post_init__(self) -> None:
-        for value in (self.o_spectral, self.o_temporal, self.o_total):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError("overlap factors must lie in [0, 1]")
-        if abs(self.o_total - self.o_spectral * self.o_temporal) > 1e-12:
-            raise ValueError("o_total must equal o_spectral * o_temporal")
-
-
-def _sin_two_tilt(tilt_deg: float) -> float:
-    return math.sin(2.0 * math.radians(tilt_deg))
-
-
-def spectral_overlap(aspect_ratio: float, tilt_deg: float) -> float:
-    """Closed-form spectral overlap of the twins.
-
-    2A / sqrt((1+A^4)(1-sin^2 2t) + 2A^2 (1+sin^2 2t)) for aspect ratio
-    A and tilt t; equals 1 for a circular correlation function or for a
-    45-degree tilt.
-    """
-    if aspect_ratio < 1.0:
-        raise ValueError("aspect_ratio must be at least 1")
-    if math.isinf(aspect_ratio):
-        return 0.0
-    s2 = _sin_two_tilt(tilt_deg) ** 2
-    a2 = aspect_ratio**2
-    denominator = (1.0 + a2 * a2) * (1.0 - s2) + 2.0 * a2 * (1.0 + s2)
-    return 2.0 * aspect_ratio / math.sqrt(denominator)
-
-
-def temporal_overlap(
+def model_source(
     aspect_ratio: float, tilt_deg: float, gamma: float = 0.193
-) -> float:
-    """Closed-form temporal overlap produced by the phase-matching phase.
+) -> FilteredSource:
+    """The Gaussian form of a correlation ellipse of minor width 1.
 
-    Uses the identification of the phase-matching width with the
-    ellipse minor axis; equal to 1 at a 45-degree tilt where the phase
-    is symmetric under exchange of the twins.
+    With s, c = sin, cos of the tilt and lam = 1/A^2 for aspect ratio A,
+    m11 = lam c^2 + s^2, m12 = (1 - lam) s c, m22 = lam s^2 + c^2 and
+    det = lam: the major axis runs along decreasing idler detuning, as
+    for co-signed group-velocity mismatch.  The phase slopes are
+    (s, c) / sqrt(gamma), which identifies the phase-matching width
+    with the minor axis.
     """
     if aspect_ratio < 1.0:
         raise ValueError("aspect_ratio must be at least 1")
+    lam = 1.0 / aspect_ratio**2
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
-    s = _sin_two_tilt(tilt_deg)
-    a2 = aspect_ratio**2
-    if math.isinf(aspect_ratio):
-        # limit of the expression below for unbounded aspect ratio
-        return 1.0 if s == 1.0 else math.exp(-1.0 / (2.0 * gamma))
-    numerator = (1.0 - s * s) * a2 + (1.0 - s) ** 2
-    denominator = (1.0 + a2 * a2) * (1.0 - s * s) + 2.0 * a2 * (1.0 + s * s)
-    return math.exp(-a2 / (2.0 * gamma) * numerator / denominator)
-
-
-def overlap_breakdown(
-    aspect_ratio: float, tilt_deg: float, gamma: float = 0.193
-) -> OverlapBreakdown:
-    o_s = spectral_overlap(aspect_ratio, tilt_deg)
-    o_t = temporal_overlap(aspect_ratio, tilt_deg, gamma)
-    return OverlapBreakdown(o_spectral=o_s, o_temporal=o_t, o_total=o_s * o_t)
+    # reduced in degrees, where fmod is exact, and c taken from the
+    # complementary angle, so that s == c at exactly 45 deg
+    tilt = math.fmod(tilt_deg, 360.0)
+    s = math.sin(math.radians(tilt))
+    c = math.sin(math.radians(90.0 - tilt))
+    slope = 1.0 / math.sqrt(gamma)
+    return FilteredSource(
+        m11=lam * c * c + s * s,
+        m12=(1.0 - lam) * s * c,
+        m22=lam * s * s + c * c,
+        determinant=lam,
+        phase_s=s * slope,
+        phase_i=c * slope,
+    )
 
 
 def overlap_numeric(grid: SpectralGrid, delay: float = 0.0) -> float:
@@ -130,41 +100,14 @@ def overlap_numeric(grid: SpectralGrid, delay: float = 0.0) -> float:
 
 
 def model_grid(
-    aspect_ratio: float,
-    tilt_deg: float,
-    minor_width: float = 1.0,
-    gamma: float = 0.193,
+    source: FilteredSource,
     samples_per_width: int = 12,
     extent_widths: float = 4.0,
 ) -> SpectralGrid:
-    """Joint-amplitude grid for a prescribed ellipse geometry.
-
-    The modulus is the Gaussian ellipse with the given aspect ratio,
-    tilt and minor width (major axis oriented along decreasing idler
-    detuning, the physical orientation for co-signed group-velocity
-    mismatch).  The phase grows along the gradient of the
-    phase-matching argument, direction (sin t, cos t), with the slope
-    fixed by identifying the phase-matching width with the minor axis.
-    """
-    if aspect_ratio < 1.0:
-        raise ValueError("aspect_ratio must be at least 1")
-    if not 0.0 < tilt_deg < 90.0:
-        raise ValueError("tilt must lie strictly in (0, 90) deg")
-    lam_min = 1.0 / (aspect_ratio * minor_width) ** 2
-    lam_max = 1.0 / minor_width**2
-    s, c = math.sin(math.radians(tilt_deg)), math.cos(math.radians(tilt_deg))
-    t11 = lam_min * c * c + lam_max * s * s
-    t22 = lam_min * s * s + lam_max * c * c
-    t12 = (lam_max - lam_min) * s * c
-    axis = _symmetric_axis(
-        t11, t22, lam_min * lam_max, samples_per_width, extent_widths
-    )
-
-    ns = axis[:, None]
-    ni = axis[None, :]
-    modulus = np.exp(-(t11 * ns**2 + 2.0 * t12 * ns * ni + t22 * ni**2))
-    phase = (s * ns + c * ni) / (math.sqrt(gamma) * minor_width)
-    return SpectralGrid.from_amplitude(axis, axis, modulus * np.exp(1j * phase))
+    """The source's complex amplitude on the common axis default_axes
+    would choose for it."""
+    axis = _symmetric_axis(source, samples_per_width, extent_widths)
+    return _sample(source, axis, axis)
 
 
 def visibility_from_overlap(overlap: float) -> float:

@@ -95,11 +95,11 @@ def test_criterion_4_twin_interference_chain():
     with criterion(
         4, "twin interference visibility against aspect ratio", time_limit=1.0
     ):
-        strong = twin_hom.overlap_breakdown(95.0, 54.7).o_total
+        strong = math.prod(twin_hom.model_source(95.0, 54.7).twin_overlap())
         assert twin_hom.visibility_from_overlap(strong) == pytest.approx(
             0.34, abs=0.02
         )
-        weak = twin_hom.overlap_breakdown(1.7, 54.7).o_total
+        weak = math.prod(twin_hom.model_source(1.7, 54.7).twin_overlap())
         assert 0.78 <= twin_hom.visibility_from_overlap(weak) <= 0.86
 
 
@@ -110,11 +110,12 @@ def test_criterion_5_overlap_oracle_equivalence():
         worst = 0.0
         for aspect in (1.0, 1.7, 4.2, 10.0, 20.0):
             for tilt in (45.0, 54.7, 60.0):
+                source = twin_hom.model_source(aspect, tilt)
                 grid = twin_hom.model_grid(
-                    aspect, tilt, samples_per_width=10, extent_widths=3.5
+                    source, samples_per_width=10, extent_widths=3.5
                 )
                 numeric = twin_hom.overlap_numeric(grid)
-                closed = twin_hom.overlap_breakdown(aspect, tilt).o_total
+                closed = math.prod(source.twin_overlap())
                 worst = max(worst, abs(numeric - closed))
         assert worst < 1e-3
 

@@ -78,6 +78,19 @@ class TestEllipseCommand:
         (row,) = _rows(out)
         assert 50.0 <= float(row["tilt_deg"]) <= 60.0
 
+    def test_overflowing_form_is_out_of_range(self, tmp_path, capsys):
+        # m22 and det M overflow to inf; the open filters must add no
+        # 0 * inf, which would turn the error into a semi-definiteness one
+        config = _write(
+            tmp_path,
+            "o.cfg",
+            "pump_fwhm = 2.5 nm\nlength = 1e150 m\n"
+            "kappa_s = 1 s/m\nkappa_i = 1e10 s/m\n",
+        )
+        code, out, err = _run(capsys, "ellipse", "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err == "error: ellipse: a value is out of range\n"
+
 
 class TestFilterCommand:
     def test_residual_aspect_shrinks(self, tmp_path, capsys):
@@ -538,6 +551,21 @@ class TestInvertCommand:
         code, out, err = _run(capsys, "invert", "--config", str(config))
         assert code == 0
         assert out == "n,probability\n0,0.8\n1,0.2\n"
+        assert err.startswith("converged in 0 iterations, ")
+
+    def test_many_outcomes(self, tmp_path, capsys):
+        # binomial coefficients of 1,099 photons exceed the float range;
+        # the loss matrix never forms them
+        outcomes = 1100
+        observed = ", ".join([repr(1.0 / outcomes)] * outcomes)
+        config = _write(
+            tmp_path, "i.cfg", f"observed = {observed}\nefficiency = 1\n"
+        )
+        code, out, err = _run(capsys, "invert", "--config", str(config))
+        assert code == 0, err
+        rows = _rows(out)
+        assert [int(row["n"]) for row in rows] == list(range(outcomes))
+        assert {row["probability"] for row in rows} == {"9.090909091e-04"}
         assert err.startswith("converged in 0 iterations, ")
 
     def test_non_convergence_exits_two(self, tmp_path, capsys):

@@ -417,9 +417,8 @@ class TestTmaxPrediction:
             length=length,
             gamma=gamma,
         )
-        m11, _, _ = jsa.correlation_matrix(params)
-        mode_width = 1.0 / math.sqrt(m11)
         source = jsa.filtered_source(params)
+        mode_width = 1.0 / math.sqrt(source.m11)
         assert source.tmax(mode_width) == pytest.approx(1.0, abs=1e-12)
         g = _grid_density(params, math.inf, math.inf, extent=4.0)
         value = hom.overlap_T(mode_width, g, source.delay)

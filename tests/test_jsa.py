@@ -45,10 +45,12 @@ class TestParamsValidation:
 
 class TestBuildEllipse:
     def test_equal_kappas_tilt_45_and_degenerate(self):
-        ellipse = jsa.build_ellipse(_params(ks=1.2, ki=1.2))
-        assert ellipse.tilt_deg == pytest.approx(45.0, abs=1e-12)
-        assert math.isinf(ellipse.major_width)
-        assert math.isinf(ellipse.aspect_ratio)
+        tilt, major, _, aspect = jsa.filtered_source(
+            _params(ks=1.2, ki=1.2)
+        ).axes()
+        assert tilt == pytest.approx(45.0, abs=1e-12)
+        assert math.isinf(major)
+        assert math.isinf(aspect)
 
     def test_broadband_pump_limit(self):
         # nearly flat pump: tilt -> atan(kappa_s/kappa_i), minor axis ->
@@ -58,12 +60,10 @@ class TestBuildEllipse:
         probe = _params(sigma=1.0, ks=ks, ki=ki)
         sigma_pm = jsa.pm_width(probe)
         params = _params(sigma=1e6 * sigma_pm, ks=ks, ki=ki)
-        ellipse = jsa.build_ellipse(params)
-        assert ellipse.tilt_deg == pytest.approx(tilt, abs=1e-4)
-        assert ellipse.minor_width == pytest.approx(
-            jsa.pm_width(params), rel=1e-6
-        )
-        assert math.isfinite(ellipse.major_width)
+        tilt_deg, major, minor, _ = jsa.filtered_source(params).axes()
+        assert tilt_deg == pytest.approx(tilt, abs=1e-4)
+        assert minor == pytest.approx(jsa.pm_width(params), rel=1e-6)
+        assert math.isfinite(major)
 
     def test_matches_brute_force_eigensolver(self):
         rng = np.random.default_rng(7)
@@ -75,27 +75,23 @@ class TestBuildEllipse:
                 sigma=rng.uniform(0.3, 5.0), ks=ks, ki=ki,
                 length=rng.uniform(0.5, 4.0),
             )
-            ellipse = jsa.build_ellipse(params)
+            tilt, major, minor, _ = jsa.filtered_source(params).axes()
 
             eigenvalues, eigenvectors = np.linalg.eigh(_matrix_by_hand(params))
             order = np.argsort(eigenvalues)
             lam_min, lam_max = eigenvalues[order[0]], eigenvalues[order[1]]
-            assert ellipse.major_width == pytest.approx(
-                1.0 / math.sqrt(lam_min), rel=1e-6
-            )
-            assert ellipse.minor_width == pytest.approx(
-                1.0 / math.sqrt(lam_max), rel=1e-9
-            )
+            assert major == pytest.approx(1.0 / math.sqrt(lam_min), rel=1e-6)
+            assert minor == pytest.approx(1.0 / math.sqrt(lam_max), rel=1e-9)
             major_vec = eigenvectors[:, order[0]]
             fold_angle = math.degrees(
                 math.atan2(abs(major_vec[1]), abs(major_vec[0]))
             )
-            assert ellipse.tilt_deg == pytest.approx(fold_angle, abs=1e-6)
+            assert tilt == pytest.approx(fold_angle, abs=1e-6)
 
     def test_tilt_invariant_under_uniform_scaling(self):
         rng = np.random.default_rng(11)
         base = _params(sigma=2.0, ks=1.7, ki=0.9)
-        reference = jsa.build_ellipse(base).tilt_deg
+        reference = jsa.filtered_source(base).axes()[0]
         for _ in range(20):
             scale = rng.uniform(0.01, 100.0)
             scaled = _params(
@@ -103,17 +99,16 @@ class TestBuildEllipse:
                 ks=base.kappa_s * scale,
                 ki=base.kappa_i * scale,
             )
-            assert jsa.build_ellipse(scaled).tilt_deg == pytest.approx(
+            assert jsa.filtered_source(scaled).axes()[0] == pytest.approx(
                 reference, rel=1e-9
             )
 
     def test_separable_tilt_convention(self):
         # diagonal form: tilt 0 when the signal axis is the wide one
         params = _params(sigma=1.0, ks=2.0, ki=-1.0 / (1.0**2 * 0.193 * 1.0 * 2.0), length=2.0)
-        m11, m12, m22 = jsa.correlation_matrix(params)
-        assert m12 == pytest.approx(0.0, abs=1e-15)
-        ellipse = jsa.build_ellipse(params)
-        assert ellipse.tilt_deg in (0.0, 90.0)
+        source = jsa.filtered_source(params)
+        assert source.m12 == pytest.approx(0.0, abs=1e-15)
+        assert source.axes()[0] in (0.0, 90.0)
 
 
 class TestPmWidth:
@@ -306,7 +301,7 @@ def _quadrature_axis(params, source, reference_width, samples_per_width):
     evaluate_jsa asks for.  The unfiltered support of a strongly
     correlated source would need up to 24 times as many points.
     """
-    m11, _, m22 = jsa.correlation_matrix(params)
+    unfiltered = jsa.filtered_source(params)
     pm = [
         2.0 / (math.sqrt(params.gamma) * params.length * abs(kappa))
         for kappa in (params.kappa_s, params.kappa_i)
@@ -316,7 +311,8 @@ def _quadrature_axis(params, source, reference_width, samples_per_width):
         4.0 * reference_width,
         2.0 * max(params.sigma_pump, *pm),
     )
-    step = 1.0 / math.sqrt(max(m11, m22)) / samples_per_width
+    step = 1.0 / math.sqrt(max(unfiltered.m11, unfiltered.m22))
+    step /= samples_per_width
     return np.linspace(-half, half, 2 * math.ceil(half / step) + 1)
 
 
@@ -355,13 +351,11 @@ class TestFilteredSource:
 
 class TestPaperScaleEllipse:
     def test_reconstructed_source_geometry(self, source_params):
-        ellipse = jsa.build_ellipse(source_params)
+        tilt, _, minor, aspect = jsa.filtered_source(source_params).axes()
         # measured tilt 54.7 +- 1.5 deg brackets the rebuilt ellipse
-        assert 53.2 <= ellipse.tilt_deg <= 56.2
-        assert 20.0 <= ellipse.aspect_ratio <= 25.0
-        minor_fwhm = units.width_to_wavelength_fwhm(
-            ellipse.minor_width, WAVELENGTH_M
-        )
+        assert 53.2 <= tilt <= 56.2
+        assert 20.0 <= aspect <= 25.0
+        minor_fwhm = units.width_to_wavelength_fwhm(minor, WAVELENGTH_M)
         # finite pump narrows the minor axis slightly below the
         # phase-matching bandwidth
         assert PM_FWHM_M * 0.9 <= minor_fwhm <= PM_FWHM_M

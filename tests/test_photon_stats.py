@@ -207,6 +207,26 @@ class TestDetectorMatrices:
             assert np.allclose(L.sum(axis=0), 1.0, atol=1e-12)
             assert np.all(L >= 0)
 
+    def test_columns_sum_to_one_beyond_float_binomials(self):
+        # C(1099, 549) is far beyond the float range
+        for eta in (0.048, 0.5, 0.77):
+            L = ps.loss_matrix(eta, 1099)
+            assert np.allclose(L.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+            assert np.all(L >= 0)
+
+    def test_matches_binomial_coefficients(self):
+        for eta in (0.0, 0.048, 0.3, 0.5, 0.77, 1.0):
+            for nmax in range(1, 13):
+                expected = np.zeros((nmax + 1, nmax + 1))
+                for n in range(nmax + 1):
+                    for m in range(n + 1):
+                        expected[m, n] = (
+                            math.comb(n, m) * eta**m * (1.0 - eta) ** (n - m)
+                        )
+                np.testing.assert_allclose(
+                    ps.loss_matrix(eta, nmax), expected, rtol=1e-14, atol=0.0
+                )
+
     def test_two_bin_map(self):
         C = ps.tmd_convolution_matrix(3)
         assert np.array_equal(C[:, 0], [1.0, 0.0, 0.0])
