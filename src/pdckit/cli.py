@@ -120,7 +120,7 @@ def _source_params(sc: Scenario, default_pump_nm: float | None = None):
             default_pump_nm * 1e-9, wavelength
         )
     length = sc.quantity("length", "length", required=True)
-    gamma = sc.number("gamma", default=0.193)
+    gamma = sc.number("gamma", default=jsa.DEFAULT_GAMMA)
     kappa_s = sc.quantity("kappa_s", "inverse_velocity")
     kappa_i = sc.quantity("kappa_i", "inverse_velocity")
     if kappa_s is not None or kappa_i is not None:
@@ -267,7 +267,7 @@ def _cmd_pm_vs_length(sc: Scenario) -> tuple[list, list, list]:
 
 def _cmd_twin_hom(sc: Scenario) -> tuple[list, list, list]:
     tilt = sc.quantity("tilt", "angle", required=True)
-    gamma = sc.number("gamma", default=0.193)
+    gamma = sc.number("gamma", default=jsa.DEFAULT_GAMMA)
     aspects = _sweep(sc, "aspect", geometric=True)
     rows = []
     for aspect in aspects:
@@ -300,18 +300,14 @@ def _cmd_herald_stats(sc: Scenario) -> tuple[list, list, list]:
     eta_t = sc.number("trigger_efficiency", default=0.0)
     nmax = _count(sc, "nmax", 16, 1, _MAX_HERALD)
     gains = _sweep(sc, "gain_sq")
+    numbers = np.arange(nmax + 1)
     rows = []
     for gain in gains:
-        means = [
-            photon_stats.heralded_dist(
-                photon_stats.multimode_dist(
-                    photon_stats.MultimodeSource(n_modes=modes, gain_sq=gain),
-                    nmax=nmax,
-                ),
-                eta_t,
-            ).mean()
-            for modes in (modes_unfiltered, modes_filtered)
-        ]
+        means = []
+        for modes in (modes_unfiltered, modes_filtered):
+            joint = photon_stats.multimode_dist(modes, gain, nmax)
+            heralded = photon_stats.heralded_dist(joint, eta_t)
+            means.append(float(numbers @ heralded))
         rows.append([gain, *means])
     summary = []
     if len(gains) >= 2:
@@ -351,7 +347,7 @@ def _cmd_fit_overlap(sc: Scenario) -> tuple[list, list, list]:
         raise ConfigError("missing required key 'data' (beta_sq/visibility CSV)")
     measurements = _read_csv_columns(data_path, ("beta_sq", "visibility"))
     fit = hom.fit_overlap(measurements, state)
-    rows = [[fit.overlap, fit.stderr, fit.n_points]]
+    rows = [[fit.overlap, fit.stderr, len(measurements)]]
     return ["overlap", "stderr", "n_points"], rows, []
 
 
@@ -462,22 +458,14 @@ def _cmd_invert(sc: Scenario) -> tuple[list, list, list]:
     observable = sc.word(
         "observable", ("photon", "clicks"), default="photon"
     )
-    max_iter = sc.integer("max_iter", default=100_000)
+    max_iter = _count(sc, "max_iter", 100_000, 0, 1_000_000)
     tol = sc.number("tol", default=1e-10)
+    if not tol > 0:
+        raise ConfigError("key 'tol': must be positive")
+    invert = photon_stats.invert_loss_only
     if observable == "clicks":
-        result = photon_stats.ml_invert(
-            photon_stats.ClickDist(np.asarray(observed)),
-            efficiency,
-            max_iter=max_iter,
-            tol=tol,
-        )
-    else:
-        result = photon_stats.invert_loss_only(
-            np.asarray(observed),
-            efficiency,
-            max_iter=max_iter,
-            tol=tol,
-        )
+        invert = photon_stats.ml_invert
+    result = invert(observed, efficiency, max_iter=max_iter, tol=tol)
     if not result.converged:
         reason = f"KKT gap {result.kkt_gap:.2e} above tol {tol:g}"
         if math.isinf(result.kkt_gap):
@@ -486,7 +474,7 @@ def _cmd_invert(sc: Scenario) -> tuple[list, list, list]:
             f"inversion did not converge in {result.iterations} of "
             f"{max_iter} iterations: {reason}"
         )
-    rows = list(enumerate(result.state.probs.tolist()))
+    rows = list(enumerate(result.state.tolist()))
     summary = [
         f"converged in {result.iterations} iterations, "
         f"log-likelihood {result.log_likelihood:.9g}, "
@@ -498,8 +486,7 @@ def _cmd_invert(sc: Scenario) -> tuple[list, list, list]:
 def _cmd_fidelity(sc: Scenario) -> tuple[list, list, list]:
     overlap = sc.number("overlap", required=True)
     one_photon = sc.number("one_photon", required=True)
-    result = hom.fidelity(overlap, one_photon)
-    rows = [[result.spectral_overlap, result.one_photon, result.fidelity]]
+    rows = [[overlap, one_photon, hom.fidelity(overlap, one_photon)]]
     return ["spectral_overlap", "one_photon", "fidelity"], rows, []
 
 

@@ -7,7 +7,7 @@ depends on the photon statistics, on the reference strength, and on the
 spectral overlap T between the reference mode and the one-photon
 spectral density of the signal.  From the visibility against reference
 power the overlap can be fitted, and together with the one-photon
-probability it fixes the preparation fidelity sqrt(T * rho1).
+probability it fixes the preparation fidelity sqrt(T * rho1), a float.
 
 The reference is a centred Gaussian amplitude exp(-nu^2/w_r^2) with
 mean photon number beta_sq; every function takes these two numbers
@@ -31,7 +31,6 @@ from .jsa import ReducedDensity, trapezoid_weights
 __all__ = [
     "SignalState",
     "HomScan",
-    "FidelityResult",
     "OverlapFit",
     "overlap_T",
     "coincidence_full",
@@ -73,21 +72,11 @@ class HomScan:
 
 
 @dataclass(frozen=True)
-class FidelityResult:
-    """Spectral overlap, one-photon probability and resulting fidelity."""
-
-    spectral_overlap: float
-    one_photon: float
-    fidelity: float
-
-
-@dataclass(frozen=True)
 class OverlapFit:
     """Least-squares overlap estimate from visibility measurements."""
 
     overlap: float
     stderr: float
-    n_points: int
 
 
 def overlap_T(
@@ -236,18 +225,14 @@ def fit_overlap(measurements, state: SignalState) -> OverlapFit:
     with np.errstate(over="ignore"):
         squares = float(residual @ residual)
     stderr = math.sqrt(squares / dof / gram)
-    return OverlapFit(overlap=estimate, stderr=stderr, n_points=data.shape[0])
+    return OverlapFit(overlap=estimate, stderr=stderr)
 
 
-def fidelity(spectral_overlap: float, one_photon: float) -> FidelityResult:
+def fidelity(spectral_overlap: float, one_photon: float) -> float:
     """Preparation fidelity sqrt(T * rho1) against the one-photon target."""
     require(0.0 <= spectral_overlap <= 1.0, "overlap must lie in [0, 1]")
     require(0.0 <= one_photon <= 1.0, "one_photon must lie in [0, 1]")
-    return FidelityResult(
-        spectral_overlap=spectral_overlap,
-        one_photon=one_photon,
-        fidelity=math.sqrt(spectral_overlap * one_photon),
-    )
+    return math.sqrt(spectral_overlap * one_photon)
 
 
 def hom_scan_analytic(

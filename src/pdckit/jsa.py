@@ -41,6 +41,7 @@ import numpy as np
 from .errors import NumericalError, require
 
 __all__ = [
+    "DEFAULT_GAMMA",
     "PdcModelParams",
     "FilteredSource",
     "SpectralGrid",
@@ -55,6 +56,9 @@ __all__ = [
     "trapezoid_weights",
 ]
 
+# the sinc-to-Gaussian width factor gamma that every source defaults to
+DEFAULT_GAMMA = 0.193
+
 
 @dataclass(frozen=True)
 class PdcModelParams:
@@ -65,14 +69,14 @@ class PdcModelParams:
         kappa_s, kappa_i: group-velocity mismatch of signal/idler against
             the pump (s/m).  Material inputs, not computed here.
         length: length of the nonlinear medium (m).
-        gamma: sinc-to-Gaussian width adaptation factor, 0.193 by default.
+        gamma: sinc-to-Gaussian width adaptation factor, DEFAULT_GAMMA.
     """
 
     sigma_pump: float
     kappa_s: float
     kappa_i: float
     length: float
-    gamma: float = 0.193
+    gamma: float = DEFAULT_GAMMA
 
     def __post_init__(self) -> None:
         require(self.sigma_pump > 0, "sigma_pump must be positive")
@@ -293,7 +297,7 @@ def params_from_pm_estimate(
     pm_amplitude_width: float,
     tilt_deg: float,
     length: float,
-    gamma: float = 0.193,
+    gamma: float = DEFAULT_GAMMA,
 ) -> PdcModelParams:
     """Reconstruct source parameters from measured estimates.
 

@@ -6,7 +6,7 @@ in closed form), heralding on a lossy trigger detector, the forward
 model of a two-bin time-multiplexed click detector (loss matrix
 followed by a splitting convolution), its maximum-likelihood inversion,
 and the mode-count estimate from the power dependence of the heralded
-mean.
+mean.  Distributions are plain vectors; those returned are read-only.
 
 A note on inversion: a two-bin detector resolves three outcomes, so at
 most the photon-number components 0, 1 and 2 are identifiable from one
@@ -28,9 +28,6 @@ import numpy as np
 from .errors import require
 
 __all__ = [
-    "PhotonNumberDist",
-    "ClickDist",
-    "MultimodeSource",
     "InversionResult",
     "ModeReductionFit",
     "multimode_dist",
@@ -59,53 +56,14 @@ def _checked_probabilities(probs: np.ndarray) -> np.ndarray:
     return probs
 
 
-@dataclass(frozen=True, eq=False)
-class PhotonNumberDist:
-    """Normalized photon-number probability vector with cutoff nmax."""
-
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=float)
-        require(probs.ndim == 1 and probs.size >= 1, "probs must be 1-d")
-        object.__setattr__(self, "probs", _checked_probabilities(probs))
-
-    @property
-    def nmax(self) -> int:
-        return self.probs.size - 1
-
-    def mean(self) -> float:
-        return float(np.arange(self.probs.size) @ self.probs)
-
-    def second_moment(self) -> float:
-        return float((np.arange(self.probs.size) ** 2) @ self.probs)
+def _distribution(probs) -> np.ndarray:
+    """A caller's photon-number distribution, checked and read-only."""
+    probs = np.asarray(probs, dtype=float)
+    require(probs.ndim == 1 and probs.size >= 1, "probs must be 1-d")
+    return _checked_probabilities(probs)
 
 
-@dataclass(frozen=True, eq=False)
-class ClickDist:
-    """Probabilities of 0, 1 and 2 clicks on the two-bin detector."""
-
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=float)
-        require(probs.shape == (3,), "a two-bin detector has 3 outcomes")
-        object.__setattr__(self, "probs", _checked_probabilities(probs))
-
-
-@dataclass(frozen=True)
-class MultimodeSource:
-    """Uniformly occupied thermal spectral modes."""
-
-    n_modes: int = 1
-    gain_sq: float = 0.0
-
-    def __post_init__(self) -> None:
-        require(self.n_modes >= 1, "n_modes must be at least 1")
-        require(0.0 <= self.gain_sq < 1.0, "gain_sq must lie in [0, 1)")
-
-
-def _finalize(raw: np.ndarray, nmax: int, what: str) -> PhotonNumberDist:
+def _finalize(raw: np.ndarray, nmax: int, what: str) -> np.ndarray:
     # Both the stored tail and the mass beyond the cutoff must stay
     # negligible, or the cutoff distorts moments.
     if raw[nmax] >= _TAIL_LIMIT:
@@ -120,17 +78,14 @@ def _finalize(raw: np.ndarray, nmax: int, what: str) -> PhotonNumberDist:
             f"cutoff too small for {what}: probability {1.0 - total:.2e} "
             f"beyond n={nmax} exceeds {_TAIL_LIMIT:.0e}; increase nmax"
         )
-    # a fresh array that is nonnegative and sums to one by construction,
-    # so the constructor's checks and copy would only repeat this work
     probs = raw / total
     probs.setflags(write=False)
-    dist = object.__new__(PhotonNumberDist)
-    object.__setattr__(dist, "probs", probs)
-    return dist
+    return probs
 
 
-def multimode_dist(source: MultimodeSource, nmax: int = 10) -> PhotonNumberDist:
-    """Photon-number distribution of n_modes identical thermal modes.
+def multimode_dist(n_modes: int, gain_sq: float, nmax: int = 10) -> np.ndarray:
+    """Photon-number distribution of n_modes identical thermal modes of
+    gain gain_sq in [0, 1), as a read-only vector P(0) .. P(nmax).
 
     The sum of K thermal modes of gain g is negative binomial,
     P(n) = C(n + K - 1, n) (1 - g)^K g^n, whose head n <= nmax is
@@ -143,8 +98,10 @@ def multimode_dist(source: MultimodeSource, nmax: int = 10) -> PhotonNumberDist:
     the last stored entry P(nmax) and the mass beyond the cutoff,
     1 - sum_{n <= nmax} P(n), must each stay below 1e-6.
     """
+    require(n_modes >= 1, "n_modes must be at least 1")
+    require(0.0 <= gain_sq < 1.0, "gain_sq must lie in [0, 1)")
     require(nmax >= 1, "nmax must be at least 1")
-    K, g = source.n_modes, source.gain_sq
+    K, g = n_modes, gain_sq
     if g == 0.0:  # the vacuum, exactly
         raw = np.zeros(nmax + 1)
         raw[0] = 1.0
@@ -159,7 +116,7 @@ def multimode_dist(source: MultimodeSource, nmax: int = 10) -> PhotonNumberDist:
     return _finalize(np.exp(log_p), nmax, "multimode distribution")
 
 
-def heralded_dist(joint: PhotonNumberDist, eta_t: float) -> PhotonNumberDist:
+def heralded_dist(joint, eta_t: float) -> np.ndarray:
     """Signal statistics conditioned on at least one trigger click.
 
     The joint probability of n pairs and a click is
@@ -171,19 +128,20 @@ def heralded_dist(joint: PhotonNumberDist, eta_t: float) -> PhotonNumberDist:
         ValueError: when the input carries no photons, so the click
             probability vanishes.
     """
+    joint = _distribution(joint)
     require(0.0 <= eta_t <= 1.0, "eta_t must lie in [0, 1]")
-    n = np.arange(joint.probs.size, dtype=float)
+    n = np.arange(joint.size, dtype=float)
     if eta_t == 0.0:
         weights = n
     else:
         weights = 1.0 - (1.0 - eta_t) ** n
-    raw = joint.probs * weights
+    raw = joint * weights
     total = raw.sum()
     if total <= 0.0:
         raise ValueError(
             "click probability vanishes: the joint distribution is vacuum"
         )
-    return _finalize(raw / total, joint.nmax, "heralded distribution")
+    return _finalize(raw / total, joint.size - 1, "heralded distribution")
 
 
 def loss_matrix(efficiency: float, nmax: int) -> np.ndarray:
@@ -222,24 +180,25 @@ def tmd_convolution_matrix(nmax: int) -> np.ndarray:
     return C
 
 
-def forward_click_dist(rho: PhotonNumberDist, efficiency: float) -> ClickDist:
-    """Predicted click statistics: loss first, then the splitter map."""
-    probs = rho.probs
+def forward_click_dist(rho, efficiency: float) -> np.ndarray:
+    """Predicted 0/1/2-click probabilities: loss first, then the splitter map."""
+    probs = _distribution(rho)
     if probs.size < 3:  # the splitter map needs at least two photons
         probs = np.pad(probs, (0, 3 - probs.size))
     nmax = probs.size - 1
     clicks = tmd_convolution_matrix(nmax) @ (
         loss_matrix(efficiency, nmax) @ probs
     )
-    return ClickDist(clicks)
+    clicks.setflags(write=False)
+    return clicks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InversionResult:
     """Outcome of a maximum-likelihood inversion.
 
     Attributes:
-        state: the reconstructed photon-number distribution.
+        state: the reconstructed photon-number distribution, read-only.
         converged: whether kkt_gap reached the tolerance, which certifies
             that log_likelihood is within log(1 + tol) of its maximum.
         iterations: multiplicative updates taken from the starting
@@ -254,7 +213,7 @@ class InversionResult:
             rounding moves a direct solve; infinite when R is singular.
     """
 
-    state: PhotonNumberDist
+    state: np.ndarray
     converged: bool
     iterations: int
     log_likelihood: float
@@ -323,8 +282,9 @@ def _ml_estimate(
             )
         previous_ll = current_ll
         iterations += 1
+    rho.setflags(write=False)
     return InversionResult(
-        state=PhotonNumberDist(rho),
+        state=rho,
         converged=gap <= tol,
         iterations=iterations,
         log_likelihood=previous_ll,
@@ -334,7 +294,7 @@ def _ml_estimate(
 
 
 def ml_invert(
-    clicks: ClickDist,
+    clicks,
     efficiency: float,
     max_iter: int = 100_000,
     tol: float = 1e-10,
@@ -351,19 +311,21 @@ def ml_invert(
     with converged=False.
 
     Args:
-        clicks: observed 0/1/2-click probabilities.
+        clicks: observed probabilities of 0, 1 and 2 clicks.
         efficiency: calibrated detection efficiency in (0, 1].
         max_iter: iteration budget.
         tol: bound on the KKT gap max_n g_n - 1 at which the result
             counts as converged; the log-likelihood is then within
             log(1 + tol) of its maximum.
     """
-    nmax = clicks.probs.size - 1
+    clicks = np.asarray(clicks, dtype=float)
+    require(clicks.shape == (3,), "a two-bin detector has 3 outcomes")
+    clicks = _checked_probabilities(clicks)
     # loss_matrix refuses an efficiency outside [0, 1] before this
     # function refuses zero
-    response = tmd_convolution_matrix(nmax) @ loss_matrix(efficiency, nmax)
+    response = tmd_convolution_matrix(2) @ loss_matrix(efficiency, 2)
     require(efficiency > 0.0, "inversion requires efficiency > 0")
-    return _ml_estimate(clicks.probs, response, max_iter, tol)
+    return _ml_estimate(clicks, response, max_iter, tol)
 
 
 def invert_loss_only(
@@ -405,11 +367,9 @@ class ModeReductionFit:
     regime.
     """
 
-    slope_unfiltered: float
-    intercept_unfiltered: float
-    slope_filtered: float
-    intercept_filtered: float
     slope_ratio: float
+    intercept_unfiltered: float
+    intercept_filtered: float
 
 
 def _fit_line(points) -> tuple[float, float]:
@@ -436,11 +396,9 @@ def estimate_mode_reduction(unfiltered, filtered) -> ModeReductionFit:
     slope_f, intercept_f = _fit_line(filtered)
     require(slope_f != 0.0, "filtered series has zero slope")
     return ModeReductionFit(
-        slope_unfiltered=slope_u,
-        intercept_unfiltered=intercept_u,
-        slope_filtered=slope_f,
-        intercept_filtered=intercept_f,
         slope_ratio=slope_u / slope_f,
+        intercept_unfiltered=intercept_u,
+        intercept_filtered=intercept_f,
     )
 
 

@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from .jsa import (
+    DEFAULT_GAMMA,
     FilteredSource,
     SpectralGrid,
     _sample,
@@ -33,7 +34,7 @@ __all__ = [
 
 
 def model_source(
-    aspect_ratio: float, tilt_deg: float, gamma: float = 0.193
+    aspect_ratio: float, tilt_deg: float, gamma: float = DEFAULT_GAMMA
 ) -> FilteredSource:
     """The Gaussian form of a correlation ellipse of minor width 1.
 

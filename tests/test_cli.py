@@ -41,6 +41,9 @@ length = 2.1 mm
 gamma = 0.193
 """
 
+# the paper's loss-inverted heralded statistics
+HEADLINE_INVERT = "observed = 0.94920, 0.05065, 0.00015\nefficiency = 0.048\n"
+
 
 class TestEllipseCommand:
     def test_reconstructed_source(self, tmp_path, capsys):
@@ -568,6 +571,21 @@ class TestInvertCommand:
         assert {row["probability"] for row in rows} == {"9.090909091e-04"}
         assert err.startswith("converged in 0 iterations, ")
 
+    @pytest.mark.parametrize("max_iter", [-1, 0, 1_000_000, 1_000_001])
+    def test_iteration_budget_bounds(self, tmp_path, capsys, max_iter):
+        # the headline data at efficiency 0.048 is solved directly, so
+        # any accepted budget converges in 0 iterations
+        config = _write(
+            tmp_path, "i.cfg", HEADLINE_INVERT + f"max_iter = {max_iter}\n"
+        )
+        code, out, err = _run(capsys, "invert", "--config", str(config))
+        if 0 <= max_iter <= 1_000_000:
+            assert code == 0
+            assert err.startswith("converged in 0 iterations, ")
+        else:
+            assert (code, out) == (1, "")
+            assert err == "error: key 'max_iter': must lie in [0, 1000000]\n"
+
     def test_non_convergence_exits_two(self, tmp_path, capsys):
         # at this efficiency the optimum has p0 = 0, so the direct solve
         # is infeasible and two steps from the uniform state fall short
@@ -831,6 +849,15 @@ class TestErrorHandling:
                 "tau_span_sigmas = -4\n",
                 "tau_span_sigmas",
             ),
+            ("invert", HEADLINE_INVERT + "tol = 0\n", "tol"),
+            ("invert", HEADLINE_INVERT + "tol = -1e-12\n", "tol"),
+            ("invert", HEADLINE_INVERT + "max_iter = -5\n", "max_iter"),
+            ("invert", HEADLINE_INVERT + "max_iter = 1000001\n", "max_iter"),
+            (
+                "invert",
+                HEADLINE_INVERT + "max_iter = 1000000000000\n",
+                "max_iter",
+            ),
         ],
         ids=[
             "zero-wavelength",
@@ -849,6 +876,11 @@ class TestErrorHandling:
             "overflowing-delay-axis-ps",
             "zero-span",
             "negative-spectral-span",
+            "zero-tol",
+            "negative-tol",
+            "negative-max-iter",
+            "max-iter-past-bound",
+            "huge-max-iter",
         ],
     )
     def test_invalid_value_is_named(self, tmp_path, capsys, command, text, key):
@@ -1002,7 +1034,8 @@ def test_emit_matches_per_cell_rule(rows):
 # Every command runs here; none builds a grid.  Counts may be drawn huge:
 # the CLI refuses any above its bound before it allocates.  invert's
 # max_iter is the exception, since an inversion on a face of the simplex
-# runs that many steps; it is drawn at most 1,000.  Each other key is
+# runs that many steps; it is drawn at most 1,000 or past its bound of
+# 1,000,000, which is refused before any step runs.  Each other key is
 # valid nine times in ten, so that most examples get past validation to
 # the arrays, the closed forms and the inversions.
 
@@ -1111,7 +1144,9 @@ def _grid_free_commands(draw):
         keys["max_iter"] = draw(
             st.one_of(
                 st.integers(min_value=-3, max_value=1000).map(str),
-                st.sampled_from(["2.5", "1e400", "-1e400"]),
+                st.sampled_from(
+                    ["2.5", "1e400", "-1e400", "1000001", "1000000000000"]
+                ),
             )
         )
         _optional(draw, keys, "tol", _NUMBERS)

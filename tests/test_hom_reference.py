@@ -375,21 +375,20 @@ class TestDipWidth:
 
 class TestFidelity:
     def test_headline_value(self):
-        result = hom.fidelity(0.65, 0.931)
-        assert result.fidelity == pytest.approx(0.78, abs=0.01)
+        assert hom.fidelity(0.65, 0.931) == pytest.approx(0.78, abs=0.01)
 
     def test_perfect(self):
-        assert hom.fidelity(1.0, 1.0).fidelity == 1.0
+        assert hom.fidelity(1.0, 1.0) == 1.0
 
     def test_reduced_overlap(self):
-        assert hom.fidelity(0.41, 0.931).fidelity == pytest.approx(
+        assert hom.fidelity(0.41, 0.931) == pytest.approx(
             0.618, abs=5e-4
         )
 
     def test_monotone_in_each_argument(self):
-        values = [hom.fidelity(t, 0.9).fidelity for t in (0.2, 0.5, 0.9)]
+        values = [hom.fidelity(t, 0.9) for t in (0.2, 0.5, 0.9)]
         assert values[0] < values[1] < values[2]
-        values = [hom.fidelity(0.6, r).fidelity for r in (0.2, 0.5, 0.9)]
+        values = [hom.fidelity(0.6, r) for r in (0.2, 0.5, 0.9)]
         assert values[0] < values[1] < values[2]
 
     def test_validation(self):

@@ -10,27 +10,36 @@ from pdckit import photon_stats as ps
 
 def _thermal(gain_sq, nmax):
     """One thermal mode: the single-mode case of the multimode model."""
-    return ps.multimode_dist(ps.MultimodeSource(1, gain_sq), nmax=nmax)
+    return ps.multimode_dist(1, gain_sq, nmax=nmax)
+
+
+def _moment(probs, power=1):
+    """<n^power> of a photon-number distribution."""
+    return float(np.arange(probs.size) ** power @ probs)
+
+
+def _mean(probs):
+    return _moment(probs)
 
 
 class TestThermal:
     def test_zero_gain_is_vacuum(self):
         dist = _thermal(0.0, nmax=4)
-        assert np.array_equal(dist.probs, [1.0, 0.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(dist, [1.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_geometric_sequence(self):
         dist = _thermal(0.5, nmax=24)
-        assert np.allclose(dist.probs[:4], [0.5, 0.25, 0.125, 0.0625], atol=1e-6)
-        assert dist.mean() == pytest.approx(1.0, abs=1e-5)
+        assert np.allclose(dist[:4], [0.5, 0.25, 0.125, 0.0625], atol=1e-6)
+        assert _mean(dist) == pytest.approx(1.0, abs=1e-5)
 
     def test_second_moment_identity(self):
         # <n^2> = 2 mu^2 + mu for a thermal state; the brute-force sum
         # over the stored vector must agree
         dist = _thermal(0.35, nmax=30)
-        mu = dist.mean()
-        brute = float(sum(n * n * p for n, p in enumerate(dist.probs)))
+        mu = _mean(dist)
+        brute = float(sum(n * n * p for n, p in enumerate(dist)))
         assert brute == pytest.approx(2 * mu * mu + mu, rel=1e-9)
-        assert dist.second_moment() == pytest.approx(brute, rel=1e-12)
+        assert _moment(dist, 2) == pytest.approx(brute, rel=1e-12)
 
     def test_cutoff_too_small_rejected(self):
         with pytest.raises(ValueError, match="increase nmax"):
@@ -39,46 +48,53 @@ class TestThermal:
     def test_validation(self):
         with pytest.raises(ValueError):
             _thermal(1.0, nmax=10)
-        with pytest.raises(ValueError):
-            ps.PhotonNumberDist([0.5, 0.4])  # does not sum to one
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, 1.0, 0), "n_modes must be at least 1"),
+            ((1, 1.0, 0), r"gain_sq must lie in \[0, 1\)"),
+            ((1, -0.1, 0), r"gain_sq must lie in \[0, 1\)"),
+            ((1, 0.5, 0), "nmax must be at least 1"),
+        ],
+    )
+    def test_checks_in_order(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            ps.multimode_dist(*args)
 
 
 class TestMultimode:
     def test_single_mode_matches_thermal(self):
-        source = ps.MultimodeSource(n_modes=1, gain_sq=0.2)
         geometric = 0.8 * 0.2 ** np.arange(13)
         assert np.allclose(
-            ps.multimode_dist(source, nmax=12).probs,
+            ps.multimode_dist(1, 0.2, nmax=12),
             geometric / geometric.sum(),
             atol=1e-15,
         )
 
     def test_two_mode_mean(self):
-        source = ps.MultimodeSource(n_modes=2, gain_sq=0.5)
-        dist = ps.multimode_dist(source, nmax=40)
-        assert dist.mean() == pytest.approx(2.0, abs=1e-4)
+        dist = ps.multimode_dist(2, 0.5, nmax=40)
+        assert _mean(dist) == pytest.approx(2.0, abs=1e-4)
 
     def test_head_matches_direct_convolution(self):
-        source = ps.MultimodeSource(n_modes=3, gain_sq=0.3)
-        dist = ps.multimode_dist(source, nmax=25)
+        dist = ps.multimode_dist(3, 0.3, nmax=25)
         single = [(1 - 0.3) * 0.3**n for n in range(26)]
         direct = [0.0] * 26
         for a in range(26):
             for b in range(26 - a):
                 for c in range(26 - a - b):
                     direct[a + b + c] += single[a] * single[b] * single[c]
-        assert np.allclose(dist.probs[:10], np.array(direct[:10]) / sum(direct),
+        assert np.allclose(dist[:10], np.array(direct[:10]) / sum(direct),
                            atol=1e-9)
 
     @pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("gain_sq", [0.1, 0.3])
     def test_moment_identities(self, n_modes, gain_sq):
-        source = ps.MultimodeSource(n_modes=n_modes, gain_sq=gain_sq)
-        dist = ps.multimode_dist(source, nmax=40)
+        dist = ps.multimode_dist(n_modes, gain_sq, nmax=40)
         single = _thermal(gain_sq, nmax=40)
-        mu, mu2 = single.mean(), single.second_moment()
-        assert dist.mean() == pytest.approx(n_modes * mu, abs=1e-9)
-        assert dist.second_moment() == pytest.approx(
+        mu, mu2 = _mean(single), _moment(single, 2)
+        assert _mean(dist) == pytest.approx(n_modes * mu, abs=1e-9)
+        assert _moment(dist, 2) == pytest.approx(
             n_modes * mu2 + n_modes * (n_modes - 1) * mu * mu, abs=1e-9
         )
 
@@ -119,11 +135,11 @@ class TestNegativeBinomial:
     @example(1000, 0.2, 1000)
     def test_matches_convolution(self, n_modes, gain_sq, nmax):
         try:
-            dist = ps.multimode_dist(ps.MultimodeSource(n_modes, gain_sq), nmax)
+            dist = ps.multimode_dist(n_modes, gain_sq, nmax)
         except ValueError:
             assume(False)  # the cutoff refuses this draw
         reference = _convolved(n_modes, gain_sq, nmax)
-        gap = np.abs(dist.probs - reference)
+        gap = np.abs(dist - reference)
         assert gap.max() <= 1e-13 * reference.max()
         large = reference > 1e-250
         assert np.all(gap[large] <= 1e-9 * reference[large])
@@ -133,9 +149,9 @@ class TestNegativeBinomial:
         # log-space evaluation keeps the distribution
         n_modes, gain_sq = 1000, 0.53
         assert (1.0 - gain_sq) ** n_modes == 0.0
-        dist = ps.multimode_dist(ps.MultimodeSource(n_modes, gain_sq), 5000)
-        mean = dist.mean()
-        variance = dist.second_moment() - mean * mean
+        dist = ps.multimode_dist(n_modes, gain_sq, 5000)
+        mean = _mean(dist)
+        variance = _moment(dist, 2) - mean * mean
         assert mean == pytest.approx(
             n_modes * gain_sq / (1 - gain_sq), rel=1e-9
         )
@@ -147,46 +163,64 @@ class TestNegativeBinomial:
         # mean K g / (1 - g) = 1500 lies beyond nmax: the stored head
         # holds about 1e-19 of the mass although its last entry is tiny
         with pytest.raises(ValueError, match="beyond n=1000"):
-            ps.multimode_dist(ps.MultimodeSource(1000, 0.6), nmax=1000)
+            ps.multimode_dist(1000, 0.6, nmax=1000)
 
 
 class TestHeralded:
     def test_single_photon_is_fixed_point(self):
-        dist = ps.PhotonNumberDist([0.0, 1.0, 0.0])
+        dist = np.array([0.0, 1.0, 0.0])
         for eta in (1e-3, 0.3, 1.0):
             heralded = ps.heralded_dist(dist, eta)
-            assert heralded.probs[1] == pytest.approx(1.0)
+            assert heralded[1] == pytest.approx(1.0)
 
     def test_thermal_low_loss_mean(self):
         dist = _thermal(0.15, nmax=20)
-        mu = dist.mean()
+        mu = _mean(dist)
         heralded = ps.heralded_dist(dist, 0.0)
-        assert heralded.mean() == pytest.approx(2 * mu + 1, abs=1e-7)
+        assert _mean(heralded) == pytest.approx(2 * mu + 1, abs=1e-7)
 
     @pytest.mark.parametrize("n_modes", [1, 5, 31])
     @pytest.mark.parametrize("gain_sq", [0.01, 0.03])
     def test_low_gain_multimode_mean(self, n_modes, gain_sq):
-        source = ps.MultimodeSource(n_modes=n_modes, gain_sq=gain_sq)
-        heralded = ps.heralded_dist(ps.multimode_dist(source, nmax=14), 0.0)
+        joint = ps.multimode_dist(n_modes, gain_sq, nmax=14)
+        heralded = ps.heralded_dist(joint, 0.0)
         prediction = 1 + (n_modes + 1) * gain_sq
         slack = 3 * (n_modes + 1) * gain_sq**2  # next order in the gain
-        assert abs(heralded.mean() - prediction) <= slack
+        assert abs(_mean(heralded) - prediction) <= slack
 
     @pytest.mark.parametrize("eta_t", [1e-4, 1e-3])
     def test_total_variation_against_low_loss_limit(self, eta_t):
         for dist in (
             _thermal(0.15, nmax=20),
-            ps.multimode_dist(ps.MultimodeSource(n_modes=4, gain_sq=0.05), 20),
+            ps.multimode_dist(4, 0.05, 20),
         ):
             lossy = ps.heralded_dist(dist, eta_t)
             limit = ps.heralded_dist(dist, 0.0)
-            tv = 0.5 * float(np.abs(lossy.probs - limit.probs).sum())
-            assert tv < eta_t * dist.mean()
+            tv = 0.5 * float(np.abs(lossy - limit).sum())
+            assert tv < eta_t * _mean(dist)
 
     def test_vacuum_rejected(self):
-        vacuum = ps.PhotonNumberDist([1.0, 0.0, 0.0])
+        vacuum = np.array([1.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="vacuum"):
             ps.heralded_dist(vacuum, 0.5)
+
+    def test_joint_is_checked_first(self):
+        for joint, message in (
+            ([[0.5, 0.5]], "probs must be 1-d"),
+            ([0.5, 0.4], "probabilities must sum to one"),
+            ([1.1, -0.1], "probabilities must be nonnegative"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                ps.heralded_dist(joint, 2.0)
+            with pytest.raises(ValueError, match=message):
+                ps.forward_click_dist(joint, 2.0)
+
+    def test_results_are_read_only(self):
+        joint = ps.multimode_dist(2, 0.1, 12)
+        clicks = ps.forward_click_dist(joint, 0.3)
+        state = ps.ml_invert(clicks, 0.3).state
+        for probs in (joint, ps.heralded_dist(joint, 0.1), clicks, state):
+            assert not probs.flags.writeable
 
 
 class TestDetectorMatrices:
@@ -238,16 +272,12 @@ class TestDetectorMatrices:
 
 class TestForwardModel:
     def test_vacuum(self):
-        clicks = ps.forward_click_dist(
-            ps.PhotonNumberDist([1.0, 0.0, 0.0]), 0.5
-        )
-        assert np.array_equal(clicks.probs, [1.0, 0.0, 0.0])
+        clicks = ps.forward_click_dist(np.array([1.0, 0.0, 0.0]), 0.5)
+        assert np.array_equal(clicks, [1.0, 0.0, 0.0])
 
     def test_single_photon_low_efficiency(self):
-        clicks = ps.forward_click_dist(
-            ps.PhotonNumberDist([0.0, 1.0, 0.0]), 0.048
-        )
-        assert np.allclose(clicks.probs, [0.952, 0.048, 0.0], atol=1e-12)
+        clicks = ps.forward_click_dist(np.array([0.0, 1.0, 0.0]), 0.048)
+        assert np.allclose(clicks, [0.952, 0.048, 0.0], atol=1e-12)
 
     def test_two_photons_by_enumeration(self):
         # survivors: 0 w.p. 1/4, 1 w.p. 1/2, 2 w.p. 1/4; two survivors
@@ -261,34 +291,28 @@ class TestForwardModel:
             else:
                 expected[1] += weight * 0.5
                 expected[2] += weight * 0.5
-        clicks = ps.forward_click_dist(
-            ps.PhotonNumberDist([0.0, 0.0, 1.0]), 0.5
-        )
-        assert np.allclose(clicks.probs, expected, atol=1e-12)
+        clicks = ps.forward_click_dist(np.array([0.0, 0.0, 1.0]), 0.5)
+        assert np.allclose(clicks, expected, atol=1e-12)
 
 
 class TestInversion:
     def test_round_trip_low_gain_state(self):
         truth = np.array([0.9488, 0.051, 0.0002, 0.0, 0.0, 0.0, 0.0])
-        clicks = ps.forward_click_dist(
-            ps.PhotonNumberDist(truth), 0.048
-        )
+        clicks = ps.forward_click_dist(truth, 0.048)
         result = ps.ml_invert(
             clicks, 0.048, max_iter=400_000, tol=1e-13
         )
         assert result.converged
         recovered = np.zeros(truth.size)
-        recovered[: result.state.probs.size] = result.state.probs
+        recovered[: result.state.size] = result.state
         assert np.max(np.abs(recovered - truth)) < 1e-3
 
     def test_vacuum_clicks_give_vacuum(self):
-        result = ps.ml_invert(
-            ps.ClickDist([1.0, 0.0, 0.0]), 0.3
-        )
-        assert result.state.probs[0] == pytest.approx(1.0, abs=1e-6)
+        result = ps.ml_invert([1.0, 0.0, 0.0], 0.3)
+        assert result.state[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_non_convergence_is_flagged(self):
-        clicks = ps.ClickDist([0.9, 0.08, 0.02])
+        clicks = [0.9, 0.08, 0.02]
         result = ps.ml_invert(clicks, 0.1, max_iter=3)
         assert not result.converged
         assert result.iterations == 3
@@ -299,13 +323,13 @@ class TestInversion:
             observed, 0.048, max_iter=400_000, tol=1e-12
         )
         assert result.converged
-        rho = result.state.probs
+        rho = result.state
         assert 0.925 <= rho[1] <= 0.937
         assert 0.060 <= rho[2] <= 0.072
 
     def test_likelihood_is_monotone(self):
         # the iteration asserts monotonicity internally on every step
-        clicks = ps.ClickDist([0.7, 0.25, 0.05])
+        clicks = [0.7, 0.25, 0.05]
         result = ps.ml_invert(clicks, 0.4, max_iter=5_000)
         assert math.isfinite(result.log_likelihood)
 
@@ -316,14 +340,12 @@ class TestInversion:
             eta = rng.uniform(0.05, 0.5)
             truth = np.zeros(7)
             truth[:3] = p
-            clicks = ps.forward_click_dist(
-                ps.PhotonNumberDist(truth), eta
-            )
+            clicks = ps.forward_click_dist(truth, eta)
             result = ps.ml_invert(
                 clicks, eta, max_iter=400_000, tol=1e-13
             )
             recovered = np.zeros(7)
-            recovered[:3] = result.state.probs
+            recovered[:3] = result.state
             assert np.max(np.abs(recovered - truth)) < 1e-3
 
     @pytest.mark.parametrize("observable", ["clicks", "photon"])
@@ -336,7 +358,7 @@ class TestInversion:
         truth = np.random.default_rng(seed).dirichlet([1.0, 1.0, 1.0])
         assume(truth.min() >= 1e-3)
         if observable == "clicks":
-            clicks = ps.forward_click_dist(ps.PhotonNumberDist(truth), eta)
+            clicks = ps.forward_click_dist(truth, eta)
             result = ps.ml_invert(clicks, eta)
         else:
             observed = ps.loss_matrix(eta, 2) @ truth
@@ -344,7 +366,7 @@ class TestInversion:
         assert result.converged
         assert result.iterations == 0
         assert result.kkt_gap <= 1e-14
-        error = np.max(np.abs(result.state.probs - truth))
+        error = np.max(np.abs(result.state - truth))
         assert error <= 1e-12 * result.condition
 
     def test_face_optimum_is_certified(self):
@@ -358,7 +380,7 @@ class TestInversion:
         assert result.converged
         assert 0 < result.iterations < 400_000
         assert result.kkt_gap <= tol
-        assert result.state.probs[0] < 1e-6
+        assert result.state[0] < 1e-6
         response = ps.loss_matrix(eta, 2)
         rng = np.random.default_rng(5)
         candidates = np.vstack([np.eye(3), rng.dirichlet([1.0, 1.0, 1.0], 2000)])
@@ -374,25 +396,36 @@ class TestInversion:
         eta = 0.03
         for _ in range(4):
             truth = rng.dirichlet([1.0, 1.0, 1.0])
-            clicks = ps.forward_click_dist(ps.PhotonNumberDist(truth), eta)
+            clicks = ps.forward_click_dist(truth, eta)
             result = ps.ml_invert(clicks, eta, max_iter=400_000, tol=1e-13)
             assert result.converged
             assert result.kkt_gap <= 1e-13
-            error = np.max(np.abs(result.state.probs - truth))
+            error = np.max(np.abs(result.state - truth))
             assert error <= 1e-12 * result.condition
 
     def test_unexplained_outcome_is_not_converged(self):
         # eta^2 underflows, so no state predicts the observed two clicks
         # and no log-likelihood is finite
-        result = ps.ml_invert(
-            ps.ClickDist([0.7, 0.25, 0.05]), 1e-200
-        )
+        result = ps.ml_invert([0.7, 0.25, 0.05], 1e-200)
         assert not result.converged
         assert result.kkt_gap == math.inf
 
+    @pytest.mark.parametrize(
+        "clicks, message",
+        [
+            ([0.7, 0.3], "a two-bin detector has 3 outcomes"),
+            ([1.2, -0.1, -0.2], "probabilities must be nonnegative"),
+            ([0.7, 0.25, 0.25], "probabilities must sum to one"),
+            ([0.7, 0.25, 0.05], r"efficiency must be in \[0, 1\]"),
+        ],
+    )
+    def test_click_checks_in_order(self, clicks, message):
+        with pytest.raises(ValueError, match=message):
+            ps.ml_invert(clicks, 1.5)
+
     def test_requires_positive_efficiency(self):
         with pytest.raises(ValueError):
-            ps.ml_invert(ps.ClickDist([1.0, 0, 0]), 0.0)
+            ps.ml_invert([1.0, 0, 0], 0.0)
 
     @pytest.mark.parametrize(
         "efficiency, message",
@@ -404,7 +437,7 @@ class TestInversion:
     )
     def test_efficiency_checks_in_order(self, efficiency, message):
         with pytest.raises(ValueError, match=message):
-            ps.ml_invert(ps.ClickDist([0.7, 0.25, 0.05]), efficiency)
+            ps.ml_invert([0.7, 0.25, 0.05], efficiency)
         with pytest.raises(ValueError, match=message):
             ps.invert_loss_only([0.7, 0.25, 0.05], efficiency)
         if efficiency != 0.0:
@@ -417,10 +450,8 @@ class TestModeReduction:
     def _series(n_modes, gains):
         points = []
         for gain in gains:
-            dist = ps.multimode_dist(
-                ps.MultimodeSource(n_modes=n_modes, gain_sq=gain), nmax=16
-            )
-            points.append((gain, ps.heralded_dist(dist, 0.0).mean()))
+            dist = ps.multimode_dist(n_modes, gain, nmax=16)
+            points.append((gain, _mean(ps.heralded_dist(dist, 0.0))))
         return points
 
     def test_identical_series_ratio_one(self):

@@ -2,10 +2,12 @@
 
 A name earns its place in a model module's ``__all__`` when the command
 line reaches it, directly or through other library code, or when the
-tests use it as an independent reference for a faster route.
+tests use it as an independent reference for a faster route.  A field
+of an exported dataclass earns its place when the package reads it.
 """
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -93,3 +95,29 @@ def test_every_exported_name_is_used(module_name):
     reached = _reachable()
     unused = [name for name in module.__all__ if name not in reached]
     assert unused == []
+
+
+def _attributes_read() -> set[str]:
+    """Attribute names that the package's code reads, as in `x.name`."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(
+                node.ctx, ast.Load
+            ):
+                names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("module_name", MODEL_MODULES)
+def test_every_dataclass_field_is_read(module_name):
+    module = importlib.import_module(f"pdckit.{module_name}")
+    read = _attributes_read()
+    unread = [
+        f"{name}.{field.name}"
+        for name in module.__all__
+        if dataclasses.is_dataclass(getattr(module, name))
+        for field in dataclasses.fields(getattr(module, name))
+        if field.name not in read
+    ]
+    assert unread == []
