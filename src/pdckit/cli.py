@@ -329,6 +329,8 @@ def _cmd_herald_stats(sc: Scenario) -> tuple[list, list, list]:
 def _cmd_visibility_curve(sc: Scenario) -> tuple[list, list, list]:
     state = _signal_state(sc)
     overlap = sc.number("overlap", default=1.0)
+    if not 0.0 <= overlap <= 1.0:
+        raise ConfigError("key 'overlap': must lie in [0, 1]")
     betas = _sweep(sc, "beta_sq", geometric=True)
     visibility = hom.visibility_vs_beta(state, overlap, betas)
     rows = list(zip(betas, visibility.tolist()))

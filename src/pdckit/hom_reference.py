@@ -13,9 +13,9 @@ The reference is a centred Gaussian amplitude exp(-nu^2/w_r^2) with
 mean photon number beta_sq; every function takes these two numbers
 directly.  For the Gaussian model, T at the dip centre and the dip
 width are closed forms of the filtered source (jsa.FilteredSource),
-and the dip is Gaussian in delay (hom_scan_analytic).  overlap_T
-evaluates T by quadrature of a sampled density at any delay; it is the
-reference the closed forms are tested against.
+and the dip is Gaussian in delay (hom_scan_analytic).  jsa.overlap_T
+evaluates T by quadrature at any delay; it is the reference the closed
+forms are tested against.
 """
 
 from __future__ import annotations
@@ -26,13 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import require
-from .jsa import ReducedDensity, trapezoid_weights
 
 __all__ = [
     "SignalState",
     "HomScan",
     "OverlapFit",
-    "overlap_T",
     "coincidence_full",
     "coincidence_simplified",
     "visibility_vs_beta",
@@ -77,35 +75,6 @@ class OverlapFit:
 
     overlap: float
     stderr: float
-
-
-def overlap_T(
-    reference_width: float, g: ReducedDensity, tau: float = 0.0
-) -> float:
-    """Spectral overlap of the reference with a mixed one-photon density.
-
-    Evaluates the double integral of u*(w1) g(w1, w2) u(w2)
-    exp(i tau (w1 - w2)) by trapezoid quadrature, where u is the
-    reference amplitude exp(-nu^2/w_r^2) normalised to unit quadrature
-    norm on the density's axis.  For a Hermitian kernel the result is
-    real; an imaginary remnant above 1e-9 of the modulus raises.
-
-    Args:
-        reference_width: amplitude 1/e half-width w_r of the reference
-            (rad/s).
-        g: unit-trace spectral density.
-        tau: relative delay in seconds.
-    """
-    require(reference_width > 0.0, "reference_width must be positive")
-    weights = trapezoid_weights(g.nu_axis)
-    u = np.exp(-((g.nu_axis / reference_width) ** 2))
-    norm = math.sqrt(float(u**2 @ weights))
-    require(norm > 0.0, "reference support does not meet the grid")
-    vector = u / norm * np.exp(-1j * tau * g.nu_axis) * weights
-    value = complex(np.vdot(vector, g.density @ vector))
-    if abs(value) > 0 and abs(value.imag) > 1e-9 * abs(value):
-        raise AssertionError("overlap of a Hermitian kernel must be real")
-    return float(value.real)
 
 
 def coincidence_full(

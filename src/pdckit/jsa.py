@@ -23,8 +23,11 @@ correlation ellipse (whose tilt and aspect ratio quantify the spectral
 correlation of the pair), the purity of the heralded signal, its
 overlap with a Gaussian reference and the twins' exchange overlap are
 Gaussian integrals of that form, in closed form.  The sampled route
-(default_axes, evaluate_jsa, reduced_density, purity) computes them by
-quadrature and serves as their independent reference.
+computes them by quadrature and serves as their independent reference:
+default_axes sizes one common detuning axis from a form, sample puts
+the form's amplitude on the square grid of that axis (a SpectralGrid),
+and reduced_density filters it and traces out the idler; purity and
+overlap_T integrate the density, overlap_numeric the grid.
 
 All widths follow the amplitude 1/e convention of :mod:`pdckit.units`.
 Every type is immutable after construction and every operation is a
@@ -49,10 +52,12 @@ __all__ = [
     "pm_width",
     "params_from_pm_estimate",
     "filtered_source",
-    "evaluate_jsa",
     "default_axes",
+    "sample",
     "reduced_density",
     "purity",
+    "overlap_T",
+    "overlap_numeric",
     "trapezoid_weights",
 ]
 
@@ -224,34 +229,34 @@ def _check_axis(axis: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpectralGrid:
-    """Sampled complex joint amplitude on a rectangular detuning grid."""
+    """Sampled complex joint amplitude on a square detuning grid.
 
-    nu_s_axis: np.ndarray
-    nu_i_axis: np.ndarray
+    amplitude[i, j] is the amplitude at signal detuning nu_axis[i] and
+    idler detuning nu_axis[j]; both arms share the one axis, so the
+    exchange of signal and idler is a transposition.  norm is the
+    squared norm under trapezoid quadrature.
+    """
+
+    nu_axis: np.ndarray
     amplitude: np.ndarray
     norm: float = 0.0
 
     @classmethod
     def from_amplitude(
-        cls,
-        nu_s_axis: np.ndarray,
-        nu_i_axis: np.ndarray,
-        amplitude: np.ndarray,
+        cls, nu_axis: np.ndarray, amplitude: np.ndarray
     ) -> "SpectralGrid":
         # own copies only: locking caller arrays would be a side effect
-        nu_s_axis = _check_axis(nu_s_axis, "nu_s_axis").copy()
-        nu_i_axis = _check_axis(nu_i_axis, "nu_i_axis").copy()
+        nu_axis = _check_axis(nu_axis, "nu_axis").copy()
         amplitude = np.array(amplitude, dtype=complex)
         require(
-            amplitude.shape == (nu_s_axis.size, nu_i_axis.size),
-            "amplitude shape must match the axes",
+            amplitude.shape == (nu_axis.size, nu_axis.size),
+            "amplitude shape must match the axis",
         )
-        ws = trapezoid_weights(nu_s_axis)
-        wi = trapezoid_weights(nu_i_axis)
-        norm = float(np.real(ws @ (np.abs(amplitude) ** 2) @ wi))
-        for array in (nu_s_axis, nu_i_axis, amplitude):
+        weights = trapezoid_weights(nu_axis)
+        norm = float(np.real(weights @ (np.abs(amplitude) ** 2) @ weights))
+        for array in (nu_axis, amplitude):
             array.setflags(write=False)
-        return cls(nu_s_axis, nu_i_axis, amplitude, norm)
+        return cls(nu_axis, amplitude, norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,7 +369,7 @@ def filtered_source(
 
 
 def default_axes(
-    params: PdcModelParams,
+    source: FilteredSource,
     samples_per_width: int = 12,
     extent_widths: float = 4.0,
 ) -> np.ndarray:
@@ -378,19 +383,11 @@ def default_axes(
         ValueError: for a rank-one correlation form, whose support is
             unbounded along the major axis.
     """
-    source = filtered_source(params)
     if source.determinant == 0.0:
         raise ValueError(
             "correlation form is rank one; the amplitude has unbounded "
             "support and cannot be sampled on a finite grid"
         )
-    return _symmetric_axis(source, samples_per_width, extent_widths)
-
-
-def _symmetric_axis(
-    source: FilteredSource, samples_per_width: int, extent_widths: float
-) -> np.ndarray:
-    """default_axes for the form of the given source."""
     require(samples_per_width >= 8, "need at least 8 samples per width")
     widest = max(source.m11, source.m22)
     projection = math.sqrt(widest / source.determinant)
@@ -400,71 +397,35 @@ def _symmetric_axis(
     return np.linspace(-half, half, n)
 
 
-def _sample(
-    source: FilteredSource, nu_s_axis: np.ndarray, nu_i_axis: np.ndarray
-) -> SpectralGrid:
-    """The source's complex amplitude on the grid of the two axes."""
-    ns = nu_s_axis[:, None]
-    ni = nu_i_axis[None, :]
+def sample(source: FilteredSource, nu_axis: np.ndarray) -> SpectralGrid:
+    """The source's complex amplitude on the square grid of one axis.
+
+    amplitude[i, j] = exp(-nu^T M' nu + i (phase_s nu_s + phase_i nu_i))
+    at (nu_axis[i], nu_axis[j]); the value at the origin is exactly 1.
+    Whether the axis spans the support is the caller's choice;
+    default_axes gives one that does.
+
+    Raises:
+        ValueError: if the axis is non-uniform, or resolves a
+            single-axis amplitude cut with fewer than 8 samples: its
+            step exceeds 1/(8 sqrt(max(m11, m22))).
+    """
+    nu_axis = _check_axis(nu_axis, "nu_axis")
+    step = nu_axis[1] - nu_axis[0]
+    line_width = 1.0 / math.sqrt(max(source.m11, source.m22))
+    if step > line_width / 8.0:
+        raise ValueError(
+            f"nu_axis too coarse: fewer than 8 samples per amplitude "
+            f"width (step {step:.3e}, width {line_width:.3e})"
+        )
+    ns = nu_axis[:, None]
+    ni = nu_axis[None, :]
     exponent = -(
         source.m11 * ns**2 + 2.0 * source.m12 * ns * ni + source.m22 * ni**2
     )
     phase = source.phase_s * ns + source.phase_i * ni
     amplitude = np.exp(exponent + 1j * phase)
-    return SpectralGrid.from_amplitude(nu_s_axis, nu_i_axis, amplitude)
-
-
-def evaluate_jsa(
-    params: PdcModelParams,
-    nu_s_axis: np.ndarray,
-    nu_i_axis: np.ndarray,
-) -> SpectralGrid:
-    """Sample the complex joint amplitude on a rectangular grid.
-
-    amplitude[i, j] is the pump envelope times the phase-matching
-    factor (including its linear phase) at
-    (nu_s_axis[i], nu_i_axis[j]); the value at the origin is exactly 1.
-
-    Args:
-        params: source description.
-        nu_s_axis, nu_i_axis: uniform, strictly increasing detuning axes
-            spanning at least four amplitude widths of both the pump and
-            the phase-matching function on each axis.
-
-    Raises:
-        ValueError: if an axis is non-uniform, spans too little, or
-            resolves a single-axis amplitude cut with fewer than 8
-            samples.
-    """
-    nu_s_axis = _check_axis(nu_s_axis, "nu_s_axis")
-    nu_i_axis = _check_axis(nu_i_axis, "nu_i_axis")
-    source = filtered_source(params)
-
-    for axis, m_diag, phase, name in (
-        (nu_s_axis, source.m11, source.phase_s, "nu_s_axis"),
-        (nu_i_axis, source.m22, source.phase_i, "nu_i_axis"),
-    ):
-        step = axis[1] - axis[0]
-        line_width = 1.0 / math.sqrt(m_diag)
-        if step > line_width / 8.0:
-            raise ValueError(
-                f"{name} too coarse: fewer than 8 samples per amplitude "
-                f"width (step {step:.3e}, width {line_width:.3e})"
-            )
-        span = axis[-1] - axis[0]
-        # the phase-matching width along the axis, 2/(sqrt(gamma) L |kappa|),
-        # is unbounded, and asks for nothing, where kappa vanishes
-        pm_axis_width = (
-            0.0 if phase == 0 else 1.0 / (math.sqrt(params.gamma) * abs(phase))
-        )
-        needed = 4.0 * max(params.sigma_pump, pm_axis_width)
-        if span < needed:
-            raise ValueError(
-                f"{name} spans {span:.3e} rad/s; needs at least "
-                f"{needed:.3e} (four pump/phase-matching widths)"
-            )
-
-    return _sample(source, nu_s_axis, nu_i_axis)
+    return SpectralGrid.from_amplitude(nu_axis, amplitude)
 
 
 def reduced_density(
@@ -489,18 +450,18 @@ def reduced_density(
     require(
         signal_width > 0 and idler_width > 0, "filter widths must be positive"
     )
-    weights_i = trapezoid_weights(grid.nu_i_axis)
-    ti = np.exp(-2.0 * (grid.nu_i_axis / idler_width) ** 2)
-    ts_amp = np.exp(-((grid.nu_s_axis / signal_width) ** 2))
+    axis = grid.nu_axis
+    weights = trapezoid_weights(axis)
+    ti = np.exp(-2.0 * (axis / idler_width) ** 2)
+    ts_amp = np.exp(-((axis / signal_width) ** 2))
 
-    kernel = (grid.amplitude * (ti * weights_i)[None, :]) @ np.conj(
+    kernel = (grid.amplitude * (ti * weights)[None, :]) @ np.conj(
         grid.amplitude.T
     )
     kernel *= np.outer(ts_amp, ts_amp)
     kernel = 0.5 * (kernel + np.conj(kernel.T))
 
-    weights_s = trapezoid_weights(grid.nu_s_axis)
-    trace = float(np.real(np.diag(kernel) @ weights_s))
+    trace = float(np.real(np.diag(kernel) @ weights))
     if not trace > grid.norm * 1e-14:
         raise NumericalError(
             "filters lie outside the amplitude support; the reduced "
@@ -508,13 +469,71 @@ def reduced_density(
         )
     density = kernel / trace
     density.setflags(write=False)
-    axis = grid.nu_s_axis.copy()
-    axis.setflags(write=False)
+    # the grid's axis is read-only already, so the density may share it
     return ReducedDensity(nu_axis=axis, density=density)
 
 
 def purity(g: ReducedDensity) -> float:
-    """Trace of the squared kernel under quadrature, in (0, 1]."""
+    """Trace of the squared kernel under quadrature, in (0, 1]: the
+    quadrature of FilteredSource.purity."""
     weights = trapezoid_weights(g.nu_axis)
     value = np.abs(g.density) ** 2 * np.outer(weights, weights)
     return float(np.real(value.sum()))
+
+
+def overlap_T(
+    reference_width: float, g: ReducedDensity, tau: float = 0.0
+) -> float:
+    """Spectral overlap of the reference with a mixed one-photon density.
+
+    Evaluates the double integral of u*(w1) g(w1, w2) u(w2)
+    exp(i tau (w1 - w2)) by trapezoid quadrature, where u is the
+    reference amplitude exp(-nu^2/w_r^2) normalised to unit quadrature
+    norm on the density's axis.  For a Hermitian kernel the result is
+    real; an imaginary remnant above 1e-9 of the modulus raises.  It is
+    the quadrature of FilteredSource.tmax at the delay and of
+    dip_sigma away from it.
+
+    Args:
+        reference_width: amplitude 1/e half-width w_r of the reference
+            (rad/s).
+        g: unit-trace spectral density.
+        tau: relative delay in seconds.
+    """
+    require(reference_width > 0.0, "reference_width must be positive")
+    weights = trapezoid_weights(g.nu_axis)
+    u = np.exp(-((g.nu_axis / reference_width) ** 2))
+    norm = math.sqrt(float(u**2 @ weights))
+    require(norm > 0.0, "reference support does not meet the grid")
+    vector = u / norm * np.exp(-1j * tau * g.nu_axis) * weights
+    value = complex(np.vdot(vector, g.density @ vector))
+    if abs(value) > 0 and abs(value.imag) > 1e-9 * abs(value):
+        raise AssertionError("overlap of a Hermitian kernel must be real")
+    return float(value.real)
+
+
+def overlap_numeric(grid: SpectralGrid, delay: float = 0.0) -> float:
+    """Twin overlap by direct quadrature of the exchange integral.
+
+    Evaluates |integral of phi(nu_s, nu_i) phi*(nu_i, nu_s)| divided by
+    the squared norm: the quadrature of the product of
+    FilteredSource.twin_overlap.  delay inserts a relative delay phase
+    exp(i delay (nu_s - nu_i)); no compensation is applied by default.
+    """
+    weights = trapezoid_weights(grid.nu_axis)
+    integrand = grid.amplitude * np.conj(grid.amplitude.T)
+    if delay != 0.0:
+        axis = grid.nu_axis
+        integrand = integrand * np.exp(
+            1j * delay * (axis[:, None] - axis[None, :])
+        )
+    numerator = complex(weights @ integrand @ weights)
+    modulus = abs(numerator)
+    # flag structural asymmetry, not quadrature roundoff: tiny overlaps
+    # sit at the rounding floor of the norm-scale summation
+    rounding_floor = 1e-12 * grid.norm
+    if abs(numerator.imag) > max(1e-9 * modulus, rounding_floor):
+        raise RuntimeError(
+            "exchange integral has an unexpectedly large imaginary part"
+        )
+    return modulus / grid.norm

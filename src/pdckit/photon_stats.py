@@ -133,8 +133,11 @@ def heralded_dist(joint, eta_t: float) -> np.ndarray:
     n = np.arange(joint.size, dtype=float)
     if eta_t == 0.0:
         weights = n
+    elif eta_t == 1.0:  # every pair clicks; log1p(-1) would give 0 * -inf
+        weights = np.minimum(n, 1.0)
     else:
-        weights = 1.0 - (1.0 - eta_t) ** n
+        # 1 - (1 - eta_t)^n; that form rounds to 0 for eta_t below 1.1e-16
+        weights = -np.expm1(n * np.log1p(-eta_t))
     raw = joint * weights
     total = raw.sum()
     if total <= 0.0:

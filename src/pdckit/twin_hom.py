@@ -6,7 +6,7 @@ overlap is a closed form of the source's quadratic form and phase,
 jsa.FilteredSource.twin_overlap, and factors into a spectral part, set
 by the correlation ellipse, and a temporal part produced by the
 phase-matching phase.  model_source builds the form that a given
-ellipse geometry prescribes; overlap_numeric integrates a sampled
+ellipse geometry prescribes; jsa.overlap_numeric integrates a sampled
 amplitude and serves as the quadrature reference.
 """
 
@@ -14,23 +14,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
+from .jsa import DEFAULT_GAMMA, FilteredSource
 
-from .jsa import (
-    DEFAULT_GAMMA,
-    FilteredSource,
-    SpectralGrid,
-    _sample,
-    _symmetric_axis,
-    trapezoid_weights,
-)
-
-__all__ = [
-    "model_source",
-    "overlap_numeric",
-    "model_grid",
-    "visibility_from_overlap",
-]
+__all__ = ["model_source", "visibility_from_overlap"]
 
 
 def model_source(
@@ -64,51 +50,6 @@ def model_source(
         phase_s=s * slope,
         phase_i=c * slope,
     )
-
-
-def overlap_numeric(grid: SpectralGrid, delay: float = 0.0) -> float:
-    """Twin overlap by direct quadrature of the exchange integral.
-
-    Evaluates |integral of phi(nu_s, nu_i) phi*(nu_i, nu_s)| divided by
-    the squared norm.  The two detuning axes must be identical so the
-    argument swap is a transposition.  delay inserts a relative delay
-    phase exp(i delay (nu_s - nu_i)); no compensation is applied by
-    default.
-    """
-    if grid.nu_s_axis.shape != grid.nu_i_axis.shape or not np.array_equal(
-        grid.nu_s_axis, grid.nu_i_axis
-    ):
-        raise ValueError(
-            "overlap_numeric needs identical signal and idler axes"
-        )
-    weights = trapezoid_weights(grid.nu_s_axis)
-    integrand = grid.amplitude * np.conj(grid.amplitude.T)
-    if delay != 0.0:
-        axis = grid.nu_s_axis
-        integrand = integrand * np.exp(
-            1j * delay * (axis[:, None] - axis[None, :])
-        )
-    numerator = complex(weights @ integrand @ weights)
-    modulus = abs(numerator)
-    # flag structural asymmetry, not quadrature roundoff: tiny overlaps
-    # sit at the rounding floor of the norm-scale summation
-    rounding_floor = 1e-12 * grid.norm
-    if abs(numerator.imag) > max(1e-9 * modulus, rounding_floor):
-        raise RuntimeError(
-            "exchange integral has an unexpectedly large imaginary part"
-        )
-    return modulus / grid.norm
-
-
-def model_grid(
-    source: FilteredSource,
-    samples_per_width: int = 12,
-    extent_widths: float = 4.0,
-) -> SpectralGrid:
-    """The source's complex amplitude on the common axis default_axes
-    would choose for it."""
-    axis = _symmetric_axis(source, samples_per_width, extent_widths)
-    return _sample(source, axis, axis)
 
 
 def visibility_from_overlap(overlap: float) -> float:

@@ -16,38 +16,14 @@ C_LIGHT = 299_792_458.0  # m/s
 _SQRT_2LN2 = math.sqrt(2.0 * math.log(2.0))
 
 
-def amplitude_width_to_intensity_fwhm(width: float) -> float:
-    """Intensity FWHM (rad/s) of the profile exp(-nu^2/width^2)."""
-    return width * _SQRT_2LN2
-
-
-def intensity_fwhm_to_amplitude_width(fwhm: float) -> float:
-    """Amplitude 1/e half-width (rad/s) from an intensity FWHM (rad/s)."""
-    return fwhm / _SQRT_2LN2
-
-
-def angular_to_wavelength(delta_omega: float, wavelength: float) -> float:
-    """Convert a small angular-frequency interval to a wavelength interval."""
-    return wavelength**2 / (2.0 * math.pi * C_LIGHT) * delta_omega
-
-
-def wavelength_to_angular(delta_lambda: float, wavelength: float) -> float:
-    """Convert a small wavelength interval to an angular-frequency interval."""
-    return 2.0 * math.pi * C_LIGHT / wavelength**2 * delta_lambda
-
-
 def wavelength_fwhm_to_width(fwhm_lambda: float, wavelength: float) -> float:
     """Amplitude 1/e half-width (rad/s) from an intensity FWHM in meters."""
-    return intensity_fwhm_to_amplitude_width(
-        wavelength_to_angular(fwhm_lambda, wavelength)
-    )
+    return 2.0 * math.pi * C_LIGHT / wavelength**2 * fwhm_lambda / _SQRT_2LN2
 
 
 def width_to_wavelength_fwhm(width: float, wavelength: float) -> float:
     """Intensity FWHM in meters from an amplitude 1/e half-width (rad/s)."""
-    return angular_to_wavelength(
-        amplitude_width_to_intensity_fwhm(width), wavelength
-    )
+    return wavelength**2 / (2.0 * math.pi * C_LIGHT) * (width * _SQRT_2LN2)
 
 
 def normal_sigma_to_fwhm(sigma: float) -> float:

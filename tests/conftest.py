@@ -24,10 +24,19 @@ def source_params() -> jsa.PdcModelParams:
     )
 
 
+def _grid(
+    source: jsa.FilteredSource,
+    samples_per_width: int = 12,
+    extent_widths: float = 4.0,
+) -> jsa.SpectralGrid:
+    """The source's amplitude on the axis default_axes chooses for it."""
+    axis = jsa.default_axes(source, samples_per_width, extent_widths)
+    return jsa.sample(source, axis)
+
+
 @pytest.fixture(scope="session")
 def source_grid(source_params) -> jsa.SpectralGrid:
-    axis = jsa.default_axes(source_params, samples_per_width=10, extent_widths=3.5)
-    return jsa.evaluate_jsa(source_params, axis, axis)
+    return _grid(jsa.filtered_source(source_params), 10, 3.5)
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,8 @@ import pytest
 from pdckit import hom_reference as hom
 from pdckit import jsa, photon_stats, twin_hom, units
 
+from conftest import _grid
+
 WAVELENGTH = 796e-9
 TWO_FOLD = hom.SignalState(p0=0.997896, p1=0.002101, p2=0.000003)
 THREE_FOLD = hom.SignalState(p0=0.94920, p1=0.05065, p2=0.00015)
@@ -110,10 +112,7 @@ def test_criterion_5_overlap_oracle_equivalence():
         for aspect in (1.0, 1.7, 4.2, 10.0, 20.0):
             for tilt in (45.0, 54.7, 60.0):
                 source = twin_hom.model_source(aspect, tilt)
-                grid = twin_hom.model_grid(
-                    source, samples_per_width=10, extent_widths=3.5
-                )
-                numeric = twin_hom.overlap_numeric(grid)
+                numeric = jsa.overlap_numeric(_grid(source, 10, 3.5))
                 closed = math.prod(source.twin_overlap())
                 worst = max(worst, abs(numeric - closed))
         assert worst < 1e-3
@@ -131,11 +130,10 @@ def test_criterion_6_dip_width():
             2.0e-12, abs=0.3e-12
         )
 
-        axis = jsa.default_axes(params, samples_per_width=10, extent_widths=3.5)
-        grid = jsa.evaluate_jsa(params, axis, axis)
+        grid = _grid(jsa.filtered_source(params), 10, 3.5)
         g = jsa.reduced_density(grid, one_nm, one_nm)
         taus = np.linspace(-4.0 * sigma_t, 4.0 * sigma_t, 81)
-        overlap = [hom.overlap_T(one_nm, g, source.delay + t) for t in taus]
+        overlap = [jsa.overlap_T(one_nm, g, source.delay + t) for t in taus]
         fit = np.polyfit(taus, np.log(overlap), 2)
         fitted_sigma = math.sqrt(-1.0 / (2.0 * fit[0]))
         assert fitted_sigma == pytest.approx(sigma_t, rel=1e-6)
@@ -193,8 +191,7 @@ def test_criterion_9_heralding_monotonicity():
     ):
         params = _reconstructed_source()
         one_nm = _nm_width(1.0)
-        axis = jsa.default_axes(params, samples_per_width=10, extent_widths=3.5)
-        grid = jsa.evaluate_jsa(params, axis, axis)
+        grid = _grid(jsa.filtered_source(params), 10, 3.5)
 
         tmax, purities = {}, []
         # no trigger filter, then a trigger that narrows
@@ -205,7 +202,7 @@ def test_criterion_9_heralding_monotonicity():
             tmax[trigger_fwhm_nm] = source.tmax(one_nm)
             purities.append(source.purity)
             # the sampled route agrees with the closed forms
-            assert hom.overlap_T(one_nm, g, source.delay) == pytest.approx(
+            assert jsa.overlap_T(one_nm, g, source.delay) == pytest.approx(
                 tmax[trigger_fwhm_nm], rel=1e-9
             )
             assert jsa.purity(g) == pytest.approx(purities[-1], rel=1e-9)

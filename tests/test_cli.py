@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdckit import cli, hom_reference, jsa
+from pdckit import cli, jsa
 
 
 def _write(tmp_path, name, text):
@@ -344,6 +344,28 @@ class TestVisibilityAndFit:
         assert code == 0
         assert "visibility_max = 0.46" in err
 
+    @pytest.mark.parametrize(
+        "overlap, code",
+        [("0", 0), ("1", 0), ("5", 1), ("-0.1", 1), ("1.0000001", 1)],
+    )
+    def test_overlap_must_lie_in_unit_interval(
+        self, tmp_path, capsys, overlap, code
+    ):
+        config = _write(
+            tmp_path,
+            "v.cfg",
+            "p0 = 0.9\np1 = 0.09\np2 = 0.01\nbeta_sq_list = 0.01, 0.1\n"
+            f"overlap = {overlap}\n",
+        )
+        got, out, err = _run(capsys, "visibility-curve", "--config", str(config))
+        assert got == code
+        if code:
+            assert out == ""
+            assert err == "error: key 'overlap': must lie in [0, 1]\n"
+        else:
+            visibility = [float(row["visibility"]) for row in _rows(out)]
+            assert all(0.0 <= v <= 1.0 for v in visibility)
+
 
 class TestHomScanCommand:
     def test_matched_single_photon_dip_reaches_zero(self, tmp_path, capsys):
@@ -513,9 +535,15 @@ def test_spectral_commands_build_no_grid(tmp_path, capsys, monkeypatch, command)
     def refuse(*args, **kwargs):
         raise AssertionError("the sampled route was called")
 
-    for name in ("default_axes", "evaluate_jsa", "reduced_density", "purity"):
+    for name in (
+        "default_axes",
+        "sample",
+        "reduced_density",
+        "purity",
+        "overlap_T",
+        "overlap_numeric",
+    ):
         monkeypatch.setattr(jsa, name, refuse)
-    monkeypatch.setattr(hom_reference, "overlap_T", refuse)
     config = _write(tmp_path, "s.cfg", SPECTRAL_CFG)
     code, out, _ = _run(capsys, command, "--config", str(config))
     assert code == 0

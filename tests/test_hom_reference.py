@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from pdckit import hom_reference as hom
 from pdckit import jsa, units
 
-from conftest import WAVELENGTH_M
+from conftest import WAVELENGTH_M, _grid
 
 TWO_FOLD = hom.SignalState(p0=0.997896, p1=0.002101, p2=0.000003)
 THREE_FOLD = hom.SignalState(p0=0.94920, p1=0.05065, p2=0.00015)
@@ -21,7 +21,7 @@ def _pure_density(axis, width):
     weights = jsa.trapezoid_weights(axis)
     amplitude = amplitude / math.sqrt(float(amplitude**2 @ weights))
     density = np.outer(amplitude, np.conj(amplitude))
-    return hom.ReducedDensity(nu_axis=axis, density=density)
+    return jsa.ReducedDensity(nu_axis=axis, density=density)
 
 
 def _closed_form_overlap(params, w_signal_filter, w_trigger, w_ref, tau):
@@ -59,26 +59,23 @@ class TestOverlapT:
     def test_matched_pure_mode_gives_unity(self):
         axis = np.linspace(-8.0, 8.0, 301)
         g = _pure_density(axis, 1.3)
-        assert hom.overlap_T(1.3, g) == pytest.approx(1.0, abs=1e-9)
+        assert jsa.overlap_T(1.3, g) == pytest.approx(1.0, abs=1e-9)
 
     def test_reference_width_must_be_positive(self):
         g = _pure_density(np.linspace(-8.0, 8.0, 65), 1.0)
         for width in (0.0, -1.0):
             with pytest.raises(ValueError, match="reference_width"):
-                hom.overlap_T(width, g)
+                jsa.overlap_T(width, g)
 
     def test_matches_gaussian_closed_form(self, source_params, one_nm_width):
-        axis = jsa.default_axes(
-            source_params, samples_per_width=10, extent_widths=3.5
-        )
-        grid = jsa.evaluate_jsa(source_params, axis, axis)
+        grid = _grid(jsa.filtered_source(source_params), 10, 3.5)
         g = jsa.reduced_density(grid, one_nm_width, one_nm_width)
         center = -source_params.length * source_params.kappa_s / 2.0
         for tau in (center, 0.0, center + 1e-12, center - 0.5e-12):
             expected = _closed_form_overlap(
                 source_params, one_nm_width, one_nm_width, one_nm_width, tau
             )
-            assert hom.overlap_T(one_nm_width, g, tau) == pytest.approx(
+            assert jsa.overlap_T(one_nm_width, g, tau) == pytest.approx(
                 expected, rel=1e-4, abs=1e-9
             )
 
@@ -86,10 +83,10 @@ class TestOverlapT:
         axis = np.linspace(-8.0, 8.0, 257)
         g = _pure_density(axis, 1.1)
         taus = np.linspace(0.1, 3.0, 7)
-        t0 = hom.overlap_T(0.8, g, 0.0)
+        t0 = jsa.overlap_T(0.8, g, 0.0)
         for tau in taus:
-            forward = hom.overlap_T(0.8, g, float(tau))
-            backward = hom.overlap_T(0.8, g, float(-tau))
+            forward = jsa.overlap_T(0.8, g, float(tau))
+            backward = jsa.overlap_T(0.8, g, float(-tau))
             assert forward == pytest.approx(backward, rel=1e-9)
             assert t0 >= forward
 
@@ -398,10 +395,7 @@ class TestFidelity:
 
 def _grid_density(params, signal_width, trigger_width, samples=10, extent=3.5):
     """The sampled route: the filtered reduced density on a default grid."""
-    axis = jsa.default_axes(
-        params, samples_per_width=samples, extent_widths=extent
-    )
-    grid = jsa.evaluate_jsa(params, axis, axis)
+    grid = _grid(jsa.filtered_source(params), samples, extent)
     return jsa.reduced_density(grid, signal_width, trigger_width)
 
 
@@ -420,7 +414,7 @@ class TestTmaxPrediction:
         mode_width = 1.0 / math.sqrt(source.m11)
         assert source.tmax(mode_width) == pytest.approx(1.0, abs=1e-12)
         g = _grid_density(params, math.inf, math.inf, extent=4.0)
-        value = hom.overlap_T(mode_width, g, source.delay)
+        value = jsa.overlap_T(mode_width, g, source.delay)
         assert value == pytest.approx(1.0, abs=1e-6)
 
     def test_heralding_beats_two_fold(self, source_params, one_nm_width):
@@ -429,7 +423,7 @@ class TestTmaxPrediction:
             source = jsa.filtered_source(source_params, one_nm_width, trigger)
             g = _grid_density(source_params, one_nm_width, trigger)
             values[trigger] = source.tmax(one_nm_width)
-            assert hom.overlap_T(
+            assert jsa.overlap_T(
                 one_nm_width, g, source.delay
             ) == pytest.approx(values[trigger], rel=1e-9)
         three_fold, two_fold = values[one_nm_width], values[math.inf]
@@ -443,7 +437,7 @@ class TestTmaxPrediction:
                 g = _grid_density(
                     source_params, one_nm_width, trigger, samples, 3.0
                 )
-                assert hom.overlap_T(
+                assert jsa.overlap_T(
                     one_nm_width, g, source.delay
                 ) == pytest.approx(source.tmax(one_nm_width), rel=1e-9)
 
@@ -456,7 +450,7 @@ class TestTmaxPrediction:
             source = jsa.filtered_source(source_params, one_nm_width, trigger)
             values.append(source.tmax(one_nm_width))
             g = _grid_density(source_params, one_nm_width, trigger)
-            assert hom.overlap_T(
+            assert jsa.overlap_T(
                 one_nm_width, g, source.delay
             ) == pytest.approx(values[-1], rel=1e-9)
         assert values[0] <= values[1] <= values[2]
@@ -498,7 +492,7 @@ class TestHomScan:
         )
         # the quadrature overlap is the closed-form Gaussian around the delay
         quadrature = [
-            hom.overlap_T(one_nm_width, g, source.delay + tau)
+            jsa.overlap_T(one_nm_width, g, source.delay + tau)
             for tau in scan.tau_axis
         ]
         np.testing.assert_allclose(scan.overlap, quadrature, rtol=1e-9)

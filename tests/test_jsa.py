@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdckit import hom_reference as hom
 from pdckit import jsa, units
 from pdckit.errors import NumericalError
 
-from conftest import LENGTH_M, PM_FWHM_M, TILT_DEG, WAVELENGTH_M
+from conftest import LENGTH_M, PM_FWHM_M, TILT_DEG, WAVELENGTH_M, _grid
 
 
 def _params(sigma=2.0, ks=1.5, ki=1.0, length=2.0, gamma=0.193):
@@ -147,17 +146,16 @@ class TestPmWidth:
         assert jsa.pm_width(params) == pytest.approx(expected, rel=1e-12)
 
 
-class TestEvaluateJsa:
+class TestSample:
     def test_unit_amplitude_at_origin(self, source_params, source_grid):
-        i0 = np.argmin(np.abs(source_grid.nu_s_axis))
-        j0 = np.argmin(np.abs(source_grid.nu_i_axis))
-        assert source_grid.nu_s_axis[i0] == 0.0
-        assert abs(source_grid.amplitude[i0, j0]) == pytest.approx(1.0)
+        i0 = np.argmin(np.abs(source_grid.nu_axis))
+        assert source_grid.nu_axis[i0] == 0.0
+        assert abs(source_grid.amplitude[i0, i0]) == pytest.approx(1.0)
 
     def test_pump_factor_is_one_on_antidiagonal(self, source_params):
         params = source_params
-        axis = jsa.default_axes(params, samples_per_width=10, extent_widths=3.5)
-        grid = jsa.evaluate_jsa(params, axis, axis)
+        grid = _grid(jsa.filtered_source(params), 10, 3.5)
+        axis = grid.nu_axis
         # on nu_i = -nu_s only the phase-matching factor survives
         pm = params.gamma * params.length**2 / 4.0
         idx = np.arange(axis.size)
@@ -177,18 +175,14 @@ class TestEvaluateJsa:
         assert np.allclose(modulus, modulus[::-1, ::-1], rtol=1e-12)
 
     def test_rejects_coarse_grid(self, source_params):
-        axis = jsa.default_axes(source_params)
+        source = jsa.filtered_source(source_params)
+        axis = jsa.default_axes(source)
         with pytest.raises(ValueError, match="too coarse"):
-            jsa.evaluate_jsa(source_params, axis[::24], axis[::24])
-
-    def test_rejects_short_span(self, source_params):
-        fine = np.linspace(-1e11, 1e11, 64)  # resolves but does not span
-        with pytest.raises(ValueError, match="spans"):
-            jsa.evaluate_jsa(source_params, fine, fine)
+            jsa.sample(source, axis[::24])
 
     def test_default_axes_rejects_degenerate(self):
         with pytest.raises(ValueError, match="rank one"):
-            jsa.default_axes(_params(ks=1.0, ki=1.0))
+            jsa.default_axes(jsa.filtered_source(_params(ks=1.0, ki=1.0)))
 
 
 class TestReducedDensity:
@@ -203,8 +197,7 @@ class TestReducedDensity:
         )
 
     def _density(self, params, ws=math.inf, wi=math.inf, spw=10, extent=3.5):
-        axis = jsa.default_axes(params, samples_per_width=spw, extent_widths=extent)
-        grid = jsa.evaluate_jsa(params, axis, axis)
+        grid = _grid(jsa.filtered_source(params), spw, extent)
         return jsa.reduced_density(grid, ws, wi)
 
     def test_separable_state_is_pure(self):
@@ -262,20 +255,19 @@ class TestReducedDensity:
     def test_filters_between_samples_raise(self, source_params, one_nm_width):
         # shifted by half a step, the axes miss the filters' centre, and
         # filters this narrow transmit nothing at any sample
+        source = jsa.filtered_source(source_params)
         axis = jsa.default_axes(
-            source_params, samples_per_width=10, extent_widths=3.5
+            source, samples_per_width=10, extent_widths=3.5
         )
         axis = axis + 0.5 * (axis[1] - axis[0])
-        grid = jsa.evaluate_jsa(source_params, axis, axis)
+        grid = jsa.sample(source, axis)
         narrow = one_nm_width / 1e4
         with pytest.raises(NumericalError, match="support"):
             jsa.reduced_density(grid, narrow, narrow)
 
     def test_open_filters_are_infinite_widths(self, source_params):
-        axis = jsa.default_axes(
-            source_params, samples_per_width=10, extent_widths=3.5
-        )
-        grid = jsa.evaluate_jsa(source_params, axis, axis)
+        grid = _grid(jsa.filtered_source(source_params), 10, 3.5)
+        axis = grid.nu_axis
         g = jsa.reduced_density(grid)
         assert g.density.shape == (axis.size, axis.size)
         assert np.array_equal(
@@ -297,9 +289,9 @@ def _quadrature_axis(params, source, reference_width, samples_per_width):
     The span covers four widths of the filtered amplitude
     exp(-nu^T M' nu), whose support is what the filtered density
     integrates, and of the reference, which overlap_T normalises on
-    the axis; and the four pump and phase-matching widths that
-    evaluate_jsa asks for.  The unfiltered support of a strongly
-    correlated source would need up to 24 times as many points.
+    the axis; and four pump and phase-matching widths.  The unfiltered
+    support of a strongly correlated source would need up to 24 times
+    as many points.
     """
     unfiltered = jsa.filtered_source(params)
     pm = [
@@ -338,13 +330,14 @@ class TestFilteredSource:
         wt = math.inf if trigger is None else _nm(trigger)
         source = jsa.filtered_source(params, ws, wt)
         axis = _quadrature_axis(params, source, wr, samples)
-        g = jsa.reduced_density(jsa.evaluate_jsa(params, axis, axis), ws, wt)
-        peak = hom.overlap_T(wr, g, source.delay)
+        unfiltered = jsa.filtered_source(params)
+        g = jsa.reduced_density(jsa.sample(unfiltered, axis), ws, wt)
+        peak = jsa.overlap_T(wr, g, source.delay)
         assert peak == pytest.approx(source.tmax(wr), rel=1e-12)
         assert jsa.purity(g) == pytest.approx(source.purity, rel=1e-12)
         sigma = source.dip_sigma(wr)
         for tau in (source.delay - sigma, source.delay + sigma):
-            assert hom.overlap_T(wr, g, tau) / peak == pytest.approx(
+            assert jsa.overlap_T(wr, g, tau) / peak == pytest.approx(
                 math.exp(-0.5), rel=1e-12
             )
 

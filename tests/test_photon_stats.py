@@ -199,6 +199,19 @@ class TestHeralded:
             tv = 0.5 * float(np.abs(lossy - limit).sum())
             assert tv < eta_t * _mean(dist)
 
+    def test_tiny_trigger_efficiency_approaches_low_loss_limit(self):
+        # 1 - (1 - eta_t)^n rounds to 0 here; its log1p form does not
+        for dist in (
+            _thermal(0.15, nmax=20),
+            ps.multimode_dist(4, 0.05, 20),
+        ):
+            np.testing.assert_allclose(
+                ps.heralded_dist(dist, 1e-17),
+                ps.heralded_dist(dist, 0.0),
+                rtol=0.0,
+                atol=1e-12,
+            )
+
     def test_vacuum_rejected(self):
         vacuum = np.array([1.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="vacuum"):

@@ -25,16 +25,15 @@ MODEL_MODULES = ("jsa", "hom_reference", "twin_hom", "photon_stats")
 # reached by no command, kept as references the tests check against
 TEST_REFERENCES = {
     "coincidence_full",  # the exact coincidence model behind the simplified one
-    "overlap_numeric",  # quadrature of the twin overlap's closed form
-    "model_grid",  # the grid that overlap_numeric integrates
     "forward_click_dist",  # the forward model the inversion undoes
     # the sampled route, the quadrature the FilteredSource closed forms
     # are checked against and the way to non-Gaussian phase matching
     "default_axes",  # sizes the grid from the source's form
-    "evaluate_jsa",  # samples the joint amplitude
+    "sample",  # puts the form's amplitude on the grid
     "reduced_density",  # filters it and traces out the idler
     "purity",  # the density's purity by quadrature
     "overlap_T",  # the density's overlap with the reference at a delay
+    "overlap_numeric",  # the grid's twin overlap by quadrature
 }
 
 
@@ -121,3 +120,27 @@ def test_every_dataclass_field_is_read(module_name):
         if field.name not in read
     ]
     assert unread == []
+
+
+def test_no_module_imports_a_private_name():
+    """A name with a leading underscore stays inside its own module."""
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()  # local names bound to sibling modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        private.append(f"{path.stem}: {alias.name}")
+                    if node.module is None:
+                        modules.add(alias.asname or alias.name)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and node.attr.startswith("_")
+            ):
+                private.append(f"{path.stem}: {node.value.id}.{node.attr}")
+    assert private == []

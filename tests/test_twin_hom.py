@@ -5,6 +5,8 @@ import pytest
 
 from pdckit import jsa, twin_hom
 
+from conftest import _grid
+
 
 def _total(aspect, tilt, gamma=0.193):
     spectral, temporal = twin_hom.model_source(
@@ -59,14 +61,14 @@ class TestClosedFormOverlaps:
         # the two factors multiply to the overlap of the full amplitude
         source = twin_hom.model_source(4.2, 54.7)
         spectral, temporal = source.twin_overlap()
-        grid = twin_hom.model_grid(source, extent_widths=6.0)
+        grid = _grid(source, extent_widths=6.0)
         modulus = jsa.SpectralGrid.from_amplitude(
-            grid.nu_s_axis.copy(), grid.nu_i_axis.copy(), np.abs(grid.amplitude)
+            grid.nu_axis.copy(), np.abs(grid.amplitude)
         )
-        assert twin_hom.overlap_numeric(modulus) == pytest.approx(
+        assert jsa.overlap_numeric(modulus) == pytest.approx(
             spectral, rel=1e-12
         )
-        assert twin_hom.overlap_numeric(grid) == pytest.approx(
+        assert jsa.overlap_numeric(grid) == pytest.approx(
             spectral * temporal, rel=1e-12
         )
 
@@ -91,13 +93,13 @@ class TestSourceForm:
         spectral, temporal = jsa.filtered_source(
             source_params, width, width
         ).twin_overlap()
-        axis = jsa.default_axes(source_params)
-        grid = jsa.evaluate_jsa(source_params, axis, axis)
+        grid = _grid(jsa.filtered_source(source_params))
+        axis = grid.nu_axis
         channel = np.exp(-((axis / width) ** 2))
         grid = jsa.SpectralGrid.from_amplitude(
-            axis, axis, grid.amplitude * np.outer(channel, channel)
+            axis, grid.amplitude * np.outer(channel, channel)
         )
-        assert twin_hom.overlap_numeric(grid) == pytest.approx(
+        assert jsa.overlap_numeric(grid) == pytest.approx(
             spectral * temporal, rel=1e-12
         )
 
@@ -133,28 +135,26 @@ class TestSourceForm:
 class TestNumericOverlap:
     def test_symmetric_real_amplitude_gives_unity(self):
         # zero-phase, 45-degree-tilt Gaussian: exchange leaves it invariant
-        grid = twin_hom.model_grid(twin_hom.model_source(2.0, 45.0))
+        grid = _grid(twin_hom.model_source(2.0, 45.0))
         real_grid = jsa.SpectralGrid.from_amplitude(
-            grid.nu_s_axis.copy(),
-            grid.nu_i_axis.copy(),
-            np.abs(grid.amplitude),
+            grid.nu_axis.copy(), np.abs(grid.amplitude)
         )
-        assert twin_hom.overlap_numeric(real_grid) == pytest.approx(
+        assert jsa.overlap_numeric(real_grid) == pytest.approx(
             1.0, abs=1e-9
         )
 
     def test_matches_closed_form_product(self):
-        grid = twin_hom.model_grid(twin_hom.model_source(4.2, 54.7))
-        numeric = twin_hom.overlap_numeric(grid)
+        grid = _grid(twin_hom.model_source(4.2, 54.7))
+        numeric = jsa.overlap_numeric(grid)
         assert numeric == pytest.approx(_total(4.2, 54.7), abs=1e-3)
 
     def test_strong_correlation_overlap_below_percent(self):
-        grid = twin_hom.model_grid(
+        grid = _grid(
             twin_hom.model_source(95.0, 54.7),
             samples_per_width=8,
             extent_widths=2.5,
         )
-        numeric = twin_hom.overlap_numeric(grid)
+        numeric = jsa.overlap_numeric(grid)
         assert numeric < 0.01
         assert numeric == pytest.approx(_total(95.0, 54.7), abs=1e-3)
 
@@ -163,28 +163,18 @@ class TestNumericOverlap:
         for _ in range(6):
             aspect = rng.uniform(1.0, 20.0)
             tilt = rng.uniform(30.0, 75.0)
-            grid = twin_hom.model_grid(
+            grid = _grid(
                 twin_hom.model_source(aspect, tilt),
                 samples_per_width=10,
                 extent_widths=3.5,
             )
-            numeric = twin_hom.overlap_numeric(grid)
+            numeric = jsa.overlap_numeric(grid)
             assert numeric == pytest.approx(_total(aspect, tilt), abs=1e-3)
 
-    def test_rejects_asymmetric_axes(self):
-        grid = twin_hom.model_grid(twin_hom.model_source(2.0, 50.0))
-        shifted = jsa.SpectralGrid.from_amplitude(
-            grid.nu_s_axis.copy(),
-            grid.nu_i_axis + 0.5 * (grid.nu_i_axis[1] - grid.nu_i_axis[0]),
-            grid.amplitude.copy(),
-        )
-        with pytest.raises(ValueError, match="identical"):
-            twin_hom.overlap_numeric(shifted)
-
     def test_delay_hook_reduces_overlap(self):
-        grid = twin_hom.model_grid(twin_hom.model_source(2.0, 45.0))
-        aligned = twin_hom.overlap_numeric(grid)
-        delayed = twin_hom.overlap_numeric(grid, delay=5.0)
+        grid = _grid(twin_hom.model_source(2.0, 45.0))
+        aligned = jsa.overlap_numeric(grid)
+        delayed = jsa.overlap_numeric(grid, delay=5.0)
         assert delayed < aligned
 
 
