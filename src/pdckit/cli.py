@@ -108,10 +108,12 @@ def _width_from_fwhm(sc: Scenario, key: str, wavelength: float, **kw):
     return units.wavelength_fwhm_to_width(fwhm, wavelength)
 
 
-def _source_params(sc: Scenario, default_pump_nm: float | None = None):
+def _source_params(
+    sc: Scenario, wavelength: float, default_pump_nm: float | None = None
+):
     """PdcModelParams from pump_fwhm, length, gamma and either explicit
-    group-velocity mismatches or a phase-matching width plus tilt."""
-    wavelength = _center_wavelength(sc)
+    group-velocity mismatches or a phase-matching width plus tilt, with
+    widths read at the given center wavelength."""
     sigma_pump = _width_from_fwhm(sc, "pump_fwhm", wavelength)
     if sigma_pump is None:
         if default_pump_nm is None:
@@ -166,10 +168,10 @@ def _sweep(sc: Scenario, stem: str, geometric: bool = False) -> list[float]:
     high = sc.number(f"{stem}_max", required=True)
     steps = _count(sc, f"{stem}_steps", 21)
     if high <= low:
-        raise ConfigError(f"key {stem!r}: need {stem}_min < {stem}_max")
+        raise ConfigError(f"key '{stem}_min': need {stem}_min < {stem}_max")
     if geometric:
         if low <= 0:
-            raise ConfigError(f"key {stem}_min must be positive")
+            raise ConfigError(f"key '{stem}_min': must be positive")
         return np.geomspace(low, high, steps).tolist()
     return np.linspace(low, high, steps).tolist()
 
@@ -183,8 +185,6 @@ def _signal_state(sc: Scenario) -> hom.SignalState:
 
 def _ellipse_row(label: str, source: jsa.FilteredSource, wavelength: float):
     def to_nm(width: float) -> float:
-        if math.isinf(width):
-            return math.inf
         return units.width_to_wavelength_fwhm(width, wavelength) * 1e9
 
     tilt_deg, major_width, minor_width, aspect_ratio = source.axes()
@@ -214,6 +214,8 @@ _ELLIPSE_HEADER = [
     "major_fwhm_nm",
     "minor_fwhm_nm",
 ]
+_TILT = _ELLIPSE_HEADER.index("tilt_deg")
+_ASPECT = _ELLIPSE_HEADER.index("aspect_ratio")
 
 
 # -- command handlers -------------------------------------------------------
@@ -221,26 +223,25 @@ _ELLIPSE_HEADER = [
 
 def _cmd_ellipse(sc: Scenario) -> tuple[list, list, list]:
     wavelength = _center_wavelength(sc)
-    source = jsa.filtered_source(_source_params(sc))
-    rows = [_ellipse_row("source", source, wavelength)]
-    tilt_deg, _, _, aspect_ratio = source.axes()
-    return _ELLIPSE_HEADER, rows, [
-        f"tilt = {tilt_deg:.3f} deg, aspect ratio = {aspect_ratio:.3f}"
+    source = jsa.filtered_source(_source_params(sc, wavelength))
+    row = _ellipse_row("source", source, wavelength)
+    return _ELLIPSE_HEADER, [row], [
+        f"tilt = {row[_TILT]:.3f} deg, aspect ratio = {row[_ASPECT]:.3f}"
     ]
 
 
 def _cmd_filter(sc: Scenario) -> tuple[list, list, list]:
     wavelength = _center_wavelength(sc)
-    params = _source_params(sc)
+    params = _source_params(sc, wavelength)
     ws = _width_from_fwhm(sc, "filter_s_fwhm", wavelength, required=True)
     wi = _width_from_fwhm(sc, "filter_i_fwhm", wavelength, required=True)
-    unfiltered = jsa.filtered_source(params)
-    rows = [_ellipse_row("unfiltered", unfiltered, wavelength)]
-    filtered = jsa.filtered_source(params, ws, wi)
-    rows.append(_ellipse_row("filtered", filtered, wavelength))
+    rows = [
+        _ellipse_row(label, jsa.filtered_source(params, *widths), wavelength)
+        for label, widths in (("unfiltered", ()), ("filtered", (ws, wi)))
+    ]
     summary = [
-        f"aspect ratio {unfiltered.axes()[3]:.3f} -> "
-        f"{filtered.axes()[3]:.3f} after filtering"
+        f"aspect ratio {rows[0][_ASPECT]:.3f} -> "
+        f"{rows[1][_ASPECT]:.3f} after filtering"
     ]
     return _ELLIPSE_HEADER, rows, summary
 
@@ -248,18 +249,21 @@ def _cmd_filter(sc: Scenario) -> tuple[list, list, list]:
 def _cmd_pm_vs_length(sc: Scenario) -> tuple[list, list, list]:
     """Phase-matching intensity FWHM at the center wavelength against
     medium length; it scales as 1/L."""
-    params = _source_params(sc, default_pump_nm=2.5)
+    wavelength = _center_wavelength(sc)
+    params = _source_params(sc, wavelength, default_pump_nm=2.5)
     low = sc.quantity("length_min", "length", required=True)
     high = sc.quantity("length_max", "length", required=True)
     steps = _count(sc, "length_steps", 21)
     if high <= low:
         raise ConfigError("need length_min < length_max")
+    # every length is positive once the first one is
+    if low <= 0:
+        raise ConfigError("key 'length_min': must be positive")
     lengths = np.linspace(low, high, steps)
-    require(np.all(lengths > 0), "lengths must be positive")
     # a width too large for a float is inf, and the table says so
     with np.errstate(divide="ignore", over="ignore"):
         fwhm_nm = units.width_to_wavelength_fwhm(
-            jsa.pm_width(params, lengths), _center_wavelength(sc)
+            jsa.pm_width(params, lengths), wavelength
         ) * 1e9
     rows = np.column_stack((lengths * 1e3, fwhm_nm)).tolist()
     return ["length_mm", "pm_fwhm_nm"], rows, []
@@ -360,7 +364,7 @@ def _reference_and_filters(sc: Scenario, trigger_required: bool):
     (an infinite width).
     """
     wavelength = _center_wavelength(sc)
-    params = _source_params(sc)
+    params = _source_params(sc, wavelength)
     wr = _width_from_fwhm(sc, "reference_fwhm", wavelength, required=True)
     ws = _width_from_fwhm(sc, "signal_filter_fwhm", wavelength, required=True)
     wt = _width_from_fwhm(
@@ -419,21 +423,10 @@ def _cmd_hom_scan(sc: Scenario) -> tuple[list, list, list]:
 
 def _cmd_dip_width(sc: Scenario) -> tuple[list, list, list]:
     wavelength = _center_wavelength(sc)
-    sigma_pump = _width_from_fwhm(sc, "pump_fwhm", wavelength, required=True)
-    sigma_ref = _width_from_fwhm(
-        sc, "reference_fwhm", wavelength, required=True
-    )
-    sigma_filter = _width_from_fwhm(
-        sc, "signal_filter_fwhm", wavelength, required=True
-    )
-    sigma_pm = _width_from_fwhm(sc, "pm_fwhm", wavelength, required=True)
-    tilt = sc.quantity("tilt", "angle", required=True)
-    # M, and with it the dip width, does not depend on the length,
-    # which dip-width does not read
-    params = jsa.params_from_pm_estimate(
-        sigma_pump, sigma_pm, tilt, length=1.0
-    )
-    sigma_t = jsa.filtered_source(params, sigma_filter).dip_sigma(sigma_ref)
+    params = _source_params(sc, wavelength)
+    wr = _width_from_fwhm(sc, "reference_fwhm", wavelength, required=True)
+    ws = _width_from_fwhm(sc, "signal_filter_fwhm", wavelength, required=True)
+    sigma_t = jsa.filtered_source(params, ws).dip_sigma(wr)
     rows = [[sigma_t * 1e12, units.normal_sigma_to_fwhm(sigma_t) * 1e12]]
     return ["dip_sigma_ps", "dip_fwhm_ps"], rows, []
 
@@ -548,18 +541,13 @@ def main(argv=None) -> int:
         command = args.command
         require(args.grid_points >= 8, "need at least 8 samples per width")
         scenario = Scenario.from_file(
-            args.command,
-            Path(args.config),
-            out_path=Path(args.out) if args.out else None,
-            data_path=Path(args.data) if args.data else None,
-            verbose=args.verbose,
+            Path(args.config), Path(args.data) if args.data else None
         )
-        handler = _COMMANDS[scenario.command]
-        header, rows, summary = handler(scenario)
-        _emit(header, rows, scenario.out_path)
+        header, rows, summary = _COMMANDS[command](scenario)
+        _emit(header, rows, Path(args.out) if args.out else None)
         for line in summary:
             print(line, file=sys.stderr)
-        if scenario.verbose:
+        if args.verbose:
             unused = scenario.unused_keys()
             if unused:
                 print(

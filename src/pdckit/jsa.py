@@ -215,14 +215,14 @@ def trapezoid_weights(axis: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _check_axis(axis: np.ndarray, name: str) -> np.ndarray:
+def _check_axis(axis: np.ndarray) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
-    require(axis.ndim == 1 and axis.size >= 8, f"{name} must be a 1-d axis")
+    require(axis.ndim == 1 and axis.size >= 8, "nu_axis must be a 1-d axis")
     steps = np.diff(axis)
-    require(np.all(steps > 0), f"{name} must be strictly increasing")
+    require(np.all(steps > 0), "nu_axis must be strictly increasing")
     require(
         np.allclose(steps, steps[0], rtol=1e-9, atol=0.0),
-        f"{name} must be uniformly spaced",
+        "nu_axis must be uniformly spaced",
     )
     return axis
 
@@ -239,14 +239,14 @@ class SpectralGrid:
 
     nu_axis: np.ndarray
     amplitude: np.ndarray
-    norm: float = 0.0
+    norm: float
 
     @classmethod
     def from_amplitude(
         cls, nu_axis: np.ndarray, amplitude: np.ndarray
     ) -> "SpectralGrid":
         # own copies only: locking caller arrays would be a side effect
-        nu_axis = _check_axis(nu_axis, "nu_axis").copy()
+        nu_axis = _check_axis(nu_axis).copy()
         amplitude = np.array(amplitude, dtype=complex)
         require(
             amplitude.shape == (nu_axis.size, nu_axis.size),
@@ -410,7 +410,7 @@ def sample(source: FilteredSource, nu_axis: np.ndarray) -> SpectralGrid:
             single-axis amplitude cut with fewer than 8 samples: its
             step exceeds 1/(8 sqrt(max(m11, m22))).
     """
-    nu_axis = _check_axis(nu_axis, "nu_axis")
+    nu_axis = _check_axis(nu_axis)
     step = nu_axis[1] - nu_axis[0]
     line_width = 1.0 / math.sqrt(max(source.m11, source.m22))
     if step > line_width / 8.0:
@@ -512,21 +512,16 @@ def overlap_T(
     return float(value.real)
 
 
-def overlap_numeric(grid: SpectralGrid, delay: float = 0.0) -> float:
+def overlap_numeric(grid: SpectralGrid) -> float:
     """Twin overlap by direct quadrature of the exchange integral.
 
     Evaluates |integral of phi(nu_s, nu_i) phi*(nu_i, nu_s)| divided by
     the squared norm: the quadrature of the product of
-    FilteredSource.twin_overlap.  delay inserts a relative delay phase
-    exp(i delay (nu_s - nu_i)); no compensation is applied by default.
+    FilteredSource.twin_overlap.  A relative delay tau is a shift of the
+    form's phase_s by tau.
     """
     weights = trapezoid_weights(grid.nu_axis)
     integrand = grid.amplitude * np.conj(grid.amplitude.T)
-    if delay != 0.0:
-        axis = grid.nu_axis
-        integrand = integrand * np.exp(
-            1j * delay * (axis[:, None] - axis[None, :])
-        )
     numerator = complex(weights @ integrand @ weights)
     modulus = abs(numerator)
     # flag structural asymmetry, not quadrature roundoff: tiny overlaps

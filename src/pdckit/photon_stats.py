@@ -207,7 +207,8 @@ class InversionResult:
         iterations: multiplicative updates taken from the starting
             point; 0 when the direct solve was already optimal.
         log_likelihood: sum of observed * log(predicted) over the
-            observed outcomes.
+            observed outcomes; -inf when one of them has zero predicted
+            probability.
         kkt_gap: max_n g_n - 1 at the returned state, where
             g = R^T (observed / R rho) for response matrix R; it is
             zero up to rounding exactly at the optimum, and infinite
@@ -254,21 +255,22 @@ def _ml_estimate(
         if np.all(direct >= 0.0):
             rho = direct / direct.sum()
 
-    def log_likelihood(predicted: np.ndarray) -> float:
-        return float(
-            observed[support] @ np.log(np.maximum(predicted[support], 1e-300))
-        )
-
     predicted = response @ rho
-    previous_ll = log_likelihood(predicted)
+    log_likelihood = -math.inf
     iterations = 0
     while True:
         if predicted[support].min() < 1e-300:
             # an observed outcome that every state rules out, as when a
             # tiny efficiency underflows a row of R: no likelihood is
             # finite, so no gap certifies the result
-            gap = math.inf
+            log_likelihood, gap = -math.inf, math.inf
             break
+        current = float(observed[support] @ np.log(predicted[support]))
+        if current < log_likelihood - 1e-9 * max(1.0, abs(log_likelihood)):
+            raise AssertionError(
+                "EM likelihood decreased; response matrix is inconsistent"
+            )
+        log_likelihood = current
         ratio = np.zeros_like(observed)
         ratio[support] = observed[support] / predicted[support]
         gain = response.T @ ratio
@@ -278,19 +280,13 @@ def _ml_estimate(
         rho = rho * gain
         rho /= rho.sum()
         predicted = response @ rho
-        current_ll = log_likelihood(predicted)
-        if current_ll < previous_ll - 1e-9 * max(1.0, abs(previous_ll)):
-            raise AssertionError(
-                "EM likelihood decreased; response matrix is inconsistent"
-            )
-        previous_ll = current_ll
         iterations += 1
     rho.setflags(write=False)
     return InversionResult(
         state=rho,
         converged=gap <= tol,
         iterations=iterations,
-        log_likelihood=previous_ll,
+        log_likelihood=log_likelihood,
         kkt_gap=gap,
         condition=condition,
     )

@@ -52,10 +52,6 @@ def parse_config(text: str) -> dict[str, str]:
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(
-                f"line {line_number}: expected 'key = value', got {line!r}"
-            )
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
@@ -82,22 +78,22 @@ def _split_number_unit(text: str) -> tuple[float | None, str]:
 
 @dataclass
 class Scenario:
-    """A parsed command invocation: name, parameters, paths, options."""
+    """The keys of one scenario file, the data file given beside it, and
+    the keys a command has read so far."""
 
-    command: str
     values: dict[str, str]
-    out_path: Path | None = None
     data_path: Path | None = None
-    verbose: bool = False
     consumed: set = field(default_factory=set)
 
     @classmethod
-    def from_file(cls, command: str, config_path: Path, **options) -> "Scenario":
+    def from_file(
+        cls, config_path: Path, data_path: Path | None = None
+    ) -> "Scenario":
         try:
             text = config_path.read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config {config_path}: {exc}")
-        return cls(command=command, values=parse_config(text), **options)
+        return cls(values=parse_config(text), data_path=data_path)
 
     # -- scalar accessors -------------------------------------------------
 
@@ -188,8 +184,6 @@ class Scenario:
                     f"key {key!r}: list entry {token!r} is not finite"
                 )
             items.append(value)
-        if not items:
-            raise ConfigError(f"key {key!r}: empty list")
         return items
 
     def path(self, key: str, required: bool = False) -> Path | None:

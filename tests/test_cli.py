@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdckit import cli, jsa
+from pdckit.scenario import Scenario
 
 
 def _write(tmp_path, name, text):
@@ -170,7 +171,7 @@ class TestPmVsLength:
         )
         code, out, err = _run(capsys, "pm-vs-length", "--config", str(config))
         assert (code, out) == (1, "")
-        assert err == "error: pm-vs-length: lengths must be positive\n"
+        assert err == "error: key 'length_min': must be positive\n"
 
 
 class TestTwinHomCommand:
@@ -469,12 +470,25 @@ class TestDipWidthCommand:
             signal_filter_fwhm = 1 nm
             pm_fwhm = 0.5 nm
             tilt = 54.7 deg
+            length = 2.1 mm
             """,
         )
         code, out, _ = _run(capsys, "dip-width", "--config", str(config))
         assert code == 0
         (row,) = _rows(out)
         assert float(row["dip_fwhm_ps"]) == pytest.approx(2.0, abs=0.3)
+
+    def test_requires_length(self, tmp_path, capsys):
+        # the source is read as every source command reads it
+        config = _write(
+            tmp_path,
+            "d.cfg",
+            SOURCE_CFG.replace("length = 2.1 mm\n", "")
+            + "reference_fwhm = 1 nm\nsignal_filter_fwhm = 1 nm\n",
+        )
+        code, out, err = _run(capsys, "dip-width", "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err == "error: missing required key 'length'\n"
 
 
 class TestTmaxCommand:
@@ -548,6 +562,42 @@ def test_spectral_commands_build_no_grid(tmp_path, capsys, monkeypatch, command)
     code, out, _ = _run(capsys, command, "--config", str(config))
     assert code == 0
     assert _rows(out)
+
+
+KAPPA_CFG = SPECTRAL_CFG.replace(
+    "pm_fwhm = 0.5 nm\ntilt = 54.7 deg\n",
+    "kappa_s = 1.4e-9 s/m\nkappa_i = 0.99e-9 s/m\n",
+)
+
+
+@pytest.mark.parametrize(
+    "command", ["ellipse", "filter", "tmax", "hom-scan", "dip-width"]
+)
+def test_source_commands_read_kappas(tmp_path, capsys, command):
+    assert "pm_fwhm" not in KAPPA_CFG and "tilt" not in KAPPA_CFG
+    config = _write(tmp_path, "k.cfg", KAPPA_CFG)
+    code, out, err = _run(capsys, command, "--config", str(config))
+    assert code == 0, err
+    assert _rows(out)
+
+
+CONFIGS = sorted(Path(__file__).resolve().parents[1].glob("configs/*.cfg"))
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_each_key_is_read_once(capsys, monkeypatch, command, config):
+    reads = []
+    raw = Scenario._raw
+
+    def counting(self, key, required):
+        reads.append(key)
+        return raw(self, key, required)
+
+    monkeypatch.setattr(Scenario, "_raw", counting)
+    cli.main([command, "--config", str(config)])
+    capsys.readouterr()
+    assert sorted(reads) == sorted(set(reads))
 
 
 class TestInvertCommand:
@@ -1113,7 +1163,7 @@ def _optional_value(draw, keys, name, valid, unit=""):
         keys[name] = _value(draw, valid, unit)
 
 
-def _source_keys(draw, keys, kappas=True):
+def _source_keys(draw, keys):
     """Keys of a source, by phase-matching width and tilt or by kappas."""
     _optional_value(
         draw, keys, "center_wavelength", _widths(400.0, 1600.0), " nm"
@@ -1121,7 +1171,7 @@ def _source_keys(draw, keys, kappas=True):
     keys["pump_fwhm"] = _value(draw, _widths(0.1, 10.0), " nm")
     keys["length"] = _value(draw, _widths(0.1, 10.0), " mm")
     _optional_value(draw, keys, "gamma", _widths(0.01, 1.0))
-    if not kappas or draw(st.booleans()):
+    if draw(st.booleans()):
         keys["pm_fwhm"] = _value(draw, _widths(0.05, 5.0), " nm")
         keys["tilt"] = _value(draw, _widths(1.0, 89.0), " deg")
     else:
@@ -1180,8 +1230,7 @@ def _grid_free_commands(draw):
         _optional(draw, keys, "tol", _NUMBERS)
         return command, keys
     if command in ("filter", "dip-width"):
-        # dip-width reads a source only by phase-matching width and tilt
-        _source_keys(draw, keys, kappas=command == "filter")
+        _source_keys(draw, keys)
         names = (
             ("filter_s_fwhm", "filter_i_fwhm")
             if command == "filter"

@@ -423,6 +423,13 @@ class TestInversion:
         assert not result.converged
         assert result.kkt_gap == math.inf
 
+    def test_unexplained_outcome_has_no_finite_likelihood(self):
+        # no state gives the data a nonzero probability; a numpy warning
+        # from log(0) would fail the test
+        result = ps.ml_invert([0.7, 0.25, 0.05], 1e-200)
+        assert result.log_likelihood == -math.inf
+        assert result.iterations == 0
+
     @pytest.mark.parametrize(
         "clicks, message",
         [

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -171,11 +172,16 @@ class TestNumericOverlap:
             numeric = jsa.overlap_numeric(grid)
             assert numeric == pytest.approx(_total(aspect, tilt), abs=1e-3)
 
-    def test_delay_hook_reduces_overlap(self):
-        grid = _grid(twin_hom.model_source(2.0, 45.0))
-        aligned = jsa.overlap_numeric(grid)
-        delayed = jsa.overlap_numeric(grid, delay=5.0)
-        assert delayed < aligned
+    def test_delay_reduces_overlap(self):
+        # a relative delay tau shifts the signal phase slope by tau; at
+        # tau = 1 the overlap of this form is exp(-1)
+        source = twin_hom.model_source(2.0, 45.0)
+        delayed = dataclasses.replace(source, phase_s=source.phase_s + 1.0)
+        spectral, temporal = delayed.twin_overlap()
+        assert spectral * temporal == pytest.approx(math.exp(-1.0), rel=1e-12)
+        numeric = jsa.overlap_numeric(_grid(delayed))
+        assert numeric == pytest.approx(spectral * temporal, rel=1e-12)
+        assert numeric < jsa.overlap_numeric(_grid(source))
 
 
 class TestVisibility:
