@@ -24,8 +24,8 @@ from .scenario import Scenario
 
 DEFAULT_CENTER_WAVELENGTH = 796e-9
 _MAX_STEPS = 10_000  # longest sweep or delay axis a command builds
-# largest photon number or mode count herald-stats accepts: a distribution
-# of 1,000 modes at nmax 1,000 takes about 0.1 ms in closed form
+# largest mode count herald-stats accepts; its heralded mean is exact and
+# costs the same at any count, so the bound is the model's range, not a cost
 _MAX_HERALD = 1_000
 
 
@@ -255,7 +255,7 @@ def _cmd_pm_vs_length(sc: Scenario) -> tuple[list, list, list]:
     high = sc.quantity("length_max", "length", required=True)
     steps = _count(sc, "length_steps", 21)
     if high <= low:
-        raise ConfigError("need length_min < length_max")
+        raise ConfigError("key 'length_min': need length_min < length_max")
     # every length is positive once the first one is
     if low <= 0:
         raise ConfigError("key 'length_min': must be positive")
@@ -302,17 +302,15 @@ def _cmd_herald_stats(sc: Scenario) -> tuple[list, list, list]:
     modes_unfiltered = _count(sc, "modes_unfiltered", 31, 1, _MAX_HERALD)
     modes_filtered = _count(sc, "modes_filtered", 1, 1, _MAX_HERALD)
     eta_t = sc.number("trigger_efficiency", default=0.0)
-    nmax = _count(sc, "nmax", 16, 1, _MAX_HERALD)
     gains = _sweep(sc, "gain_sq")
-    numbers = np.arange(nmax + 1)
-    rows = []
-    for gain in gains:
-        means = []
-        for modes in (modes_unfiltered, modes_filtered):
-            joint = photon_stats.multimode_dist(modes, gain, nmax)
-            heralded = photon_stats.heralded_dist(joint, eta_t)
-            means.append(float(numbers @ heralded))
-        rows.append([gain, *means])
+    rows = [
+        [
+            gain,
+            photon_stats.heralded_mean(modes_unfiltered, gain, eta_t),
+            photon_stats.heralded_mean(modes_filtered, gain, eta_t),
+        ]
+        for gain in gains
+    ]
     summary = []
     if len(gains) >= 2:
         fit = photon_stats.estimate_mode_reduction(
@@ -378,7 +376,8 @@ def _span_sigmas(sc: Scenario, sigma_t: float) -> float:
     (tau/sigma_t)^2 at its ends are finite."""
     span = sc.number("tau_span_sigmas", default=4.0)
     half = span * sigma_t
-    # a sigma_t that is not positive is the library's to refuse
+    # the CLI refuses a dip_sigma that is not positive; a source's dip
+    # width that rounds to zero is the library's to refuse
     ratio = half / sigma_t if sigma_t > 0 else 0.0
     if not span > 0 or not math.isfinite(half * 1e12 + ratio * ratio):
         raise ConfigError(
@@ -393,7 +392,11 @@ def _cmd_hom_scan(sc: Scenario) -> tuple[list, list, list]:
     beta_sq = sc.number("beta_sq", required=True)
     if "tmax" in sc.values:
         overlap_max = sc.number("tmax", required=True)
+        if not 0.0 <= overlap_max <= 1.0:
+            raise ConfigError("key 'tmax': must lie in [0, 1]")
         sigma_t = sc.quantity("dip_sigma", "time", required=True)
+        if not sigma_t > 0:
+            raise ConfigError("key 'dip_sigma': must be positive")
         center = 0.0
     else:
         params, wr, ws, wt = _reference_and_filters(sc, trigger_required=False)

@@ -6,7 +6,10 @@ in closed form), heralding on a lossy trigger detector, the forward
 model of a two-bin time-multiplexed click detector (loss matrix
 followed by a splitting convolution), its maximum-likelihood inversion,
 and the mode-count estimate from the power dependence of the heralded
-mean.  Distributions are plain vectors; those returned are read-only.
+mean.  heralded_mean gives that mean exactly, in closed form from the
+pair-number generating function, without building a distribution;
+multimode_dist and heralded_dist are the route it is checked against.
+Distributions are plain vectors; those returned are read-only.
 
 A note on inversion: a two-bin detector resolves three outcomes, so at
 most the photon-number components 0, 1 and 2 are identifiable from one
@@ -32,6 +35,7 @@ __all__ = [
     "ModeReductionFit",
     "multimode_dist",
     "heralded_dist",
+    "heralded_mean",
     "loss_matrix",
     "tmd_convolution_matrix",
     "forward_click_dist",
@@ -42,6 +46,7 @@ __all__ = [
 ]
 
 _TAIL_LIMIT = 1e-6
+_TINY = 2.2250738585072014e-308  # smallest normal float, sys.float_info.min
 
 
 def _checked_probabilities(probs: np.ndarray) -> np.ndarray:
@@ -145,6 +150,41 @@ def heralded_dist(joint, eta_t: float) -> np.ndarray:
             "click probability vanishes: the joint distribution is vacuum"
         )
     return _finalize(raw / total, joint.size - 1, "heralded distribution")
+
+
+def heralded_mean(n_modes: int, gain_sq: float, eta_t: float) -> float:
+    """Exact mean photon number of n_modes identical thermal modes of
+    gain gain_sq, conditioned on a click of a trigger of efficiency eta_t.
+
+    The pair number has generating function E[z^n] = (1 + mu (1 - z))^-K
+    with mu = g / (1 - g).  A click has probability
+    1 - (1 + mu eta)^-K, and n pairs with a click have total
+    E[n] - (1 - eta) G'(1 - eta) = K mu (1 - (1 - eta)(1 + mu eta)^-(K+1)),
+    so with x = log1p(mu eta) the mean is
+    K mu (-expm1(log1p(-eta) - (K + 1) x)) / (-expm1(-K x)),
+    free of cancellation at every eta.  eta_t = 0 gives the
+    vanishing-loss limit 1 + (K + 1) mu, which the mean approaches from
+    below as eta_t falls.  Refuses what multimode_dist and heralded_dist
+    refuse, in their order, but has no cutoff.
+    """
+    require(n_modes >= 1, "n_modes must be at least 1")
+    require(0.0 <= gain_sq < 1.0, "gain_sq must lie in [0, 1)")
+    require(0.0 <= eta_t <= 1.0, "eta_t must lie in [0, 1]")
+    if gain_sq == 0.0:
+        raise ValueError(
+            "click probability vanishes: the joint distribution is vacuum"
+        )
+    K = n_modes
+    mu = gain_sq / (1.0 - gain_sq)
+    if mu * eta_t < _TINY:
+        # eta_t = 0, or a product so small that the limit is exact in
+        # floats, where a subnormal x would lose digits
+        return 1.0 + (K + 1) * mu
+    x = math.log1p(mu * eta_t)
+    clicks = -math.expm1(-K * x)
+    if eta_t == 1.0:  # every pair clicks; log1p(-1) is a domain error
+        return K * mu / clicks
+    return K * mu * -math.expm1(math.log1p(-eta_t) - (K + 1) * x) / clicks
 
 
 def loss_matrix(efficiency: float, nmax: int) -> np.ndarray:
@@ -372,16 +412,28 @@ class ModeReductionFit:
 
 
 def _fit_line(points) -> tuple[float, float]:
+    """Least-squares slope and intercept of mean against power, from
+    sums centred on the mean power and the mean of the means.
+
+    The centred powers are taken in units of the largest of them, so no
+    square underflows however small the powers are.
+    """
     data = np.asarray(points, dtype=float)
     require(
         data.ndim == 2 and data.shape[1] == 2 and data.shape[0] >= 2,
         "each series needs at least two (power, mean) points",
     )
-    power, mean = data[:, 0], data[:, 1]
-    require(np.all(power > 0), "powers must be positive")
-    require(np.ptp(power) > 0, "powers must not all coincide")
-    slope, intercept = np.polyfit(power, mean, 1)
-    return float(slope), float(intercept)
+    power, mean = zip(*data.tolist())
+    require(all(p > 0 for p in power), "powers must be positive")
+    require(max(power) > min(power), "powers must not all coincide")
+    power_bar = sum(power) / len(power)
+    mean_bar = sum(mean) / len(mean)
+    scale = max(abs(p - power_bar) for p in power)
+    centred = [(p - power_bar) / scale for p in power]
+    slope = sum(c * (m - mean_bar) for c, m in zip(centred, mean)) / (
+        sum(c * c for c in centred) * scale
+    )
+    return slope, mean_bar - slope * power_bar
 
 
 def estimate_mode_reduction(unfiltered, filtered) -> ModeReductionFit:

@@ -209,6 +209,60 @@ class TestHeraldStats:
         first = rows[0]
         assert float(first["mean_unfiltered"]) > float(first["mean_filtered"])
 
+    def test_builds_no_distribution(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("herald-stats built a distribution")
+
+        for name in ("multimode_dist", "heralded_dist"):
+            monkeypatch.setattr(cli.photon_stats, name, refuse)
+        config = _write(
+            tmp_path,
+            "h.cfg",
+            "gain_sq_list = 0.01, 0.02, 0.03\ntrigger_efficiency = 0.2\n",
+        )
+        code, out, _ = _run(capsys, "herald-stats", "--config", str(config))
+        assert code == 0
+        assert len(_rows(out)) == 3
+
+    def test_exact_mean_without_a_cutoff(self, tmp_path, capsys):
+        # 31 modes at g = 0.1 put 3.8e-6 of their mass at n = 16, which a
+        # distribution cut at nmax = 16 had to refuse; nmax is not read
+        config = _write(tmp_path, "h.cfg", "gain_sq_list = 0.1\nnmax = 16\n")
+        code, out, err = _run(
+            capsys, "herald-stats", "--config", str(config), "--verbose"
+        )
+        assert code == 0
+        (row,) = _rows(out)
+        mu = 0.1 / 0.9
+        assert row["mean_unfiltered"] == "%.9g" % (1.0 + 32 * mu)
+        assert row["mean_filtered"] == "%.9g" % (1.0 + 2 * mu)
+        assert err == "ignored keys: nmax\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "gain_sq_list = 0.02, 1\ntrigger_efficiency = 2\n",
+                "herald-stats: eta_t must lie in [0, 1]",
+            ),
+            (
+                "gain_sq_list = 1, 0.02\ntrigger_efficiency = 2\n",
+                "herald-stats: gain_sq must lie in [0, 1)",
+            ),
+            (
+                "gain_sq_list = 0, 1\n",
+                "herald-stats: click probability vanishes: "
+                "the joint distribution is vacuum",
+            ),
+        ],
+        ids=["efficiency", "gain", "vacuum"],
+    )
+    def test_refusals(self, tmp_path, capsys, text, message):
+        config = _write(tmp_path, "h.cfg", text)
+        code, out, err = _run(capsys, "herald-stats", "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
 
 class TestVisibilityAndFit:
     def test_round_trip_through_csv(self, tmp_path, capsys):
@@ -880,9 +934,22 @@ class TestErrorHandling:
                 "tau_steps",
             ),
             (
-                "herald-stats",
-                "gain_sq_list = 0.01, 0.02\nnmax = 1001\n",
-                "nmax",
+                "pm-vs-length",
+                "length = 2.1 mm\nkappa_s = 1.4e-9 s/m\nkappa_i = 0.99e-9 s/m\n"
+                "length_min = 3 mm\nlength_max = 2 mm\n",
+                "key 'length_min'",
+            ),
+            (
+                "hom-scan",
+                "p0 = 0.9\np1 = 0.09\np2 = 0.01\nbeta_sq = 0.05\ntmax = 1.5\n"
+                "dip_sigma = 1 ps\n",
+                "key 'tmax'",
+            ),
+            (
+                "hom-scan",
+                "p0 = 0.9\np1 = 0.09\np2 = 0.01\nbeta_sq = 0.05\ntmax = 0.5\n"
+                "dip_sigma = -1 ps\n",
+                "key 'dip_sigma'",
             ),
             (
                 "herald-stats",
@@ -946,7 +1013,9 @@ class TestErrorHandling:
             "long-length-sweep",
             "single-delay",
             "huge-spectral-delay-axis",
-            "herald-photon-cutoff",
+            "reversed-length-sweep",
+            "analytic-tmax",
+            "analytic-dip-sigma",
             "herald-unfiltered-modes",
             "herald-filtered-modes",
             "overflowing-span-square",
@@ -1193,10 +1262,9 @@ def _grid_free_commands(draw):
         _optional(draw, keys, "one_photon", _NUMBERS)
         return command, keys
     if command == "herald-stats":
-        for name in ("modes_unfiltered", "modes_filtered", "nmax"):
+        for name in ("modes_unfiltered", "modes_filtered"):
             _optional(draw, keys, name, _COUNTS)
         _optional_value(draw, keys, "trigger_efficiency", _widths(0.0, 1.0))
-        # a list, not a sweep: a long sweep at the largest counts is slow
         keys["gain_sq_list"] = ", ".join(
             _value(draw, _widths(1e-4, 0.1))
             for _ in range(draw(st.integers(min_value=1, max_value=3)))
@@ -1285,7 +1353,7 @@ _STATE = {"p0": "0.9", "p1": "0.09", "p2": "0.01"}
 @example(
     (
         "herald-stats",
-        {"gain_sq_list": "0.01, 0.02", "nmax": "1000000000000"},
+        {"gain_sq_list": "0.01, 0.02", "modes_unfiltered": "1000000000000"},
     )
 )
 @example(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -234,6 +235,93 @@ class TestHeralded:
         state = ps.ml_invert(clicks, 0.3).state
         for probs in (joint, ps.heralded_dist(joint, 0.1), clicks, state):
             assert not probs.flags.writeable
+
+
+def _lossless_cutoff(n_modes, gain_sq, loss=1e-15):
+    """A cutoff beyond which the negative binomial holds less than loss
+    of sum n^2 P(n), which bounds what the cutoff takes from the
+    heralded mean at any trigger efficiency.
+
+    The terms t_n = n^2 P(n) have ratio g (n + 1)(n + K) / n^2, which
+    falls with n, so once it is below one the rest of the series is at
+    most t_n r / (1 - r).
+    """
+    K, g = n_modes, gain_sq
+    log_p, total, n = K * math.log1p(-g), 0.0, 0
+    while True:
+        n += 1
+        log_p += math.log(g * (n + K - 1) / n)  # log P(n)
+        term = n * n * math.exp(log_p)
+        total += term
+        ratio = g * (n + 1) * (n + K) / (n * n)
+        if ratio < 1.0 and term * ratio / (1.0 - ratio) < loss * total:
+            return n
+
+
+class TestHeraldedMean:
+    # The reference builds and heralds the whole distribution, about
+    # 1,400 entries at K = 1000 and g = 0.5.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 1000),
+        st.floats(1e-6, 0.5),
+        st.one_of(st.just(0.0), st.floats(1e-30, 1.0)),
+    )
+    @example(31, 0.05, 0.0)
+    @example(31, 0.05, 1e-17)
+    @example(31, 0.05, 1.0)
+    @example(1000, 0.5, 0.0)
+    @example(1000, 0.5, 1e-17)
+    @example(1000, 0.5, 1.0)
+    @example(1000, 0.2, 0.3)
+    def test_matches_heralded_distribution(self, n_modes, gain_sq, eta_t):
+        nmax = _lossless_cutoff(n_modes, gain_sq)
+        heralded = ps.heralded_dist(
+            ps.multimode_dist(n_modes, gain_sq, nmax), eta_t
+        )
+        mean = ps.heralded_mean(n_modes, gain_sq, eta_t)
+        assert isinstance(mean, float)
+        assert mean == pytest.approx(_mean(heralded), rel=1e-12)
+
+    @pytest.mark.parametrize("n_modes", [1, 31, 1000])
+    @pytest.mark.parametrize("gain_sq", [1e-300, 0.01, 0.5, 0.999])
+    def test_vanishing_loss_limit(self, n_modes, gain_sq):
+        mu = gain_sq / (1.0 - gain_sq)
+        limit = 1.0 + (n_modes + 1) * mu
+        assert ps.heralded_mean(n_modes, gain_sq, 0.0) == limit
+        # to first order in eta the mean falls by (K + 1)(1 + mu) mu eta / 2
+        slope = (n_modes + 1) * (1.0 + mu) * mu / 2.0
+        for eta_t in (1e-300, 1e-17, 1e-12):
+            assert ps.heralded_mean(n_modes, gain_sq, eta_t) == pytest.approx(
+                limit - slope * eta_t, rel=1e-15
+            )
+        # a lossless trigger accepts any nonzero pair number, which lowers
+        # the mean below the limit
+        assert ps.heralded_mean(n_modes, gain_sq, 1.0) <= limit
+
+    def test_no_cutoff_at_any_gain(self):
+        # the distribution route refuses this at every nmax up to 1000
+        mean = ps.heralded_mean(1000, 0.6, 0.0)
+        assert mean == pytest.approx(1.0 + 1001 * 1.5, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, 2.0, 2.0), "n_modes must be at least 1"),
+            ((1, 1.0, 2.0), "gain_sq must lie in [0, 1)"),
+            ((1, -0.1, 2.0), "gain_sq must lie in [0, 1)"),
+            ((1, 0.0, 2.0), "eta_t must lie in [0, 1]"),
+            ((1, 0.01, -0.1), "eta_t must lie in [0, 1]"),
+            ((1, 0.0, 0.5), "click probability vanishes"),
+            ((1, 0.0, 0.0), "click probability vanishes"),
+        ],
+    )
+    def test_refusals_follow_the_distribution_route(self, args, message):
+        n_modes, gain_sq, eta_t = args
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ps.heralded_mean(n_modes, gain_sq, eta_t)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ps.heralded_dist(ps.multimode_dist(n_modes, gain_sq, 4), eta_t)
 
 
 class TestDetectorMatrices:
@@ -498,6 +586,33 @@ class TestModeReduction:
         )
         reduction = ps.implied_mode_count(fit.slope_ratio, 1) / 1.0
         assert 10.0 <= reduction <= 100.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(1e-4, 0.5), st.floats(1.0, 100.0)),
+            min_size=2,
+            max_size=12,
+        )
+    )
+    def test_line_matches_polyfit(self, points):
+        power, mean = np.array(points).T
+        assume(np.ptp(power) > 1e-3)
+        slope, intercept = np.polyfit(power, mean, 1)
+        fit = ps.estimate_mode_reduction(points, [(1.0, 1.0), (2.0, 2.0)])
+        scale = np.abs(mean).max() / np.ptp(power)
+        assert fit.slope_ratio == pytest.approx(slope, abs=1e-9 * scale)
+        assert fit.intercept_unfiltered == pytest.approx(
+            intercept, abs=1e-9 * np.abs(mean).max()
+        )
+
+    def test_tiny_powers(self):
+        # squares of these centred powers underflow to zero
+        fit = ps.estimate_mode_reduction(
+            [(1e-170, 3e-170), (2e-170, 6e-170)], [(1.0, 1.0), (2.0, 2.0)]
+        )
+        assert fit.slope_ratio == pytest.approx(3.0, rel=1e-15)
+        assert fit.intercept_unfiltered == pytest.approx(0.0, abs=1e-185)
 
     def test_degenerate_fits_rejected(self):
         with pytest.raises(ValueError):

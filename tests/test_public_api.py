@@ -26,6 +26,9 @@ MODEL_MODULES = ("jsa", "hom_reference", "twin_hom", "photon_stats")
 TEST_REFERENCES = {
     "coincidence_full",  # the exact coincidence model behind the simplified one
     "forward_click_dist",  # the forward model the inversion undoes
+    # the distributions `heralded_mean` is checked against
+    "multimode_dist",
+    "heralded_dist",
     # the sampled route, the quadrature the FilteredSource closed forms
     # are checked against and the way to non-Gaussian phase matching
     "default_axes",  # sizes the grid from the source's form
