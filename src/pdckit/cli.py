@@ -302,7 +302,15 @@ def _cmd_herald_stats(sc: Scenario) -> tuple[list, list, list]:
     modes_unfiltered = _count(sc, "modes_unfiltered", 31, 1, _MAX_HERALD)
     modes_filtered = _count(sc, "modes_filtered", 1, 1, _MAX_HERALD)
     eta_t = sc.number("trigger_efficiency", default=0.0)
+    if not 0.0 <= eta_t <= 1.0:
+        raise ConfigError("key 'trigger_efficiency': must lie in [0, 1]")
     gains = _sweep(sc, "gain_sq")
+    # a min/max sweep starts at gain_sq_min and ends at gain_sq_max
+    if min(gains) < 0.0 or max(gains) >= 1.0:
+        key = "gain_sq_min" if min(gains) < 0.0 else "gain_sq_max"
+        if "gain_sq_list" in sc.values:
+            key = "gain_sq_list"
+        raise ConfigError(f"key {key!r}: must lie in [0, 1)")
     rows = [
         [
             gain,
@@ -346,29 +354,21 @@ def _cmd_visibility_curve(sc: Scenario) -> tuple[list, list, list]:
 
 def _cmd_fit_overlap(sc: Scenario) -> tuple[list, list, list]:
     state = _signal_state(sc)
-    data_path = sc.data_path or sc.path("data")
-    if data_path is None:
-        raise ConfigError("missing required key 'data' (beta_sq/visibility CSV)")
-    measurements = _read_csv_columns(data_path, ("beta_sq", "visibility"))
+    if sc.data_path is None:
+        raise ConfigError("missing required option '--data'")
+    measurements = _read_csv_columns(sc.data_path, ("beta_sq", "visibility"))
     fit = hom.fit_overlap(measurements, state)
     rows = [[fit.overlap, fit.stderr, len(measurements)]]
     return ["overlap", "stderr", "n_points"], rows, []
 
 
-def _reference_and_filters(sc: Scenario, trigger_required: bool):
-    """Source, and reference, signal and trigger filter amplitude widths.
-
-    An absent trigger_filter_fwhm, where allowed, leaves the idler open
-    (an infinite width).
-    """
+def _source_and_filters(sc: Scenario):
+    """Center wavelength, source, reference and signal filter widths."""
     wavelength = _center_wavelength(sc)
     params = _source_params(sc, wavelength)
     wr = _width_from_fwhm(sc, "reference_fwhm", wavelength, required=True)
     ws = _width_from_fwhm(sc, "signal_filter_fwhm", wavelength, required=True)
-    wt = _width_from_fwhm(
-        sc, "trigger_filter_fwhm", wavelength, required=trigger_required
-    )
-    return params, wr, ws, math.inf if wt is None else wt
+    return wavelength, params, wr, ws
 
 
 def _span_sigmas(sc: Scenario, sigma_t: float) -> float:
@@ -390,6 +390,13 @@ def _span_sigmas(sc: Scenario, sigma_t: float) -> float:
 def _cmd_hom_scan(sc: Scenario) -> tuple[list, list, list]:
     state = _signal_state(sc)
     beta_sq = sc.number("beta_sq", required=True)
+    if beta_sq < 0.0:
+        raise ConfigError("key 'beta_sq': must be nonnegative")
+    if beta_sq >= 0.2:  # the range of hom_reference.coincidence_simplified
+        raise ConfigError(
+            "key 'beta_sq': must be below 0.2, where the leading-order "
+            "dip model holds"
+        )
     if "tmax" in sc.values:
         overlap_max = sc.number("tmax", required=True)
         if not 0.0 <= overlap_max <= 1.0:
@@ -399,7 +406,11 @@ def _cmd_hom_scan(sc: Scenario) -> tuple[list, list, list]:
             raise ConfigError("key 'dip_sigma': must be positive")
         center = 0.0
     else:
-        params, wr, ws, wt = _reference_and_filters(sc, trigger_required=False)
+        wavelength, params, wr, ws = _source_and_filters(sc)
+        # an absent trigger filter leaves the idler open
+        wt = _width_from_fwhm(
+            sc, "trigger_filter_fwhm", wavelength, default=math.inf
+        )
         source = jsa.filtered_source(params, ws, wt)
         overlap_max = source.tmax(wr)
         sigma_t = source.dip_sigma(wr)
@@ -425,17 +436,15 @@ def _cmd_hom_scan(sc: Scenario) -> tuple[list, list, list]:
 
 
 def _cmd_dip_width(sc: Scenario) -> tuple[list, list, list]:
-    wavelength = _center_wavelength(sc)
-    params = _source_params(sc, wavelength)
-    wr = _width_from_fwhm(sc, "reference_fwhm", wavelength, required=True)
-    ws = _width_from_fwhm(sc, "signal_filter_fwhm", wavelength, required=True)
+    _, params, wr, ws = _source_and_filters(sc)
     sigma_t = jsa.filtered_source(params, ws).dip_sigma(wr)
     rows = [[sigma_t * 1e12, units.normal_sigma_to_fwhm(sigma_t) * 1e12]]
     return ["dip_sigma_ps", "dip_fwhm_ps"], rows, []
 
 
 def _cmd_tmax(sc: Scenario) -> tuple[list, list, list]:
-    params, wr, ws, wt = _reference_and_filters(sc, trigger_required=True)
+    wavelength, params, wr, ws = _source_and_filters(sc)
+    wt = _width_from_fwhm(sc, "trigger_filter_fwhm", wavelength, required=True)
     rows = []
     for label, trigger in (("two-fold", math.inf), ("three-fold", wt)):
         source = jsa.filtered_source(params, ws, trigger)
@@ -445,14 +454,7 @@ def _cmd_tmax(sc: Scenario) -> tuple[list, list, list]:
 
 def _cmd_invert(sc: Scenario) -> tuple[list, list, list]:
     efficiency = sc.number("efficiency", required=True)
-    observed = sc.number_list("observed")
-    if observed is None:
-        data_path = sc.data_path or sc.path("data")
-        if data_path is None:
-            raise ConfigError("missing required key 'observed' or 'data'")
-        observed = [
-            row[0] for row in _read_csv_columns(data_path, ("probability",))
-        ]
+    observed = sc.number_list("observed", required=True)
     observable = sc.word(
         "observable", ("photon", "clicks"), default="photon"
     )
@@ -520,7 +522,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="scenario file")
     parser.add_argument("--out", help="CSV output path (default stdout)")
-    parser.add_argument("--data", help="input data CSV for fitting commands")
+    parser.add_argument("--data", help="beta_sq,visibility CSV for fit-overlap")
     parser.add_argument(
         "--grid-points",
         type=int,

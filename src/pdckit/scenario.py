@@ -78,8 +78,8 @@ def _split_number_unit(text: str) -> tuple[float | None, str]:
 
 @dataclass
 class Scenario:
-    """The keys of one scenario file, the data file given beside it, and
-    the keys a command has read so far."""
+    """The keys of one scenario file, the keys a command has read so far,
+    and data_path, the file given with --data (None without it)."""
 
     values: dict[str, str]
     data_path: Path | None = None
@@ -185,12 +185,6 @@ class Scenario:
                 )
             items.append(value)
         return items
-
-    def path(self, key: str, required: bool = False) -> Path | None:
-        raw = self._raw(key, required)
-        if raw is None:
-            return None
-        return Path(raw)
 
     def unused_keys(self) -> list[str]:
         """Keys the command never read; extras are legal so that one

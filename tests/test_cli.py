@@ -42,6 +42,11 @@ length = 2.1 mm
 gamma = 0.193
 """
 
+# hom-scan's refusal of a reference too strong for the leading-order dip
+BETA_SQ_RANGE = (
+    "key 'beta_sq': must be below 0.2, where the leading-order dip model holds\n"
+)
+
 # the paper's loss-inverted heralded statistics
 HEADLINE_INVERT = "observed = 0.94920, 0.05065, 0.00015\nefficiency = 0.048\n"
 
@@ -242,15 +247,15 @@ class TestHeraldStats:
         "text, message",
         [
             (
-                "gain_sq_list = 0.02, 1\ntrigger_efficiency = 2\n",
-                "herald-stats: eta_t must lie in [0, 1]",
-            ),
-            (
                 "gain_sq_list = 1, 0.02\ntrigger_efficiency = 2\n",
-                "herald-stats: gain_sq must lie in [0, 1)",
+                "key 'trigger_efficiency': must lie in [0, 1]",
             ),
             (
-                "gain_sq_list = 0, 1\n",
+                "gain_sq_list = 0.02, 1\n",
+                "key 'gain_sq_list': must lie in [0, 1)",
+            ),
+            (
+                "gain_sq_list = 0, 0.02\n",
                 "herald-stats: click probability vanishes: "
                 "the joint distribution is vacuum",
             ),
@@ -382,6 +387,15 @@ class TestVisibilityAndFit:
         assert err.startswith("error: ") and message in err
         assert len(err.splitlines()) == 1
 
+    def test_data_key_is_not_read(self, tmp_path, capsys):
+        data = _write(tmp_path, "d.csv", "beta_sq,visibility\n0.1,0.5\n")
+        config = _write(
+            tmp_path, "fit.cfg", f"p0 = 0.5\np1 = 0.5\np2 = 0\ndata = {data}\n"
+        )
+        code, out, err = _run(capsys, "fit-overlap", "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err == "error: missing required option '--data'\n"
+
     def test_optimum_summary(self, tmp_path, capsys):
         config = _write(
             tmp_path,
@@ -470,6 +484,23 @@ class TestHomScanCommand:
         coincidences = [float(row["coincidence"]) for row in rows]
         middle = len(coincidences) // 2
         assert coincidences[middle] == min(coincidences)
+
+    def test_open_idler_without_trigger_filter(
+        self, tmp_path, capsys, source_params, one_nm_width
+    ):
+        config = _write(
+            tmp_path,
+            "scan.cfg",
+            SOURCE_CFG
+            + "p0 = 0.9\np1 = 0.09\np2 = 0.01\nbeta_sq = 0.05\n"
+            "signal_filter_fwhm = 1 nm\nreference_fwhm = 2 nm\ntau_steps = 5\n",
+        )
+        code, out, _ = _run(capsys, "hom-scan", "--config", str(config))
+        assert code == 0
+        centre = _rows(out)[2]
+        assert centre["tau_ps"] == "0"
+        source = jsa.filtered_source(source_params, one_nm_width)
+        assert centre["overlap"] == "%.9g" % source.tmax(2 * one_nm_width)
 
     def test_analytic_mode_ignores_reference_keys(self, tmp_path, capsys):
         text = (
@@ -688,6 +719,15 @@ class TestInvertCommand:
         assert out == "n,probability\n0,0.8\n1,0.2\n"
         assert err.startswith("converged in 0 iterations, ")
 
+    def test_data_option_is_not_read(self, tmp_path, capsys):
+        data = _write(tmp_path, "d.csv", "probability\n0.9\n0.1\n")
+        config = _write(tmp_path, "i.cfg", "efficiency = 0.5\n")
+        code, out, err = _run(
+            capsys, "invert", "--config", str(config), "--data", str(data)
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: missing required key 'observed'\n"
+
     def test_many_outcomes(self, tmp_path, capsys):
         # binomial coefficients of 1,099 photons exceed the float range;
         # the loss matrix never forms them
@@ -853,12 +893,6 @@ class TestErrorHandling:
         "command, text, options",
         [
             (
-                "hom-scan",
-                "p0 = 0\np1 = 1\np2 = 0\nbeta_sq = 0.5\n"
-                "tmax = 1\ndip_sigma = 1 ps\n",
-                (),
-            ),
-            (
                 "tmax",
                 SOURCE_CFG
                 + "signal_filter_fwhm = 1 nm\ntrigger_filter_fwhm = 1 nm\n"
@@ -867,7 +901,7 @@ class TestErrorHandling:
             ),
             ("fidelity", "overlap = 1.2\none_photon = 0.9\n", ()),
         ],
-        ids=["strong-reference", "coarse-grid", "overlap-above-one"],
+        ids=["coarse-grid", "overlap-above-one"],
     )
     def test_invalid_library_input_exits_one(
         self, tmp_path, capsys, command, text, options
@@ -994,6 +1028,58 @@ class TestErrorHandling:
                 "tau_span_sigmas = -4\n",
                 "tau_span_sigmas",
             ),
+            (
+                "herald-stats",
+                "gain_sq_list = 0.01\ntrigger_efficiency = -0.1\n",
+                "key 'trigger_efficiency': must lie in [0, 1]\n",
+            ),
+            (
+                "herald-stats",
+                "gain_sq_list = 0.01, -0.01\n",
+                "key 'gain_sq_list': must lie in [0, 1)\n",
+            ),
+            (
+                "herald-stats",
+                "gain_sq_min = -0.1\ngain_sq_max = 1.5\n",
+                "key 'gain_sq_min': must lie in [0, 1)\n",
+            ),
+            (
+                "herald-stats",
+                "gain_sq_min = 0.5\ngain_sq_max = 1\n",
+                "key 'gain_sq_max': must lie in [0, 1)\n",
+            ),
+            (
+                "hom-scan",
+                "p0 = 0\np1 = 1\np2 = 0\nbeta_sq = 0.5\n"
+                "tmax = 1\ndip_sigma = 1 ps\n",
+                BETA_SQ_RANGE,
+            ),
+            (
+                "hom-scan",
+                "p0 = 0.9\np1 = 0.09\np2 = 0.01\nbeta_sq = 0.2\n"
+                "tmax = 0.5\ndip_sigma = 1 ps\n",
+                BETA_SQ_RANGE,
+            ),
+            (
+                "hom-scan",
+                "p0 = 0.9\np1 = 0.09\np2 = 0.01\nbeta_sq = -0.01\n"
+                "tmax = 0.5\ndip_sigma = 1 ps\n",
+                "key 'beta_sq': must be nonnegative\n",
+            ),
+            (
+                "hom-scan",  # spectral
+                SOURCE_CFG
+                + "p0 = 0.9\np1 = 0.09\np2 = 0.01\nbeta_sq = 0.5\n"
+                "signal_filter_fwhm = 1 nm\nreference_fwhm = 1 nm\n",
+                BETA_SQ_RANGE,
+            ),
+            (
+                "hom-scan",  # spectral
+                SOURCE_CFG
+                + "p0 = 0.9\np1 = 0.09\np2 = 0.01\nbeta_sq = -1\n"
+                "signal_filter_fwhm = 1 nm\nreference_fwhm = 1 nm\n",
+                "key 'beta_sq': must be nonnegative\n",
+            ),
             ("invert", HEADLINE_INVERT + "tol = 0\n", "tol"),
             ("invert", HEADLINE_INVERT + "tol = -1e-12\n", "tol"),
             ("invert", HEADLINE_INVERT + "max_iter = -5\n", "max_iter"),
@@ -1023,6 +1109,15 @@ class TestErrorHandling:
             "overflowing-delay-axis-ps",
             "zero-span",
             "negative-spectral-span",
+            "herald-negative-efficiency",
+            "herald-gain-list",
+            "herald-gain-min",
+            "herald-gain-max",
+            "strong-reference",
+            "beta-sq-at-bound",
+            "negative-beta-sq",
+            "strong-spectral-reference",
+            "negative-spectral-beta-sq",
             "zero-tol",
             "negative-tol",
             "negative-max-iter",

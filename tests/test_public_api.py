@@ -3,7 +3,8 @@
 A name earns its place in a model module's ``__all__`` when the command
 line reaches it, directly or through other library code, or when the
 tests use it as an independent reference for a faster route.  A field
-of an exported dataclass earns its place when the package reads it.
+of an exported dataclass earns its place when the package reads it,
+and a public method of ``Scenario`` when ``cli.py`` calls it.
 """
 
 import ast
@@ -147,3 +148,26 @@ def test_no_module_imports_a_private_name():
             ):
                 private.append(f"{path.stem}: {node.value.id}.{node.attr}")
     assert private == []
+
+
+def test_every_scenario_method_is_called_by_the_cli():
+    """A public method of Scenario earns its place when cli.py calls it,
+    as `sc.<method>` or `Scenario.<method>`."""
+    tree = ast.parse((PACKAGE / "scenario.py").read_text())
+    (scenario,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "Scenario"
+    ]
+    methods = [
+        node.name
+        for node in scenario.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    called = {
+        node.attr
+        for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text()))
+        if isinstance(node, ast.Attribute)
+    }
+    assert methods
+    assert [name for name in methods if name not in called] == []
