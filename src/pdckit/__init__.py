@@ -6,7 +6,7 @@ Submodules:
     twin_hom       interference between the twin beams of one source.
     photon_stats   photon-number statistics, click model and inversion.
     hom_reference  interference against a coherent reference; fidelity.
-    units          width and wavelength conversions.
+    units          width and wavelength conversions, evenly spaced axes.
     cli            configuration-driven command line front end.
 """
 

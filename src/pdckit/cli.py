@@ -15,8 +15,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import hom_reference as hom
 from . import jsa, photon_stats, twin_hom, units
 from .errors import ConfigError, NumericalError, require
@@ -33,8 +31,8 @@ def _emit(header, rows, out_path: Path | None) -> None:
     """Write the table as CSV: text cells as they are, 0 for a zero,
     %.9e below 1e-3 in magnitude and %.9g otherwise (nan and inf too).
 
-    Cells are text or Python numbers; pass numpy results through
-    .tolist().
+    Cells are text or Python numbers: no command but invert builds an
+    array, and it passes its state through .tolist().
     """
     lines = [",".join(header)]
     lines.extend(
@@ -172,14 +170,26 @@ def _sweep(sc: Scenario, stem: str, geometric: bool = False) -> list[float]:
     if geometric:
         if low <= 0:
             raise ConfigError(f"key '{stem}_min': must be positive")
-        return np.geomspace(low, high, steps).tolist()
-    return np.linspace(low, high, steps).tolist()
+        return units.geomspace(low, high, steps)
+    return units.linspace(low, high, steps)
+
+
+def _unit_interval(sc: Scenario, key: str, **kw) -> float:
+    """A number that must lie in [0, 1], such as a probability."""
+    value = sc.number(key, **kw)
+    if not 0.0 <= value <= 1.0:
+        raise ConfigError(f"key {key!r}: must lie in [0, 1]")
+    return value
 
 
 def _signal_state(sc: Scenario) -> hom.SignalState:
-    p0 = sc.number("p0", required=True)
-    p1 = sc.number("p1", required=True)
-    p2 = sc.number("p2", required=True)
+    p0, p1, p2 = (
+        _unit_interval(sc, key, required=True) for key in ("p0", "p1", "p2")
+    )
+    if abs(p0 + p1 + p2 - 1.0) > 1e-9:
+        raise ConfigError(
+            "keys 'p0', 'p1', 'p2': must sum to one within 1e-9"
+        )
     return hom.SignalState(p0=p0, p1=p1, p2=p2)
 
 
@@ -259,13 +269,12 @@ def _cmd_pm_vs_length(sc: Scenario) -> tuple[list, list, list]:
     # every length is positive once the first one is
     if low <= 0:
         raise ConfigError("key 'length_min': must be positive")
-    lengths = np.linspace(low, high, steps)
     # a width too large for a float is inf, and the table says so
-    with np.errstate(divide="ignore", over="ignore"):
-        fwhm_nm = units.width_to_wavelength_fwhm(
-            jsa.pm_width(params, lengths), wavelength
-        ) * 1e9
-    rows = np.column_stack((lengths * 1e3, fwhm_nm)).tolist()
+    rows = []
+    for length in units.linspace(low, high, steps):
+        width = jsa.pm_width(params, length)
+        fwhm_nm = units.width_to_wavelength_fwhm(width, wavelength) * 1e9
+        rows.append([length * 1e3, fwhm_nm])
     return ["length_mm", "pm_fwhm_nm"], rows, []
 
 
@@ -273,6 +282,10 @@ def _cmd_twin_hom(sc: Scenario) -> tuple[list, list, list]:
     tilt = sc.quantity("tilt", "angle", required=True)
     gamma = sc.number("gamma", default=jsa.DEFAULT_GAMMA)
     aspects = _sweep(sc, "aspect", geometric=True)
+    # a min/max sweep starts at aspect_min
+    if min(aspects) < 1.0:
+        key = "aspect_list" if "aspect_list" in sc.values else "aspect_min"
+        raise ConfigError(f"key {key!r}: must be at least 1")
     rows = []
     for aspect in aspects:
         spectral, temporal = twin_hom.model_source(
@@ -301,9 +314,7 @@ def _cmd_twin_hom(sc: Scenario) -> tuple[list, list, list]:
 def _cmd_herald_stats(sc: Scenario) -> tuple[list, list, list]:
     modes_unfiltered = _count(sc, "modes_unfiltered", 31, 1, _MAX_HERALD)
     modes_filtered = _count(sc, "modes_filtered", 1, 1, _MAX_HERALD)
-    eta_t = sc.number("trigger_efficiency", default=0.0)
-    if not 0.0 <= eta_t <= 1.0:
-        raise ConfigError("key 'trigger_efficiency': must lie in [0, 1]")
+    eta_t = _unit_interval(sc, "trigger_efficiency", default=0.0)
     gains = _sweep(sc, "gain_sq")
     # a min/max sweep starts at gain_sq_min and ends at gain_sq_max
     if min(gains) < 0.0 or max(gains) >= 1.0:
@@ -338,12 +349,15 @@ def _cmd_herald_stats(sc: Scenario) -> tuple[list, list, list]:
 
 def _cmd_visibility_curve(sc: Scenario) -> tuple[list, list, list]:
     state = _signal_state(sc)
-    overlap = sc.number("overlap", default=1.0)
-    if not 0.0 <= overlap <= 1.0:
-        raise ConfigError("key 'overlap': must lie in [0, 1]")
+    overlap = _unit_interval(sc, "overlap", default=1.0)
     betas = _sweep(sc, "beta_sq", geometric=True)
-    visibility = hom.visibility_vs_beta(state, overlap, betas)
-    rows = list(zip(betas, visibility.tolist()))
+    # a min/max sweep is refused unless beta_sq_min is positive
+    if min(betas) < 0.0:
+        raise ConfigError("key 'beta_sq_list': must be nonnegative")
+    rows = [
+        [beta_sq, hom.visibility_vs_beta(state, overlap, beta_sq)]
+        for beta_sq in betas
+    ]
     optimum = hom.beta_opt(state)
     summary = [
         f"beta_sq_opt = {optimum:.6g}, "
@@ -398,9 +412,7 @@ def _cmd_hom_scan(sc: Scenario) -> tuple[list, list, list]:
             "dip model holds"
         )
     if "tmax" in sc.values:
-        overlap_max = sc.number("tmax", required=True)
-        if not 0.0 <= overlap_max <= 1.0:
-            raise ConfigError("key 'tmax': must lie in [0, 1]")
+        overlap_max = _unit_interval(sc, "tmax", required=True)
         sigma_t = sc.quantity("dip_sigma", "time", required=True)
         if not sigma_t > 0:
             raise ConfigError("key 'dip_sigma': must be positive")
@@ -423,9 +435,12 @@ def _cmd_hom_scan(sc: Scenario) -> tuple[list, list, list]:
         n_points=_count(sc, "tau_steps", 81),
         span_sigmas=_span_sigmas(sc, sigma_t),
     )
-    rows = np.column_stack(
-        (scan.tau_axis * 1e12, scan.overlap, scan.coincidence)
-    ).tolist()
+    rows = [
+        [tau * 1e12, overlap, coincidence]
+        for tau, overlap, coincidence in zip(
+            scan.tau_axis, scan.overlap, scan.coincidence
+        )
+    ]
     summary = [
         f"visibility = {scan.visibility:.6g}",
         f"dip sigma = {sigma_t * 1e12:.6g} ps, fwhm = "
@@ -454,7 +469,11 @@ def _cmd_tmax(sc: Scenario) -> tuple[list, list, list]:
 
 def _cmd_invert(sc: Scenario) -> tuple[list, list, list]:
     efficiency = sc.number("efficiency", required=True)
+    if not 0.0 < efficiency <= 1.0:
+        raise ConfigError("key 'efficiency': must lie in (0, 1]")
     observed = sc.number_list("observed", required=True)
+    if min(observed) < 0.0:
+        raise ConfigError("key 'observed': must be nonnegative")
     observable = sc.word(
         "observable", ("photon", "clicks"), default="photon"
     )
@@ -484,8 +503,8 @@ def _cmd_invert(sc: Scenario) -> tuple[list, list, list]:
 
 
 def _cmd_fidelity(sc: Scenario) -> tuple[list, list, list]:
-    overlap = sc.number("overlap", required=True)
-    one_photon = sc.number("one_photon", required=True)
+    overlap = _unit_interval(sc, "overlap", required=True)
+    one_photon = _unit_interval(sc, "one_photon", required=True)
     rows = [[overlap, one_photon, hom.fidelity(overlap, one_photon)]]
     return ["spectral_overlap", "one_photon", "fidelity"], rows, []
 

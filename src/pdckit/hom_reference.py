@@ -16,6 +16,10 @@ width are closed forms of the filtered source (jsa.FilteredSource),
 and the dip is Gaussian in delay (hom_scan_analytic).  jsa.overlap_T
 evaluates T by quadrature at any delay; it is the reference the closed
 forms are tested against.
+
+No function here builds an array: each takes one reference power,
+overlap or delay and returns floats, a sweep or a delay scan is a loop
+over such calls, and HomScan holds its axes as tuples.
 """
 
 from __future__ import annotations
@@ -23,9 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import require
+from .errors import require, require_pairs
+from .units import linspace
 
 __all__ = [
     "SignalState",
@@ -61,12 +64,16 @@ class SignalState:
 
 @dataclass(frozen=True, eq=False)
 class HomScan:
-    """Coincidence probability against relative delay, dip centered at zero."""
+    """Coincidence probability against relative delay, dip centered at zero.
 
-    tau_axis: np.ndarray
-    coincidence: np.ndarray
+    tau_axis, overlap and coincidence are tuples of floats, one entry
+    per delay.
+    """
+
+    tau_axis: tuple[float, ...]
+    coincidence: tuple[float, ...]
     visibility: float
-    overlap: np.ndarray
+    overlap: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -103,13 +110,14 @@ def coincidence_full(
     )
 
 
-def coincidence_simplified(state: SignalState, beta_sq: float, overlap_t):
+def coincidence_simplified(
+    state: SignalState, beta_sq: float, overlap_t: float
+) -> float:
     """Leading-order coincidence probability p0 x^2 + p1 x (1 - T) + p2/2,
-    x = beta_sq / 2.
+    x = beta_sq / 2, at one overlap T.
 
-    overlap_t is one overlap or a numpy array of them; the result has
-    its shape.  Valid for weak references; enforce beta_sq < 0.2 so
-    that 1 - exp(-x) is linear to better than ten percent.  Use
+    Valid for weak references; enforce beta_sq < 0.2 so that
+    1 - exp(-x) is linear to better than ten percent.  Use
     coincidence_full beyond that.
     """
     require(beta_sq >= 0.0, "beta_sq must be nonnegative")
@@ -122,27 +130,23 @@ def coincidence_simplified(state: SignalState, beta_sq: float, overlap_t):
     return state.p0 * x * x + state.p1 * x * (1.0 - overlap_t) + state.p2 / 2.0
 
 
-def visibility_vs_beta(state: SignalState, overlap_t0: float, beta_sq):
-    """Dip visibility at one reference mean photon number or at a
-    sequence of them; the result has the shape of beta_sq.
+def visibility_vs_beta(
+    state: SignalState, overlap_t0: float, beta_sq: float
+) -> float:
+    """Dip visibility at one reference mean photon number beta_sq.
 
     p1 T / (p0 beta^2/2 + p1 + p2/beta^2); the beta_sq -> 0 limit is 0
     when a two-photon background exists and T otherwise.  Without a
     one-photon component there is no dip.
     """
-    beta_sq = np.asarray(beta_sq, dtype=float)
-    require(np.all(beta_sq >= 0.0), "beta_sq must be nonnegative")
+    require(beta_sq >= 0.0, "beta_sq must be nonnegative")
     if state.p1 == 0.0:
-        return np.zeros_like(beta_sq)[()]
-    # p2/beta_sq may overflow to inf, silently as in Python floats; the
-    # entries at beta_sq = 0, divisions by zero, take the limit below
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        denominator = (
-            state.p0 * beta_sq / 2.0 + state.p1 + state.p2 / beta_sq
-        )
-        visibility = state.p1 * overlap_t0 / denominator
-    limit = 0.0 if state.p2 > 0.0 else overlap_t0
-    return np.where(beta_sq == 0.0, limit, visibility)[()]
+        return 0.0
+    if beta_sq == 0.0:
+        return 0.0 if state.p2 > 0.0 else overlap_t0
+    # p2/beta_sq may overflow to inf, silently as float division does
+    denominator = state.p0 * beta_sq / 2.0 + state.p1 + state.p2 / beta_sq
+    return state.p1 * overlap_t0 / denominator
 
 
 def beta_opt(state: SignalState) -> float:
@@ -173,28 +177,33 @@ def fit_overlap(measurements, state: SignalState) -> OverlapFit:
         ValueError: with fewer than three points or a design containing
             a single distinct reference power.
     """
-    data = np.asarray(measurements, dtype=float)
-    require(
-        data.ndim == 2 and data.shape[1] == 2 and data.shape[0] >= 3,
-        "need at least three (beta_sq, visibility) points",
+    points = require_pairs(
+        measurements, 3, "need at least three (beta_sq, visibility) points"
     )
-    beta_sq, visibility = data[:, 0], data[:, 1]
-    require(np.all(beta_sq > 0), "beta_sq values must be positive")
+    beta_sq = [b for b, _ in points]
+    require(all(b > 0 for b in beta_sq), "beta_sq values must be positive")
     require(
-        np.unique(beta_sq).size >= 2,
+        len(set(beta_sq)) >= 2,
         "degenerate design: need at least two distinct beta_sq values",
     )
-    predictor = visibility_vs_beta(state, 1.0, beta_sq)
-    gram = float(predictor @ predictor)
+    predictor = [visibility_vs_beta(state, 1.0, b) for b in beta_sq]
+    gram = _sum([p * p for p in predictor])
     require(gram > 0.0, "predictor vanishes for this state")
-    estimate = float(predictor @ visibility) / gram
-    residual = visibility - estimate * predictor
-    dof = data.shape[0] - 1
+    estimate = _sum([p * v for p, (_, v) in zip(predictor, points)]) / gram
+    residual = [v - estimate * p for p, (_, v) in zip(predictor, points)]
     # a residual too large to square gives an infinite error, silently
-    with np.errstate(over="ignore"):
-        squares = float(residual @ residual)
-    stderr = math.sqrt(squares / dof / gram)
+    squares = _sum([r * r for r in residual])
+    stderr = math.sqrt(squares / (len(points) - 1) / gram)
     return OverlapFit(overlap=estimate, stderr=stderr)
+
+
+def _sum(terms: list[float]) -> float:
+    """The correctly rounded sum; one beyond the float range is +-inf,
+    silently, as ordinary float addition gives it."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return sum(terms)
 
 
 def fidelity(spectral_overlap: float, one_photon: float) -> float:
@@ -222,17 +231,18 @@ def hom_scan_analytic(
     require(beta_sq >= 0.0, "beta_sq must be nonnegative")
     require(0.0 <= overlap_max <= 1.0, "overlap_max must lie in [0, 1]")
     require(sigma_t > 0.0, "sigma_t must be positive")
-    tau_axis = np.linspace(
-        -span_sigmas * sigma_t, span_sigmas * sigma_t, n_points
+    tau_axis = tuple(
+        linspace(-span_sigmas * sigma_t, span_sigmas * sigma_t, n_points)
     )
     # in units of sigma_t, so a huge finite sigma_t cannot overflow
-    overlap = overlap_max * np.exp(-0.5 * (tau_axis / sigma_t) ** 2)
-    coincidence = coincidence_simplified(state, beta_sq, overlap)
+    ratios = [tau / sigma_t for tau in tau_axis]
+    overlap = tuple(overlap_max * math.exp(-0.5 * (r * r)) for r in ratios)
+    coincidence = tuple(
+        coincidence_simplified(state, beta_sq, t) for t in overlap
+    )
     baseline = coincidence_simplified(state, beta_sq, 0.0)
     dip = coincidence_simplified(state, beta_sq, overlap_max)
     visibility = (baseline - dip) / baseline if baseline > 0 else 0.0
-    for array in (tau_axis, overlap, coincidence):
-        array.setflags(write=False)
     return HomScan(
         tau_axis=tau_axis,
         coincidence=coincidence,

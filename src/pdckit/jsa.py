@@ -38,10 +38,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import NumericalError, require
+
+# numpy is imported inside each function that builds an array, so that
+# importing this module does not load it
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DEFAULT_GAMMA",
@@ -209,6 +213,7 @@ class FilteredSource:
 
 def trapezoid_weights(axis: np.ndarray) -> np.ndarray:
     """Trapezoid quadrature weights of a uniform axis."""
+    import numpy as np
     step = axis[1] - axis[0]
     weights = np.full(axis.size, step)
     weights[0] = weights[-1] = step / 2.0
@@ -216,6 +221,7 @@ def trapezoid_weights(axis: np.ndarray) -> np.ndarray:
 
 
 def _check_axis(axis: np.ndarray) -> np.ndarray:
+    import numpy as np
     axis = np.asarray(axis, dtype=float)
     require(axis.ndim == 1 and axis.size >= 8, "nu_axis must be a 1-d axis")
     steps = np.diff(axis)
@@ -245,6 +251,7 @@ class SpectralGrid:
     def from_amplitude(
         cls, nu_axis: np.ndarray, amplitude: np.ndarray
     ) -> "SpectralGrid":
+        import numpy as np
         # own copies only: locking caller arrays would be a side effect
         nu_axis = _check_axis(nu_axis).copy()
         amplitude = np.array(amplitude, dtype=complex)
@@ -271,30 +278,31 @@ class ReducedDensity:
     density: np.ndarray
 
     def trace(self) -> float:
+        import numpy as np
         weights = trapezoid_weights(self.nu_axis)
         return float(np.real(np.diag(self.density) @ weights))
 
     def eigenvalues(self) -> np.ndarray:
         """Spectrum of the kernel with respect to the quadrature measure."""
+        import numpy as np
         root_w = np.sqrt(trapezoid_weights(self.nu_axis))
         symmetric = self.density * np.outer(root_w, root_w)
         return np.linalg.eigvalsh(symmetric)
 
 
-def pm_width(params: PdcModelParams, length=None):
-    """Phase-matching amplitude width, the broadband-pump minor axis.
+def pm_width(params: PdcModelParams, length: float | None = None) -> float:
+    """Phase-matching amplitude width, the broadband-pump minor axis,
+    2 / (L sqrt(gamma (kappa_s^2 + kappa_i^2))).
 
-    It is taken at params.length, or at the given length: one length
-    or a numpy array of lengths, whose shape the result has.
+    It is taken at params.length, or at the given length.  A denominator
+    that underflows to zero gives an infinite width.
     """
     if length is None:
         length = params.length
-    return 2.0 / (
-        length
-        * math.sqrt(
-            params.gamma * (params.kappa_s**2 + params.kappa_i**2)
-        )
+    scale = length * math.sqrt(
+        params.gamma * (params.kappa_s**2 + params.kappa_i**2)
     )
+    return 2.0 / scale if scale else math.inf
 
 
 def params_from_pm_estimate(
@@ -383,6 +391,7 @@ def default_axes(
         ValueError: for a rank-one correlation form, whose support is
             unbounded along the major axis.
     """
+    import numpy as np
     if source.determinant == 0.0:
         raise ValueError(
             "correlation form is rank one; the amplitude has unbounded "
@@ -410,6 +419,7 @@ def sample(source: FilteredSource, nu_axis: np.ndarray) -> SpectralGrid:
             single-axis amplitude cut with fewer than 8 samples: its
             step exceeds 1/(8 sqrt(max(m11, m22))).
     """
+    import numpy as np
     nu_axis = _check_axis(nu_axis)
     step = nu_axis[1] - nu_axis[0]
     line_width = 1.0 / math.sqrt(max(source.m11, source.m22))
@@ -447,6 +457,7 @@ def reduced_density(
         NumericalError: when the filters remove essentially all spectral
             weight and no normalizable kernel remains.
     """
+    import numpy as np
     require(
         signal_width > 0 and idler_width > 0, "filter widths must be positive"
     )
@@ -476,6 +487,7 @@ def reduced_density(
 def purity(g: ReducedDensity) -> float:
     """Trace of the squared kernel under quadrature, in (0, 1]: the
     quadrature of FilteredSource.purity."""
+    import numpy as np
     weights = trapezoid_weights(g.nu_axis)
     value = np.abs(g.density) ** 2 * np.outer(weights, weights)
     return float(np.real(value.sum()))
@@ -500,6 +512,7 @@ def overlap_T(
         g: unit-trace spectral density.
         tau: relative delay in seconds.
     """
+    import numpy as np
     require(reference_width > 0.0, "reference_width must be positive")
     weights = trapezoid_weights(g.nu_axis)
     u = np.exp(-((g.nu_axis / reference_width) ** 2))
@@ -520,6 +533,7 @@ def overlap_numeric(grid: SpectralGrid) -> float:
     FilteredSource.twin_overlap.  A relative delay tau is a shift of the
     form's phase_s by tau.
     """
+    import numpy as np
     weights = trapezoid_weights(grid.nu_axis)
     integrand = grid.amplitude * np.conj(grid.amplitude.T)
     numerator = complex(weights @ integrand @ weights)

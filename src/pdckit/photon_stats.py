@@ -25,10 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .errors import require, require_pairs
 
-from .errors import require
+# numpy is imported inside each function that builds an array, so that
+# importing this module does not load it
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "InversionResult",
@@ -51,6 +55,7 @@ _TINY = 2.2250738585072014e-308  # smallest normal float, sys.float_info.min
 
 def _checked_probabilities(probs: np.ndarray) -> np.ndarray:
     """A read-only copy of a nonnegative vector that sums to one."""
+    import numpy as np
     require(np.all(probs >= 0), "probabilities must be nonnegative")
     require(
         abs(probs.sum() - 1.0) <= 1e-9,
@@ -63,6 +68,7 @@ def _checked_probabilities(probs: np.ndarray) -> np.ndarray:
 
 def _distribution(probs) -> np.ndarray:
     """A caller's photon-number distribution, checked and read-only."""
+    import numpy as np
     probs = np.asarray(probs, dtype=float)
     require(probs.ndim == 1 and probs.size >= 1, "probs must be 1-d")
     return _checked_probabilities(probs)
@@ -103,6 +109,7 @@ def multimode_dist(n_modes: int, gain_sq: float, nmax: int = 10) -> np.ndarray:
     the last stored entry P(nmax) and the mass beyond the cutoff,
     1 - sum_{n <= nmax} P(n), must each stay below 1e-6.
     """
+    import numpy as np
     require(n_modes >= 1, "n_modes must be at least 1")
     require(0.0 <= gain_sq < 1.0, "gain_sq must lie in [0, 1)")
     require(nmax >= 1, "nmax must be at least 1")
@@ -133,6 +140,7 @@ def heralded_dist(joint, eta_t: float) -> np.ndarray:
         ValueError: when the input carries no photons, so the click
             probability vanishes.
     """
+    import numpy as np
     joint = _distribution(joint)
     require(0.0 <= eta_t <= 1.0, "eta_t must lie in [0, 1]")
     n = np.arange(joint.size, dtype=float)
@@ -196,6 +204,7 @@ def loss_matrix(efficiency: float, nmax: int) -> np.ndarray:
     L[m, n] = (1 - eta) L[m, n-1] + eta L[m-1, n-1].  Every entry is a
     convex combination of earlier ones, so none overflows.
     """
+    import numpy as np
     require(0.0 <= efficiency <= 1.0, "efficiency must be in [0, 1]")
     eta = efficiency
     size = nmax + 1
@@ -214,6 +223,7 @@ def tmd_convolution_matrix(nmax: int) -> np.ndarray:
     n photons split 50/50 produce one click unless they all bunch into
     one bin: P(1|n) = 2^(1-n) and P(2|n) = 1 - 2^(1-n) for n >= 1.
     """
+    import numpy as np
     require(nmax >= 2, "nmax must be at least 2")
     C = np.zeros((3, nmax + 1))
     C[0, 0] = 1.0
@@ -225,6 +235,7 @@ def tmd_convolution_matrix(nmax: int) -> np.ndarray:
 
 def forward_click_dist(rho, efficiency: float) -> np.ndarray:
     """Predicted 0/1/2-click probabilities: loss first, then the splitter map."""
+    import numpy as np
     probs = _distribution(rho)
     if probs.size < 3:  # the splitter map needs at least two photons
         probs = np.pad(probs, (0, 3 - probs.size))
@@ -285,6 +296,7 @@ def _ml_estimate(
     likelihood non-decreasing; that monotonicity is asserted on every
     step.
     """
+    import numpy as np
     observed = observed / observed.sum()
     support = observed > 0
     size = response.shape[1]
@@ -357,6 +369,7 @@ def ml_invert(
             counts as converged; the log-likelihood is then within
             log(1 + tol) of its maximum.
     """
+    import numpy as np
     clicks = np.asarray(clicks, dtype=float)
     require(clicks.shape == (3,), "a two-bin detector has 3 outcomes")
     clicks = _checked_probabilities(clicks)
@@ -389,6 +402,7 @@ def invert_loss_only(
         max_iter: iteration budget.
         tol: bound on the KKT gap, as for ml_invert.
     """
+    import numpy as np
     observed = np.asarray(observed, dtype=float)
     require(observed.ndim == 1 and observed.size >= 2, "need >= 2 outcomes")
     observed = _checked_probabilities(observed)
@@ -418,12 +432,11 @@ def _fit_line(points) -> tuple[float, float]:
     The centred powers are taken in units of the largest of them, so no
     square underflows however small the powers are.
     """
-    data = np.asarray(points, dtype=float)
-    require(
-        data.ndim == 2 and data.shape[1] == 2 and data.shape[0] >= 2,
-        "each series needs at least two (power, mean) points",
+    power, mean = zip(
+        *require_pairs(
+            points, 2, "each series needs at least two (power, mean) points"
+        )
     )
-    power, mean = zip(*data.tolist())
     require(all(p > 0 for p in power), "powers must be positive")
     require(max(power) > min(power), "powers must not all coincide")
     power_bar = sum(power) / len(power)

@@ -167,6 +167,17 @@ class TestPmVsLength:
         assert float(row["length_mm"]) == pytest.approx(2.5, rel=1e-9)
         assert float(row["pm_fwhm_nm"]) == pytest.approx(fwhm * 1e9, rel=1e-8)
 
+    def test_unbounded_width_prints_inf(self, tmp_path, capsys):
+        # both squared mismatches underflow, so every width is unbounded
+        config = _write(
+            tmp_path,
+            "p.cfg",
+            "length = 2.1 mm\nkappa_s = 1e-170 s/m\nkappa_i = 1e-170 s/m\n"
+            "length_min = 1 mm\nlength_max = 2 mm\nlength_steps = 2\n",
+        )
+        code, out, _ = _run(capsys, "pm-vs-length", "--config", str(config))
+        assert (code, out) == (0, "length_mm,pm_fwhm_nm\n1,inf\n2,inf\n")
+
     def test_rejects_nonpositive_length(self, tmp_path, capsys):
         config = _write(
             tmp_path,
@@ -308,6 +319,25 @@ class TestVisibilityAndFit:
         (row,) = _rows(out)
         assert float(row["overlap"]) == pytest.approx(0.65, abs=1e-9)
         assert float(row["stderr"]) == pytest.approx(0.0, abs=1e-9)
+
+    def test_overflowing_sum_of_squares_gives_infinite_stderr(
+        self, tmp_path, capsys
+    ):
+        # each squared residual is finite, near 1e308; their sum is not
+        data = _write(
+            tmp_path,
+            "big.csv",
+            "beta_sq,visibility\n0.01,1e154\n0.02,-1e154\n0.05,1e154\n"
+            "0.1,-1e154\n",
+        )
+        config = _write(
+            tmp_path, "fit.cfg", "p0 = 0.94920\np1 = 0.05065\np2 = 0.00015\n"
+        )
+        code, out, _ = _run(
+            capsys, "fit-overlap", "--config", str(config), "--data", str(data)
+        )
+        assert code == 0
+        assert out == "overlap,stderr,n_points\n6.61526956e+152,inf,4\n"
 
     @pytest.mark.parametrize(
         "lines, column, cell",
@@ -899,9 +929,9 @@ class TestErrorHandling:
                 "reference_fwhm = 1 nm\n",
                 ("--grid-points", "4"),
             ),
-            ("fidelity", "overlap = 1.2\none_photon = 0.9\n", ()),
+            ("twin-hom", "tilt = 54.7 deg\naspect_list = 2\ngamma = 1.5\n", ()),
         ],
-        ids=["coarse-grid", "overlap-above-one"],
+        ids=["coarse-grid", "gamma-above-one"],
     )
     def test_invalid_library_input_exits_one(
         self, tmp_path, capsys, command, text, options
@@ -1080,6 +1110,67 @@ class TestErrorHandling:
                 "signal_filter_fwhm = 1 nm\nreference_fwhm = 1 nm\n",
                 "key 'beta_sq': must be nonnegative\n",
             ),
+            (
+                "fidelity",
+                "overlap = 1.2\none_photon = 0.9\n",
+                "key 'overlap': must lie in [0, 1]\n",
+            ),
+            (
+                "fidelity",
+                "overlap = 0.5\none_photon = -0.1\n",
+                "key 'one_photon': must lie in [0, 1]\n",
+            ),
+            (
+                "visibility-curve",
+                "p0 = 1.5\np1 = -0.5\np2 = 0\nbeta_sq_list = 0.01\n",
+                "key 'p0': must lie in [0, 1]\n",
+            ),
+            (
+                "fit-overlap",
+                "p0 = 0.9\np1 = -0.1\np2 = 0.2\n",
+                "key 'p1': must lie in [0, 1]\n",
+            ),
+            (
+                "hom-scan",
+                "p0 = 0\np1 = 0\np2 = 1.1\nbeta_sq = 0.05\ntmax = 0.5\n"
+                "dip_sigma = 1 ps\n",
+                "key 'p2': must lie in [0, 1]\n",
+            ),
+            (
+                "visibility-curve",
+                "p0 = 0.5\np1 = 0.2\np2 = 0.2\nbeta_sq_list = 0.01\n",
+                "keys 'p0', 'p1', 'p2': must sum to one within 1e-9\n",
+            ),
+            (
+                "visibility-curve",
+                "p0 = 0.9\np1 = 0.1\np2 = 0\nbeta_sq_list = 0.01, -1e-300\n",
+                "key 'beta_sq_list': must be nonnegative\n",
+            ),
+            (
+                "twin-hom",
+                "tilt = 54.7 deg\naspect_list = 2, 0.5\n",
+                "key 'aspect_list': must be at least 1\n",
+            ),
+            (
+                "twin-hom",
+                "tilt = 54.7 deg\naspect_min = 0.5\naspect_max = 2\n",
+                "key 'aspect_min': must be at least 1\n",
+            ),
+            (
+                "invert",
+                "observed = 0.9, 0.1, 0\nefficiency = 1.5\n",
+                "key 'efficiency': must lie in (0, 1]\n",
+            ),
+            (
+                "invert",
+                "observed = 0.9, 0.1, 0\nefficiency = 0\n",
+                "key 'efficiency': must lie in (0, 1]\n",
+            ),
+            (
+                "invert",
+                "observed = 1.1, -0.1, 0\nefficiency = 0.5\n",
+                "key 'observed': must be nonnegative\n",
+            ),
             ("invert", HEADLINE_INVERT + "tol = 0\n", "tol"),
             ("invert", HEADLINE_INVERT + "tol = -1e-12\n", "tol"),
             ("invert", HEADLINE_INVERT + "max_iter = -5\n", "max_iter"),
@@ -1118,6 +1209,18 @@ class TestErrorHandling:
             "negative-beta-sq",
             "strong-spectral-reference",
             "negative-spectral-beta-sq",
+            "overlap-above-one",
+            "negative-one-photon",
+            "p0-above-one",
+            "negative-p1",
+            "p2-above-one",
+            "state-off-one",
+            "negative-beta-sq-list",
+            "aspect-list-below-one",
+            "aspect-min-below-one",
+            "efficiency-above-one",
+            "zero-efficiency",
+            "negative-observed",
             "zero-tol",
             "negative-tol",
             "negative-max-iter",

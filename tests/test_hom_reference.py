@@ -245,10 +245,11 @@ class TestFitOverlap:
             )
 
 
-# -- array forms against the per-point rules --------------------------------
+# -- the functions against their rules -----------------------------------------
 #
-# The per-point rules below are the scalar forms, in Python floats, that
-# the array forms replace; each array entry must equal them bit for bit.
+# The rules below are the textbook forms, in Python floats, with the
+# beta_sq = 0 limits spelled out; each function must equal them bit for
+# bit, overflow to inf included.
 
 
 def _coincidence_rule(state, mean_photons, overlap):
@@ -295,7 +296,7 @@ _BETAS = st.lists(
 )
 
 
-class TestArrayForms:
+class TestScalarRules:
     @settings(max_examples=300, deadline=None)
     @given(_STATES, _FINITE, _BETAS)
     @example(hom.SignalState(0.0, 0.5, 0.5), -0.65, [0.0, 5e-324, 1e-3])
@@ -303,13 +304,11 @@ class TestArrayForms:
     @example(hom.SignalState(1.0, 0.0, 0.0), -0.8, [0.0, 0.1])
     def test_visibility_matches_rule(self, state, overlap, betas):
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no numpy RuntimeWarning
-            array = hom.visibility_vs_beta(state, overlap, np.array(betas))
-            scalars = [hom.visibility_vs_beta(state, overlap, b) for b in betas]
+            warnings.simplefilter("error")
+            values = [hom.visibility_vs_beta(state, overlap, b) for b in betas]
         expected = _bits([_visibility_rule(state, overlap, b) for b in betas])
-        assert array.shape == (len(betas),)
-        assert _bits(array) == expected
-        assert _bits(scalars) == expected
+        assert all(type(value) is float for value in values)
+        assert _bits(values) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -320,17 +319,19 @@ class TestArrayForms:
     def test_coincidence_matches_rule(self, state, mean_photons, overlaps):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            array = hom.coincidence_simplified(
-                state, mean_photons, np.array(overlaps)
-            )
+            values = [
+                hom.coincidence_simplified(state, mean_photons, t)
+                for t in overlaps
+            ]
         expected = [_coincidence_rule(state, mean_photons, t) for t in overlaps]
-        assert _bits(array) == _bits(expected)
+        assert all(type(value) is float for value in values)
+        assert _bits(values) == _bits(expected)
 
-    def test_array_refusals(self):
+    def test_refusals(self):
         with pytest.raises(ValueError, match="coincidence_full"):
-            hom.coincidence_simplified(THREE_FOLD, 0.2, np.array([0.0, 0.5]))
+            hom.coincidence_simplified(THREE_FOLD, 0.2, 0.5)
         with pytest.raises(ValueError, match="nonnegative"):
-            hom.visibility_vs_beta(THREE_FOLD, 0.65, np.array([0.1, -1e-300]))
+            hom.visibility_vs_beta(THREE_FOLD, 0.65, -1e-300)
 
 
 class TestDipWidth:

@@ -1,0 +1,136 @@
+"""Only `invert` loads numpy.
+
+Importing the command line and running every other command must leave
+numpy unloaded, since its import costs several times what the whole
+closed-form chain does.  jsa and photon_stats import numpy inside the
+functions that build arrays; no module imports it at the top level.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pdckit
+from pdckit import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path(pdckit.__file__).parent
+
+SOURCE = """
+center_wavelength = 796 nm
+pump_fwhm = 2.5 nm
+pm_fwhm = 0.5 nm
+tilt = 54.7 deg
+length = 2.1 mm
+"""
+STATE = "p0 = 0.94920\np1 = 0.05065\np2 = 0.00015\n"
+FILTERS = "signal_filter_fwhm = 1 nm\nreference_fwhm = 1 nm\n"
+
+# (command, scenario text, extra options) for every command but invert
+COMMANDS = [
+    ("ellipse", SOURCE, []),
+    ("filter", SOURCE + "filter_s_fwhm = 1 nm\nfilter_i_fwhm = 1 nm\n", []),
+    (
+        "pm-vs-length",
+        SOURCE + "length_min = 1 mm\nlength_max = 5 mm\nlength_steps = 5\n",
+        [],
+    ),
+    ("twin-hom", "tilt = 54.7 deg\naspect_min = 1.5\naspect_max = 90\n", []),
+    (
+        "herald-stats",
+        "modes_unfiltered = 31\ntrigger_efficiency = 0.1\n"
+        "gain_sq_min = 0.01\ngain_sq_max = 0.05\ngain_sq_steps = 5\n",
+        [],
+    ),
+    ("visibility-curve", None, []),
+    ("fit-overlap", STATE, ["--data", "{data}"]),
+    (
+        "hom-scan",
+        STATE + "beta_sq = 0.05\ntmax = 0.7\ndip_sigma = 1 ps\n",
+        [],
+    ),
+    ("hom-scan", SOURCE + FILTERS + STATE + "beta_sq = 0.05\n", []),
+    ("tmax", None, []),
+    ("dip-width", None, []),
+    ("fidelity", "overlap = 0.65\none_photon = 0.93125\n", []),
+]
+CONFIGS = {
+    "visibility-curve": "visibility_three_fold.cfg",
+    "tmax": "tmax.cfg",
+    "dip-width": "tmax.cfg",
+}
+
+_CHILD = textwrap.dedent(
+    """
+    import contextlib, io, json, sys
+
+    import pdckit.cli
+
+    calls = json.loads(sys.argv[1])
+    codes = []
+    for argv in calls[:-1]:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(pdckit.cli.main(argv))
+    before = "numpy" in sys.modules
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(pdckit.cli.main(calls[-1]))
+    print(json.dumps([codes, before, "numpy" in sys.modules]))
+    """
+)
+
+
+def test_only_invert_loads_numpy(tmp_path):
+    data = tmp_path / "curve.csv"
+    data.write_text("beta_sq,visibility\n0.01,0.4\n0.02,0.5\n0.05,0.45\n")
+    calls = []
+    for index, (command, text, options) in enumerate(COMMANDS):
+        if text is None:
+            config = ROOT / "configs" / CONFIGS[command]
+        else:
+            config = tmp_path / f"{index}.cfg"
+            config.write_text(text)
+        options = [option.format(data=data) for option in options]
+        calls.append([command, "--config", str(config), *options])
+    assert {call[0] for call in calls} == set(cli._COMMANDS) - {"invert"}
+    calls.append(
+        ["invert", "--config", str(ROOT / "configs" / "invert_three_fold.cfg")]
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    child = subprocess.run(
+        [sys.executable, "-c", _CHILD, json.dumps(calls)],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    codes, before, after = json.loads(child.stdout)
+    assert codes == [0] * len(calls), child.stderr
+    assert not before, "a command other than invert loaded numpy"
+    assert after, "invert ran without numpy"
+
+
+def _imports_numpy(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] == "numpy"
+    return False
+
+
+def test_no_module_imports_numpy_at_top_level():
+    """numpy is imported inside functions, or for annotations under
+    TYPE_CHECKING; hom_reference and cli do not import it at all."""
+    top_level, anywhere = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if _imports_numpy(node):
+                top_level.append(path.stem)
+        if any(_imports_numpy(node) for node in ast.walk(tree)):
+            anywhere.append(path.stem)
+    assert top_level == []
+    assert "hom_reference" not in anywhere and "cli" not in anywhere

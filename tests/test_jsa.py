@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -112,21 +113,25 @@ class TestBuildEllipse:
 
 class TestPmWidth:
     def test_doubling_length_halves_width(self):
-        widths = jsa.pm_width(_params(), np.array([1.0, 2.0]))
+        widths = [jsa.pm_width(_params(), length) for length in (1.0, 2.0)]
         assert widths[0] == pytest.approx(2.0 * widths[1], rel=1e-12)
 
     def test_strictly_decreasing_in_length(self):
-        widths = jsa.pm_width(_params(), np.linspace(0.5, 4.0, 9))
+        lengths = np.linspace(0.5, 4.0, 9).tolist()
+        widths = [jsa.pm_width(_params(), length) for length in lengths]
         assert all(a > b for a, b in zip(widths, widths[1:]))
 
-    def test_array_of_lengths_matches_each_length(self):
+    def test_given_length_matches_params_length(self):
         params = _params()
-        lengths = np.linspace(0.5, 4.0, 9)
-        widths = jsa.pm_width(params, lengths)
-        assert widths.shape == lengths.shape
-        for length, width in zip(lengths.tolist(), widths.tolist()):
-            assert width == jsa.pm_width(params, length)
+        for length in np.linspace(0.5, 4.0, 9).tolist():
+            at_length = dataclasses.replace(params, length=length)
+            assert jsa.pm_width(params, length) == jsa.pm_width(at_length)
         assert jsa.pm_width(params) == jsa.pm_width(params, params.length)
+
+    def test_underflowing_denominator_gives_infinite_width(self):
+        # both squared mismatches underflow to zero, so the scale is zero
+        params = _params(ks=1e-170, ki=1e-170)
+        assert jsa.pm_width(params) == math.inf
 
     def test_guide_scale_bandwidth(self):
         # mismatch coefficients of a few-mm potassium-titanyl-phosphate
