@@ -123,21 +123,28 @@ def _source_params(
     gamma = sc.number("gamma", default=jsa.DEFAULT_GAMMA)
     kappa_s = sc.quantity("kappa_s", "inverse_velocity")
     kappa_i = sc.quantity("kappa_i", "inverse_velocity")
-    if kappa_s is not None or kappa_i is not None:
-        if kappa_s is None or kappa_i is None:
-            raise ConfigError("kappa_s and kappa_i must be given together")
+    if kappa_s is None and kappa_i is None:
+        pm = _width_from_fwhm(sc, "pm_fwhm", wavelength)
+        tilt = sc.quantity("tilt", "angle")
+        if pm is None or tilt is None:
+            raise ConfigError(
+                "missing required key 'kappa_s'/'kappa_i' or 'pm_fwhm'/'tilt'"
+            )
+        if not 0.0 < tilt < 90.0:
+            raise ConfigError("key 'tilt': must lie strictly in (0, 90) deg")
+    elif kappa_s is None or kappa_i is None:
+        raise ConfigError("kappa_s and kappa_i must be given together")
+    # the checks PdcModelParams makes, in its order, naming the key
+    if not length > 0:
+        raise ConfigError("key 'length': must be positive")
+    _check_gamma(gamma)
+    if kappa_s is not None:
         return jsa.PdcModelParams(
             sigma_pump=sigma_pump,
             kappa_s=kappa_s,
             kappa_i=kappa_i,
             length=length,
             gamma=gamma,
-        )
-    pm = _width_from_fwhm(sc, "pm_fwhm", wavelength)
-    tilt = sc.quantity("tilt", "angle")
-    if pm is None or tilt is None:
-        raise ConfigError(
-            "missing required key 'kappa_s'/'kappa_i' or 'pm_fwhm'/'tilt'"
         )
     return jsa.params_from_pm_estimate(
         sigma_pump=sigma_pump,
@@ -146,6 +153,11 @@ def _source_params(
         length=length,
         gamma=gamma,
     )
+
+
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 < gamma <= 1.0:
+        raise ConfigError("key 'gamma': must lie in (0, 1]")
 
 
 def _count(
@@ -286,6 +298,7 @@ def _cmd_twin_hom(sc: Scenario) -> tuple[list, list, list]:
     if min(aspects) < 1.0:
         key = "aspect_list" if "aspect_list" in sc.values else "aspect_min"
         raise ConfigError(f"key {key!r}: must be at least 1")
+    _check_gamma(gamma)
     rows = []
     for aspect in aspects:
         spectral, temporal = twin_hom.model_source(
@@ -481,9 +494,18 @@ def _cmd_invert(sc: Scenario) -> tuple[list, list, list]:
     tol = sc.number("tol", default=1e-10)
     if not tol > 0:
         raise ConfigError("key 'tol': must be positive")
-    invert = photon_stats.invert_loss_only
     if observable == "clicks":
         invert = photon_stats.ml_invert
+        if len(observed) != 3:
+            raise ConfigError(
+                "key 'observed': a two-bin detector has 3 outcomes"
+            )
+    else:
+        invert = photon_stats.invert_loss_only
+        if len(observed) < 2:
+            raise ConfigError("key 'observed': need at least 2 outcomes")
+    if abs(math.fsum(observed) - 1.0) > 1e-9:
+        raise ConfigError("key 'observed': must sum to one within 1e-9")
     result = invert(observed, efficiency, max_iter=max_iter, tol=tol)
     if not result.converged:
         reason = f"KKT gap {result.kkt_gap:.2e} above tol {tol:g}"

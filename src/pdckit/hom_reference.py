@@ -25,7 +25,7 @@ over such calls, and HomScan holds its axes as tuples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import require, require_pairs
 from .units import linspace
@@ -45,25 +45,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SignalState:
-    """Signal photon statistics truncated at the two-photon component."""
-
+class _SignalStateFields(NamedTuple):
     p0: float
     p1: float
     p2: float
 
-    def __post_init__(self) -> None:
-        for p in (self.p0, self.p1, self.p2):
+
+class SignalState(_SignalStateFields):
+    """Signal photon statistics truncated at the two-photon component.
+
+    The probabilities are checked at construction and again by
+    _replace.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, p0: float, p1: float, p2: float) -> SignalState:
+        for p in (p0, p1, p2):
             require(p >= 0.0, "probabilities must be nonnegative")
         require(
-            abs(self.p0 + self.p1 + self.p2 - 1.0) <= 1e-9,
+            abs(p0 + p1 + p2 - 1.0) <= 1e-9,
             "p0 + p1 + p2 must equal one within 1e-9",
         )
+        return super().__new__(cls, p0, p1, p2)
+
+    @classmethod
+    def _make(cls, iterable) -> SignalState:
+        # the inherited _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
 
-@dataclass(frozen=True, eq=False)
-class HomScan:
+class HomScan(NamedTuple):
     """Coincidence probability against relative delay, dip centered at zero.
 
     tau_axis, overlap and coincidence are tuples of floats, one entry
@@ -76,8 +88,7 @@ class HomScan:
     overlap: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class OverlapFit:
+class OverlapFit(NamedTuple):
     """Least-squares overlap estimate from visibility measurements."""
 
     overlap: float

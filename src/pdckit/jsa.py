@@ -37,8 +37,7 @@ pure function; array payloads are marked read-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NumericalError, require
 
@@ -69,9 +68,18 @@ __all__ = [
 DEFAULT_GAMMA = 0.193
 
 
-@dataclass(frozen=True)
-class PdcModelParams:
+class _PdcModelParamsFields(NamedTuple):
+    sigma_pump: float
+    kappa_s: float
+    kappa_i: float
+    length: float
+    gamma: float = DEFAULT_GAMMA
+
+
+class PdcModelParams(_PdcModelParamsFields):
     """Physical description of the down-conversion source.
+
+    The values are checked at construction and again by _replace.
 
     Attributes:
         sigma_pump: pump amplitude 1/e half-width (rad/s).
@@ -81,24 +89,34 @@ class PdcModelParams:
         gamma: sinc-to-Gaussian width adaptation factor, DEFAULT_GAMMA.
     """
 
-    sigma_pump: float
-    kappa_s: float
-    kappa_i: float
-    length: float
-    gamma: float = DEFAULT_GAMMA
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        require(self.sigma_pump > 0, "sigma_pump must be positive")
-        require(self.length > 0, "length must be positive")
-        require(0 < self.gamma <= 1, "gamma must lie in (0, 1]")
+    def __new__(
+        cls,
+        sigma_pump: float,
+        kappa_s: float,
+        kappa_i: float,
+        length: float,
+        gamma: float = DEFAULT_GAMMA,
+    ) -> PdcModelParams:
+        require(sigma_pump > 0, "sigma_pump must be positive")
+        require(length > 0, "length must be positive")
+        require(0 < gamma <= 1, "gamma must lie in (0, 1]")
         require(
-            self.kappa_s != 0 or self.kappa_i != 0,
+            kappa_s != 0 or kappa_i != 0,
             "kappa_s and kappa_i must not both vanish",
         )
+        return super().__new__(
+            cls, sigma_pump, kappa_s, kappa_i, length, gamma
+        )
+
+    @classmethod
+    def _make(cls, iterable) -> PdcModelParams:
+        # the inherited _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class FilteredSource:
+class FilteredSource(NamedTuple):
     """Gaussian form of a source behind Gaussian filters.
 
     The amplitude is exp(-nu^T M' nu + i (phase_s nu_s + phase_i nu_i)).
@@ -233,8 +251,7 @@ def _check_axis(axis: np.ndarray) -> np.ndarray:
     return axis
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralGrid:
+class SpectralGrid(NamedTuple):
     """Sampled complex joint amplitude on a square detuning grid.
 
     amplitude[i, j] is the amplitude at signal detuning nu_axis[i] and
@@ -266,8 +283,7 @@ class SpectralGrid:
         return cls(nu_axis, amplitude, norm)
 
 
-@dataclass(frozen=True, eq=False)
-class ReducedDensity:
+class ReducedDensity(NamedTuple):
     """Normalized one-photon spectral density g(omega1, omega2).
 
     Hermitian kernel on a common detuning axis with unit trace under

@@ -24,8 +24,7 @@ finds it, stopping on a KKT gap that certifies optimality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import require, require_pairs
 
@@ -247,8 +246,7 @@ def forward_click_dist(rho, efficiency: float) -> np.ndarray:
     return clicks
 
 
-@dataclass(frozen=True, eq=False)
-class InversionResult:
+class InversionResult(NamedTuple):
     """Outcome of a maximum-likelihood inversion.
 
     Attributes:
@@ -411,8 +409,7 @@ def invert_loss_only(
     return _ml_estimate(observed, response, max_iter, tol)
 
 
-@dataclass(frozen=True)
-class ModeReductionFit:
+class ModeReductionFit(NamedTuple):
     """Linear fits of heralded mean versus power for two filter settings.
 
     slope_ratio estimates (M_unfiltered + 1) / (M_filtered + 1); the

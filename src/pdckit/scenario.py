@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
@@ -76,14 +75,16 @@ def _split_number_unit(text: str) -> tuple[float | None, str]:
     return None, text
 
 
-@dataclass
 class Scenario:
     """The keys of one scenario file, the keys a command has read so far,
     and data_path, the file given with --data (None without it)."""
 
-    values: dict[str, str]
-    data_path: Path | None = None
-    consumed: set = field(default_factory=set)
+    def __init__(
+        self, values: dict[str, str], data_path: Path | None = None
+    ) -> None:
+        self.values = values
+        self.data_path = data_path
+        self.consumed: set[str] = set()
 
     @classmethod
     def from_file(

@@ -929,9 +929,8 @@ class TestErrorHandling:
                 "reference_fwhm = 1 nm\n",
                 ("--grid-points", "4"),
             ),
-            ("twin-hom", "tilt = 54.7 deg\naspect_list = 2\ngamma = 1.5\n", ()),
         ],
-        ids=["coarse-grid", "gamma-above-one"],
+        ids=["coarse-grid"],
     )
     def test_invalid_library_input_exits_one(
         self, tmp_path, capsys, command, text, options
@@ -1180,6 +1179,51 @@ class TestErrorHandling:
                 HEADLINE_INVERT + "max_iter = 1000000000000\n",
                 "max_iter",
             ),
+            (
+                "twin-hom",
+                "tilt = 54.7 deg\naspect_list = 2\ngamma = 1.5\n",
+                "key 'gamma': must lie in (0, 1]\n",
+            ),
+            (
+                "ellipse",
+                SOURCE_CFG.replace("gamma = 0.193", "gamma = 0"),
+                "key 'gamma': must lie in (0, 1]\n",
+            ),
+            (
+                "ellipse",
+                KAPPA_CFG.replace("gamma = 0.193", "gamma = 1.5"),
+                "key 'gamma': must lie in (0, 1]\n",
+            ),
+            (
+                "ellipse",
+                SOURCE_CFG.replace("2.1 mm", "-2.1 mm"),
+                "key 'length': must be positive\n",
+            ),
+            (
+                "dip-width",
+                KAPPA_CFG.replace("2.1 mm", "0 mm"),
+                "key 'length': must be positive\n",
+            ),
+            (
+                "ellipse",
+                SOURCE_CFG.replace("54.7 deg", "95 deg"),
+                "key 'tilt': must lie strictly in (0, 90) deg\n",
+            ),
+            (
+                "invert",
+                "observed = 0.5, 0.4, 0\nefficiency = 0.5\n",
+                "key 'observed': must sum to one within 1e-9\n",
+            ),
+            (
+                "invert",
+                "observed = 0.5, 0.5\nefficiency = 0.5\nobservable = clicks\n",
+                "key 'observed': a two-bin detector has 3 outcomes\n",
+            ),
+            (
+                "invert",
+                "observed = 1\nefficiency = 0.5\n",
+                "key 'observed': need at least 2 outcomes\n",
+            ),
         ],
         ids=[
             "zero-wavelength",
@@ -1226,6 +1270,15 @@ class TestErrorHandling:
             "negative-max-iter",
             "max-iter-past-bound",
             "huge-max-iter",
+            "gamma-above-one",
+            "zero-source-gamma",
+            "kappa-source-gamma",
+            "negative-length",
+            "zero-kappa-length",
+            "tilt-past-ninety",
+            "observed-off-one",
+            "two-click-outcomes",
+            "one-outcome",
         ],
     )
     def test_invalid_value_is_named(self, tmp_path, capsys, command, text, key):

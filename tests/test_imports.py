@@ -1,9 +1,11 @@
-"""Only `invert` loads numpy.
+"""Only `invert` loads numpy, and no command loads `dataclasses`.
 
 Importing the command line and running every other command must leave
 numpy unloaded, since its import costs several times what the whole
 closed-form chain does.  jsa and photon_stats import numpy inside the
 functions that build arrays; no module imports it at the top level.
+The records are NamedTuple classes, so nothing loads `dataclasses` or
+the `inspect` it imports either.
 """
 
 import ast
@@ -75,7 +77,8 @@ _CHILD = textwrap.dedent(
     for argv in calls[:-1]:
         with contextlib.redirect_stdout(io.StringIO()):
             codes.append(pdckit.cli.main(argv))
-    before = "numpy" in sys.modules
+    heavy = ("numpy", "dataclasses", "inspect")
+    before = [name for name in heavy if name in sys.modules]
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(pdckit.cli.main(calls[-1]))
     print(json.dumps([codes, before, "numpy" in sys.modules]))
@@ -109,15 +112,15 @@ def test_only_invert_loads_numpy(tmp_path):
     )
     codes, before, after = json.loads(child.stdout)
     assert codes == [0] * len(calls), child.stderr
-    assert not before, "a command other than invert loaded numpy"
+    assert before == [], "a command other than invert loaded these"
     assert after, "invert ran without numpy"
 
 
-def _imports_numpy(node) -> bool:
+def _imports(node, module: str) -> bool:
     if isinstance(node, ast.Import):
-        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+        return any(alias.name.split(".")[0] == module for alias in node.names)
     if isinstance(node, ast.ImportFrom):
-        return (node.module or "").split(".")[0] == "numpy"
+        return (node.module or "").split(".")[0] == module
     return False
 
 
@@ -128,9 +131,21 @@ def test_no_module_imports_numpy_at_top_level():
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in tree.body:
-            if _imports_numpy(node):
+            if _imports(node, "numpy"):
                 top_level.append(path.stem)
-        if any(_imports_numpy(node) for node in ast.walk(tree)):
+        if any(_imports(node, "numpy") for node in ast.walk(tree)):
             anywhere.append(path.stem)
     assert top_level == []
     assert "hom_reference" not in anywhere and "cli" not in anywhere
+
+
+def test_no_module_imports_dataclasses():
+    importing = [
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        if any(
+            _imports(node, "dataclasses")
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+    ]
+    assert importing == []

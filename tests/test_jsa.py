@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -124,7 +123,7 @@ class TestPmWidth:
     def test_given_length_matches_params_length(self):
         params = _params()
         for length in np.linspace(0.5, 4.0, 9).tolist():
-            at_length = dataclasses.replace(params, length=length)
+            at_length = params._replace(length=length)
             assert jsa.pm_width(params, length) == jsa.pm_width(at_length)
         assert jsa.pm_width(params) == jsa.pm_width(params, params.length)
 

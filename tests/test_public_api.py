@@ -3,12 +3,11 @@
 A name earns its place in a model module's ``__all__`` when the command
 line reaches it, directly or through other library code, or when the
 tests use it as an independent reference for a faster route.  A field
-of an exported dataclass earns its place when the package reads it,
-and a public method of ``Scenario`` when ``cli.py`` calls it.
+of an exported record (a NamedTuple) earns its place when the package
+reads it, and a public method of ``Scenario`` when ``cli.py`` calls it.
 """
 
 import ast
-import dataclasses
 import importlib
 from pathlib import Path
 
@@ -22,6 +21,14 @@ PACKAGE = Path(pdckit.__file__).parent
 TRACED = ("scenario", "cli", "jsa", "hom_reference", "photon_stats", "twin_hom")
 
 MODEL_MODULES = ("jsa", "hom_reference", "twin_hom", "photon_stats")
+
+# the records each model module exports, all of them NamedTuple classes
+RECORDS = {
+    "jsa": {"PdcModelParams", "FilteredSource", "SpectralGrid", "ReducedDensity"},
+    "hom_reference": {"SignalState", "HomScan", "OverlapFit"},
+    "twin_hom": set(),
+    "photon_stats": {"InversionResult", "ModeReductionFit"},
+}
 
 # reached by no command, kept as references the tests check against
 TEST_REFERENCES = {
@@ -113,15 +120,24 @@ def _attributes_read() -> set[str]:
 
 
 @pytest.mark.parametrize("module_name", MODEL_MODULES)
-def test_every_dataclass_field_is_read(module_name):
+def test_every_record_field_is_read(module_name):
     module = importlib.import_module(f"pdckit.{module_name}")
+    exported = [getattr(module, name) for name in module.__all__]
+    records = [
+        obj
+        for obj in exported
+        if isinstance(obj, type)
+        and issubclass(obj, tuple)
+        and hasattr(obj, "_fields")
+    ]
+    # the exact set, so that the guard cannot pass by checking nothing
+    assert {record.__name__ for record in records} == RECORDS[module_name]
     read = _attributes_read()
     unread = [
-        f"{name}.{field.name}"
-        for name in module.__all__
-        if dataclasses.is_dataclass(getattr(module, name))
-        for field in dataclasses.fields(getattr(module, name))
-        if field.name not in read
+        f"{record.__name__}.{field}"
+        for record in records
+        for field in record._fields
+        if field not in read
     ]
     assert unread == []
 

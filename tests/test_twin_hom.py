@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -176,7 +175,7 @@ class TestNumericOverlap:
         # a relative delay tau shifts the signal phase slope by tau; at
         # tau = 1 the overlap of this form is exp(-1)
         source = twin_hom.model_source(2.0, 45.0)
-        delayed = dataclasses.replace(source, phase_s=source.phase_s + 1.0)
+        delayed = source._replace(phase_s=source.phase_s + 1.0)
         spectral, temporal = delayed.twin_overlap()
         assert spectral * temporal == pytest.approx(math.exp(-1.0), rel=1e-12)
         numeric = jsa.overlap_numeric(_grid(delayed))
