@@ -1,43 +1,36 @@
 """Photon-number statistics of the heralded source.
 
-Covers the thermal statistics of one or more down-conversion modes
-(K identical modes sum to a negative binomial distribution, evaluated
-in closed form), heralding on a lossy trigger detector, the forward
-model of a two-bin time-multiplexed click detector (loss matrix
-followed by a splitting convolution), its maximum-likelihood inversion,
-and the mode-count estimate from the power dependence of the heralded
-mean.  heralded_mean gives that mean exactly, in closed form from the
-pair-number generating function, without building a distribution;
-multimode_dist and heralded_dist are the route it is checked against.
-Distributions are plain vectors; those returned are read-only.
+Covers the exact mean photon number of one or more heralded
+down-conversion modes (K identical thermal modes sum to a negative
+binomial distribution, whose generating function gives that mean in
+closed form), the forward model of a two-bin time-multiplexed click
+detector (loss matrix followed by a splitting convolution), its
+maximum-likelihood inversion, and the mode-count estimate from the
+power dependence of the heralded mean.  Everything runs on Python
+floats: matrices are lists of rows, and the distributions returned are
+tuples, so read-only.
 
 A note on inversion: a two-bin detector resolves three outcomes, so at
 most the photon-number components 0, 1 and 2 are identifiable from one
 click distribution.  ml_invert therefore reconstructs on that
-identifiable support, where the response matrix is square: when its
-direct solve is a distribution it reproduces the data exactly and is
-the maximum-likelihood state.  Otherwise the optimum lies on a face of
-the simplex and the multiplicative expectation-maximization iteration
+identifiable support, where the response matrix is square and upper
+triangular: when its direct solve, by back-substitution, is a
+distribution it reproduces the data exactly and is the
+maximum-likelihood state.  Otherwise the optimum lies on a face of the
+simplex and the multiplicative expectation-maximization iteration
 finds it, stopping on a KKT gap that certifies optimality.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import require, require_pairs
-
-# numpy is imported inside each function that builds an array, so that
-# importing this module does not load it
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "InversionResult",
     "ModeReductionFit",
-    "multimode_dist",
-    "heralded_dist",
     "heralded_mean",
     "loss_matrix",
     "tmd_convolution_matrix",
@@ -48,115 +41,28 @@ __all__ = [
     "implied_mode_count",
 ]
 
-_TAIL_LIMIT = 1e-6
 _TINY = 2.2250738585072014e-308  # smallest normal float, sys.float_info.min
 
 
-def _checked_probabilities(probs: np.ndarray) -> np.ndarray:
-    """A read-only copy of a nonnegative vector that sums to one."""
-    import numpy as np
-    require(np.all(probs >= 0), "probabilities must be nonnegative")
+def _probabilities(
+    values, message: str, least: int, most: float
+) -> tuple[float, ...]:
+    """A caller's probability vector as a tuple of floats.
+
+    Refused with message unless it is flat with least to most entries,
+    then unless it is nonnegative and sums to one within 1e-9.
+    """
+    try:
+        probs = tuple([float(p) for p in values])
+    except TypeError:  # a scalar, or a nested sequence
+        probs = ()
+    require(least <= len(probs) <= most, message)
+    require(all(p >= 0.0 for p in probs), "probabilities must be nonnegative")
     require(
-        abs(probs.sum() - 1.0) <= 1e-9,
+        abs(sum(probs) - 1.0) <= 1e-9,
         "probabilities must sum to one within 1e-9",
     )
-    probs = probs.copy()
-    probs.setflags(write=False)
     return probs
-
-
-def _distribution(probs) -> np.ndarray:
-    """A caller's photon-number distribution, checked and read-only."""
-    import numpy as np
-    probs = np.asarray(probs, dtype=float)
-    require(probs.ndim == 1 and probs.size >= 1, "probs must be 1-d")
-    return _checked_probabilities(probs)
-
-
-def _finalize(raw: np.ndarray, nmax: int, what: str) -> np.ndarray:
-    # Both the stored tail and the mass beyond the cutoff must stay
-    # negligible, or the cutoff distorts moments.
-    if raw[nmax] >= _TAIL_LIMIT:
-        raise ValueError(
-            f"cutoff too small for {what}: tail probability "
-            f"{raw[nmax]:.2e} at n={nmax} exceeds {_TAIL_LIMIT:.0e}; "
-            "increase nmax"
-        )
-    total = raw.sum()
-    if 1.0 - total >= _TAIL_LIMIT:
-        raise ValueError(
-            f"cutoff too small for {what}: probability {1.0 - total:.2e} "
-            f"beyond n={nmax} exceeds {_TAIL_LIMIT:.0e}; increase nmax"
-        )
-    probs = raw / total
-    probs.setflags(write=False)
-    return probs
-
-
-def multimode_dist(n_modes: int, gain_sq: float, nmax: int = 10) -> np.ndarray:
-    """Photon-number distribution of n_modes identical thermal modes of
-    gain gain_sq in [0, 1), as a read-only vector P(0) .. P(nmax).
-
-    The sum of K thermal modes of gain g is negative binomial,
-    P(n) = C(n + K - 1, n) (1 - g)^K g^n, whose head n <= nmax is
-    computed exactly in log space,
-    log P(n) = K log(1 - g) + sum_{j <= n} log(g (j + K - 1) / j),
-    and then exponentiated, so a factor (1 - g)^K below the float range
-    does not zero it.  The sums are accumulated outward from the mode,
-    which keeps their rounding small where the probabilities are large.
-    The head is renormalized once the cutoff is shown to lose nothing:
-    the last stored entry P(nmax) and the mass beyond the cutoff,
-    1 - sum_{n <= nmax} P(n), must each stay below 1e-6.
-    """
-    import numpy as np
-    require(n_modes >= 1, "n_modes must be at least 1")
-    require(0.0 <= gain_sq < 1.0, "gain_sq must lie in [0, 1)")
-    require(nmax >= 1, "nmax must be at least 1")
-    K, g = n_modes, gain_sq
-    if g == 0.0:  # the vacuum, exactly
-        raw = np.zeros(nmax + 1)
-        raw[0] = 1.0
-        return _finalize(raw, nmax, "multimode distribution")
-    j = np.arange(1.0, nmax + 1)
-    steps = np.log(g * (j + (K - 1)) / j)  # log P(j) - log P(j - 1)
-    m = min(nmax, int((K - 1) * g / (1.0 - g)))  # the mode, or the cutoff
-    above = np.cumsum(steps[m:])  # log P(n) - log P(m), n = m + 1 ... nmax
-    below = np.cumsum(steps[:m][::-1])  # log P(m) - log P(n), n = m - 1 ... 0
-    log_pm = K * math.log1p(-g) + (below[-1] if m else 0.0)
-    log_p = np.concatenate((log_pm - below[::-1], [log_pm], log_pm + above))
-    return _finalize(np.exp(log_p), nmax, "multimode distribution")
-
-
-def heralded_dist(joint, eta_t: float) -> np.ndarray:
-    """Signal statistics conditioned on at least one trigger click.
-
-    The joint probability of n pairs and a click is
-    p_n * (1 - (1 - eta_t)^n).  eta_t = 0 selects the vanishing-loss
-    limit n * p_n / mean, which the conditional distribution approaches
-    from above in trigger efficiency.
-
-    Raises:
-        ValueError: when the input carries no photons, so the click
-            probability vanishes.
-    """
-    import numpy as np
-    joint = _distribution(joint)
-    require(0.0 <= eta_t <= 1.0, "eta_t must lie in [0, 1]")
-    n = np.arange(joint.size, dtype=float)
-    if eta_t == 0.0:
-        weights = n
-    elif eta_t == 1.0:  # every pair clicks; log1p(-1) would give 0 * -inf
-        weights = np.minimum(n, 1.0)
-    else:
-        # 1 - (1 - eta_t)^n; that form rounds to 0 for eta_t below 1.1e-16
-        weights = -np.expm1(n * np.log1p(-eta_t))
-    raw = joint * weights
-    total = raw.sum()
-    if total <= 0.0:
-        raise ValueError(
-            "click probability vanishes: the joint distribution is vacuum"
-        )
-    return _finalize(raw / total, joint.size - 1, "heralded distribution")
 
 
 def heralded_mean(n_modes: int, gain_sq: float, eta_t: float) -> float:
@@ -171,8 +77,9 @@ def heralded_mean(n_modes: int, gain_sq: float, eta_t: float) -> float:
     K mu (-expm1(log1p(-eta) - (K + 1) x)) / (-expm1(-K x)),
     free of cancellation at every eta.  eta_t = 0 gives the
     vanishing-loss limit 1 + (K + 1) mu, which the mean approaches from
-    below as eta_t falls.  Refuses what multimode_dist and heralded_dist
-    refuse, in their order, but has no cutoff.
+    below as eta_t falls.  Refuses a mode count below one, a gain outside
+    [0, 1), an efficiency outside [0, 1] and a zero gain, in that order,
+    and has no photon-number cutoff.
     """
     require(n_modes >= 1, "n_modes must be at least 1")
     require(0.0 <= gain_sq < 1.0, "gain_sq must lie in [0, 1)")
@@ -194,63 +101,68 @@ def heralded_mean(n_modes: int, gain_sq: float, eta_t: float) -> float:
     return K * mu * -math.expm1(math.log1p(-eta_t) - (K + 1) * x) / clicks
 
 
-def loss_matrix(efficiency: float, nmax: int) -> np.ndarray:
-    """Binomial loss map from n <= nmax photons to m surviving photons.
+def loss_matrix(efficiency: float, nmax: int) -> list[list[float]]:
+    """Binomial loss map from n <= nmax photons to m surviving photons,
+    as rows L[m] of floats.
 
-    L[m, n] = C(n, m) eta^m (1-eta)^(n-m); every column sums to one.
-    Column n is built from column n - 1 by Pascal's rule: each photon
-    survives with probability eta, so
-    L[m, n] = (1 - eta) L[m, n-1] + eta L[m-1, n-1].  Every entry is a
+    L[m][n] = C(n, m) eta^m (1-eta)^(n-m); every column sums to one, and
+    L is upper triangular.  Column n is built from column n - 1 by
+    Pascal's rule: each photon survives with probability eta, so
+    L[m][n] = (1 - eta) L[m][n-1] + eta L[m-1][n-1].  Every entry is a
     convex combination of earlier ones, so none overflows.
     """
-    import numpy as np
     require(0.0 <= efficiency <= 1.0, "efficiency must be in [0, 1]")
-    eta = efficiency
+    eta, keep = efficiency, 1.0 - efficiency
     size = nmax + 1
-    L = np.zeros((size, size))
-    L[0, 0] = 1.0
+    L = [[0.0] * size for _ in range(size)]
+    L[0][0] = 1.0
     for n in range(1, size):
-        previous = L[:n, n - 1]
-        L[:n, n] = (1.0 - eta) * previous
-        L[1 : n + 1, n] += eta * previous
+        L[0][n] = keep * L[0][n - 1]
+        for m in range(1, n):
+            L[m][n] = keep * L[m][n - 1] + eta * L[m - 1][n - 1]
+        L[n][n] = eta * L[n - 1][n - 1]
     return L
 
 
-def tmd_convolution_matrix(nmax: int) -> np.ndarray:
-    """Click-count map of a two-bin splitter with two threshold detectors.
+def tmd_convolution_matrix(nmax: int) -> list[list[float]]:
+    """Click-count map of a two-bin splitter with two threshold detectors,
+    as three rows C[k] of floats, for k = 0, 1 and 2 clicks.
 
     n photons split 50/50 produce one click unless they all bunch into
     one bin: P(1|n) = 2^(1-n) and P(2|n) = 1 - 2^(1-n) for n >= 1.
     """
-    import numpy as np
     require(nmax >= 2, "nmax must be at least 2")
-    C = np.zeros((3, nmax + 1))
-    C[0, 0] = 1.0
-    for n in range(1, nmax + 1):
-        C[1, n] = 2.0 ** (1 - n)
-        C[2, n] = 1.0 - 2.0 ** (1 - n)
-    return C
+    one = [2.0 ** (1 - n) for n in range(1, nmax + 1)]
+    return [
+        [1.0] + [0.0] * nmax,
+        [0.0] + one,
+        [0.0] + [1.0 - p for p in one],
+    ]
 
 
-def forward_click_dist(rho, efficiency: float) -> np.ndarray:
+def _apply(rows, vector) -> list[float]:
+    """rows @ vector, each entry summed in index order."""
+    import operator  # loaded at interpreter start-up
+
+    return [sum(map(operator.mul, row, vector)) for row in rows]
+
+
+def forward_click_dist(rho, efficiency: float) -> tuple[float, ...]:
     """Predicted 0/1/2-click probabilities: loss first, then the splitter map."""
-    import numpy as np
-    probs = _distribution(rho)
-    if probs.size < 3:  # the splitter map needs at least two photons
-        probs = np.pad(probs, (0, 3 - probs.size))
-    nmax = probs.size - 1
-    clicks = tmd_convolution_matrix(nmax) @ (
-        loss_matrix(efficiency, nmax) @ probs
-    )
-    clicks.setflags(write=False)
-    return clicks
+    probs = _probabilities(rho, "probs must be 1-d", 1, math.inf)
+    probs += (0.0,) * (3 - len(probs))  # the splitter map needs two photons
+    nmax = len(probs) - 1
+    splitter = tmd_convolution_matrix(nmax)
+    survivors = _apply(loss_matrix(efficiency, nmax), probs)
+    return tuple(_apply(splitter, survivors))
 
 
 class InversionResult(NamedTuple):
     """Outcome of a maximum-likelihood inversion.
 
     Attributes:
-        state: the reconstructed photon-number distribution, read-only.
+        state: the reconstructed photon-number distribution, a tuple of
+            floats.
         converged: whether kkt_gap reached the tolerance, which certifies
             that log_likelihood is within log(1 + tol) of its maximum.
         iterations: multiplicative updates taken from the starting
@@ -266,7 +178,7 @@ class InversionResult(NamedTuple):
             rounding moves a direct solve; infinite when R is singular.
     """
 
-    state: np.ndarray
+    state: tuple[float, ...]
     converged: bool
     iterations: int
     log_likelihood: float
@@ -274,66 +186,120 @@ class InversionResult(NamedTuple):
     condition: float
 
 
+def _back_substitute(upper, b) -> list[float]:
+    """x with upper @ x = b for an upper triangular matrix with a nonzero
+    diagonal, solved column by column from the last, in the order of
+    LAPACK's triangular solve.  A shorter b solves the leading block."""
+    x = list(b)
+    for j in range(len(x) - 1, -1, -1):
+        x[j] /= upper[j][j]
+        for i in range(j):
+            x[i] -= x[j] * upper[i][j]
+    return x
+
+
+def _inverse_norm(upper) -> float:
+    """1-norm of the inverse of an upper triangular matrix: the largest
+    absolute column sum of the inverse, one back-substitution per column.
+    Infinite when the matrix is singular or the inverse overflows.
+
+    Column j of the inverse vanishes below row j, so it is solved on the
+    leading j + 1 rows and columns alone.
+    """
+    size = len(upper)
+    if not all(upper[j][j] for j in range(size)):
+        return math.inf
+    norm = 0.0
+    for j in range(size):
+        unit = [0.0] * j + [1.0]
+        column = sum([abs(x) for x in _back_substitute(upper, unit)])
+        if column != column:  # nan, from inf - inf
+            return math.inf
+        norm = max(norm, column)
+    return norm
+
+
+def _loss_condition(efficiency: float, size: int) -> float:
+    """1-norm condition number of the size x size loss matrix, in closed
+    form; infinite when it overflows.
+
+    Its columns are stochastic, so its norm is one.  Its inverse is the
+    loss map of efficiency 1/eta, whose column n sums in absolute value
+    to eta^-n (1 + (1 - eta))^n, largest at n = size - 1.
+    """
+    try:
+        return ((2.0 - efficiency) / efficiency) ** (size - 1)
+    except OverflowError:
+        return math.inf
+
+
 def _ml_estimate(
-    observed: np.ndarray,
-    response: np.ndarray,
+    observed: tuple[float, ...],
+    response: list[list[float]],
+    condition: float,
     max_iter: int,
     tol: float,
 ) -> InversionResult:
     """Maximum-likelihood distribution rho for observed = response @ rho.
 
-    A direct solve of the square response that is a distribution starts
-    the search at that solve, which reproduces the observation exactly
-    and is therefore the optimum.  Otherwise the optimum lies on a face
-    of the simplex and the search starts from the uniform state.  Each
-    pass computes g = R^T (observed / R rho) and stops once the KKT gap
-    max(g) - 1 is at most tol; by Cover's bound the log-likelihood is
-    then within log(1 + gap) of its maximum.  Otherwise it takes the multiplicative
-    step rho <- rho * g.  The response matrix must have unit column
-    sums, which makes every step normalization-preserving and the
-    likelihood non-decreasing; that monotonicity is asserted on every
-    step.
+    The square response is upper triangular with unit column sums, and
+    condition is its 1-norm condition number.  A direct solve by
+    back-substitution that is a distribution starts the search at that
+    solve, which reproduces the observation exactly and is therefore
+    the optimum.  Otherwise the optimum lies on a face of the simplex
+    and the search starts from the uniform state.  Each pass computes
+    g = R^T (observed / R rho) and stops once the KKT gap max(g) - 1 is
+    at most tol; by Cover's bound the log-likelihood is then within
+    log(1 + gap) of its maximum.  Otherwise it takes the multiplicative
+    step rho <- rho * g.  The unit column sums make every step
+    normalization-preserving and the likelihood non-decreasing; that
+    monotonicity is asserted on every step.
     """
-    import numpy as np
-    observed = observed / observed.sum()
-    support = observed > 0
-    size = response.shape[1]
-    condition = float(np.linalg.cond(response, 1))
-    rho = np.full(size, 1.0 / size)
-    if math.isfinite(condition):  # a singular response has no solve
-        direct = np.linalg.solve(response, observed)
-        if np.all(direct >= 0.0):
-            rho = direct / direct.sum()
+    import operator  # loaded at interpreter start-up
 
-    predicted = response @ rho
+    mul, truediv, log = operator.mul, operator.truediv, math.log
+    total = sum(observed)
+    observed = [y / total for y in observed]
+    size = len(response)
+    rho = [1.0 / size] * size
+    if math.isfinite(condition):  # a singular response has no solve
+        direct = _back_substitute(response, observed)
+        if all(x >= 0.0 for x in direct):
+            total = sum(direct)
+            rho = [x / total for x in direct]
+
+    # only the observed outcomes enter the likelihood and the gain
+    rows = [row for row, y in zip(response, observed) if y > 0.0]
+    weights = [y for y in observed if y > 0.0]
+    columns = list(zip(*rows))
+    predicted = [sum(map(mul, row, rho)) for row in rows]
     log_likelihood = -math.inf
     iterations = 0
     while True:
-        if predicted[support].min() < 1e-300:
+        if min(predicted) < 1e-300:
             # an observed outcome that every state rules out, as when a
             # tiny efficiency underflows a row of R: no likelihood is
             # finite, so no gap certifies the result
             log_likelihood, gap = -math.inf, math.inf
             break
-        current = float(observed[support] @ np.log(predicted[support]))
+        current = sum(map(mul, weights, map(log, predicted)))
         if current < log_likelihood - 1e-9 * max(1.0, abs(log_likelihood)):
             raise AssertionError(
                 "EM likelihood decreased; response matrix is inconsistent"
             )
         log_likelihood = current
-        ratio = np.zeros_like(observed)
-        ratio[support] = observed[support] / predicted[support]
-        gain = response.T @ ratio
-        gap = float(gain.max()) - 1.0
+        ratio = list(map(truediv, weights, predicted))
+        gain = [sum(map(mul, column, ratio)) for column in columns]
+        gap = max(gain) - 1.0
         if gap <= tol or iterations >= max_iter:
             break
-        rho = rho * gain
-        rho /= rho.sum()
-        predicted = response @ rho
+        rho = list(map(mul, rho, gain))
+        total = sum(rho)
+        rho = [r / total for r in rho]
+        predicted = [sum(map(mul, row, rho)) for row in rows]
         iterations += 1
-    rho.setflags(write=False)
     return InversionResult(
-        state=rho,
+        state=tuple(rho),
         converged=gap <= tol,
         iterations=iterations,
         log_likelihood=log_likelihood,
@@ -367,19 +333,20 @@ def ml_invert(
             counts as converged; the log-likelihood is then within
             log(1 + tol) of its maximum.
     """
-    import numpy as np
-    clicks = np.asarray(clicks, dtype=float)
-    require(clicks.shape == (3,), "a two-bin detector has 3 outcomes")
-    clicks = _checked_probabilities(clicks)
+    clicks = _probabilities(clicks, "a two-bin detector has 3 outcomes", 3, 3)
+    splitter = tmd_convolution_matrix(2)
     # loss_matrix refuses an efficiency outside [0, 1] before this
     # function refuses zero
-    response = tmd_convolution_matrix(2) @ loss_matrix(efficiency, 2)
+    loss_columns = list(zip(*loss_matrix(efficiency, 2)))
     require(efficiency > 0.0, "inversion requires efficiency > 0")
-    return _ml_estimate(clicks, response, max_iter, tol)
+    response = [_apply(loss_columns, row) for row in splitter]
+    # both maps have stochastic columns, so the norm of R is one
+    condition = _inverse_norm(response)
+    return _ml_estimate(clicks, response, condition, max_iter, tol)
 
 
 def invert_loss_only(
-    observed: np.ndarray,
+    observed,
     efficiency: float,
     max_iter: int = 100_000,
     tol: float = 1e-10,
@@ -400,13 +367,11 @@ def invert_loss_only(
         max_iter: iteration budget.
         tol: bound on the KKT gap, as for ml_invert.
     """
-    import numpy as np
-    observed = np.asarray(observed, dtype=float)
-    require(observed.ndim == 1 and observed.size >= 2, "need >= 2 outcomes")
-    observed = _checked_probabilities(observed)
-    response = loss_matrix(efficiency, observed.size - 1)
+    observed = _probabilities(observed, "need >= 2 outcomes", 2, math.inf)
+    response = loss_matrix(efficiency, len(observed) - 1)
     require(efficiency > 0.0, "inversion requires efficiency > 0")
-    return _ml_estimate(observed, response, max_iter, tol)
+    condition = _loss_condition(efficiency, len(observed))
+    return _ml_estimate(observed, response, condition, max_iter, tol)
 
 
 class ModeReductionFit(NamedTuple):

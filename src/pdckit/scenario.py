@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import re
-from pathlib import Path
 
 from .errors import ConfigError
 
@@ -80,7 +79,7 @@ class Scenario:
     and data_path, the file given with --data (None without it)."""
 
     def __init__(
-        self, values: dict[str, str], data_path: Path | None = None
+        self, values: dict[str, str], data_path: str | None = None
     ) -> None:
         self.values = values
         self.data_path = data_path
@@ -88,10 +87,11 @@ class Scenario:
 
     @classmethod
     def from_file(
-        cls, config_path: Path, data_path: Path | None = None
+        cls, config_path: str, data_path: str | None = None
     ) -> "Scenario":
         try:
-            text = config_path.read_text()
+            with open(config_path) as handle:
+                text = handle.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {config_path}: {exc}")
         return cls(values=parse_config(text), data_path=data_path)

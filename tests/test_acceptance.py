@@ -15,6 +15,7 @@ from pdckit import hom_reference as hom
 from pdckit import jsa, photon_stats, twin_hom, units
 
 from conftest import _grid
+from photon_distributions import heralded_dist, multimode_dist
 
 WAVELENGTH = 796e-9
 TWO_FOLD = hom.SignalState(p0=0.997896, p1=0.002101, p2=0.000003)
@@ -159,7 +160,7 @@ def test_criterion_7_statistics_round_trip():
             )
             assert result.converged
             recovered = np.zeros(truth.size)
-            recovered[: result.state.size] = result.state
+            recovered[: len(result.state)] = result.state
             worst = max(worst, float(np.max(np.abs(recovered - truth))))
         assert worst < 1e-3
 
@@ -173,8 +174,8 @@ def test_criterion_8_mode_count_estimation():
         def series(n_modes):
             points = []
             for gain in gains:
-                dist = photon_stats.heralded_dist(
-                    photon_stats.multimode_dist(n_modes, gain, nmax=16), 0.0
+                dist = heralded_dist(
+                    multimode_dist(n_modes, gain, nmax=16), 0.0
                 )
                 points.append((gain, float(np.arange(17) @ dist)))
             return points

@@ -225,12 +225,10 @@ class TestHeraldStats:
         first = rows[0]
         assert float(first["mean_unfiltered"]) > float(first["mean_filtered"])
 
-    def test_builds_no_distribution(self, tmp_path, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("herald-stats built a distribution")
-
+    def test_builds_no_distribution(self, tmp_path, capsys):
+        # the distributions are a test oracle, which the package lacks
         for name in ("multimode_dist", "heralded_dist"):
-            monkeypatch.setattr(cli.photon_stats, name, refuse)
+            assert not hasattr(cli.photon_stats, name)
         config = _write(
             tmp_path,
             "h.cfg",
@@ -760,18 +758,44 @@ class TestInvertCommand:
 
     def test_many_outcomes(self, tmp_path, capsys):
         # binomial coefficients of 1,099 photons exceed the float range;
-        # the loss matrix never forms them
+        # the loss matrix never forms them.  The command line refuses
+        # that many outcomes, and the library inverts them.
         outcomes = 1100
         observed = ", ".join([repr(1.0 / outcomes)] * outcomes)
         config = _write(
             tmp_path, "i.cfg", f"observed = {observed}\nefficiency = 1\n"
         )
         code, out, err = _run(capsys, "invert", "--config", str(config))
-        assert code == 0, err
-        rows = _rows(out)
-        assert [int(row["n"]) for row in rows] == list(range(outcomes))
-        assert {row["probability"] for row in rows} == {"9.090909091e-04"}
-        assert err.startswith("converged in 0 iterations, ")
+        assert (code, out) == (1, "")
+        assert err == "error: key 'observed': at most 16 outcomes\n"
+        result = cli.photon_stats.invert_loss_only(
+            [1.0 / outcomes] * outcomes, 1.0
+        )
+        assert result.converged and result.iterations == 0
+        assert len(result.state) == outcomes
+        assert {"%.9e" % p for p in result.state} == {"9.090909091e-04"}
+
+    @pytest.mark.parametrize("outcomes", [16, 17])
+    def test_outcome_bound(self, tmp_path, capsys, monkeypatch, outcomes):
+        observed = ", ".join([repr(1.0 / outcomes)] * outcomes)
+        config = _write(
+            tmp_path, "i.cfg", f"observed = {observed}\nefficiency = 1\n"
+        )
+        if outcomes > 16:  # refused before any row of the response is built
+            def refuse(*args, **kwargs):
+                raise AssertionError("invert built a response")
+
+            monkeypatch.setattr(cli.photon_stats, "loss_matrix", refuse)
+        code, out, err = _run(capsys, "invert", "--config", str(config))
+        if outcomes <= 16:
+            assert code == 0, err
+            rows = _rows(out)
+            assert [int(row["n"]) for row in rows] == list(range(outcomes))
+            assert {row["probability"] for row in rows} == {"0.0625"}
+            assert err.startswith("converged in 0 iterations, ")
+        else:
+            assert (code, out) == (1, "")
+            assert err == "error: key 'observed': at most 16 outcomes\n"
 
     @pytest.mark.parametrize("max_iter", [-1, 0, 1_000_000, 1_000_001])
     def test_iteration_budget_bounds(self, tmp_path, capsys, max_iter):
@@ -885,6 +909,32 @@ class TestRepeatedCalls:
         assert code == 0
         assert out == fresh.stdout == out_path.read_text()
         assert "ignored keys" not in err
+
+    def test_paths_stay_strings(self, tmp_path, capsys, monkeypatch):
+        # a pathlib.Path per call interns its parts; that churn grew a
+        # process that had loaded numpy by about 1.4 MB over 20,000 calls
+        config = _write(
+            tmp_path, "s.cfg", "p0 = 0.94920\np1 = 0.05065\np2 = 0.00015\n"
+        )
+        data = _write(
+            tmp_path, "d.csv",
+            "beta_sq,visibility\n0.01,0.4\n0.02,0.5\n0.05,0.45\n",
+        )
+        out_path = tmp_path / "out.csv"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("main built a pathlib.Path")
+
+        argv = ["fit-overlap", "--config", str(config), "--data", str(data),
+                "--out", str(out_path)]
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "__new__", refuse)
+            try:
+                code = cli.main(argv)
+            except AssertionError as exc:
+                code = str(exc)
+        assert code == 0, capsys.readouterr().err
+        assert out_path.read_text().startswith("overlap,stderr,n_points\n")
 
 
 class TestErrorHandling:

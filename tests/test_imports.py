@@ -1,11 +1,12 @@
-"""Only `invert` loads numpy, and no command loads `dataclasses`.
+"""No command loads numpy or `dataclasses`.
 
-Importing the command line and running every other command must leave
-numpy unloaded, since its import costs several times what the whole
-closed-form chain does.  jsa and photon_stats import numpy inside the
-functions that build arrays; no module imports it at the top level.
-The records are NamedTuple classes, so nothing loads `dataclasses` or
-the `inspect` it imports either.
+Importing the command line and running every command, `invert`
+included, must leave numpy unloaded, since its import costs several
+times what the whole closed-form chain and an inversion do.  jsa imports
+numpy inside the functions that build its test-only grids; no other
+module imports it, and none imports it at the top level.  The records
+are NamedTuple classes, so nothing loads `dataclasses` or the `inspect`
+it imports either.
 """
 
 import ast
@@ -32,7 +33,7 @@ length = 2.1 mm
 STATE = "p0 = 0.94920\np1 = 0.05065\np2 = 0.00015\n"
 FILTERS = "signal_filter_fwhm = 1 nm\nreference_fwhm = 1 nm\n"
 
-# (command, scenario text, extra options) for every command but invert
+# (command, scenario text, extra options) for every command
 COMMANDS = [
     ("ellipse", SOURCE, []),
     ("filter", SOURCE + "filter_s_fwhm = 1 nm\nfilter_i_fwhm = 1 nm\n", []),
@@ -59,11 +60,25 @@ COMMANDS = [
     ("tmax", None, []),
     ("dip-width", None, []),
     ("fidelity", "overlap = 0.65\none_photon = 0.93125\n", []),
+    ("invert", None, []),
+    # a face input, which runs the EM iteration, and a click triple
+    (
+        "invert",
+        "observed = 0.94920, 0.05065, 0.00015\nefficiency = 0.046\n",
+        [],
+    ),
+    (
+        "invert",
+        "observed = 0.9, 0.08, 0.02\nefficiency = 0.3\n"
+        "observable = clicks\n",
+        [],
+    ),
 ]
 CONFIGS = {
     "visibility-curve": "visibility_three_fold.cfg",
     "tmax": "tmax.cfg",
     "dip-width": "tmax.cfg",
+    "invert": "invert_three_fold.cfg",
 }
 
 _CHILD = textwrap.dedent(
@@ -74,19 +89,16 @@ _CHILD = textwrap.dedent(
 
     calls = json.loads(sys.argv[1])
     codes = []
-    for argv in calls[:-1]:
+    for argv in calls:
         with contextlib.redirect_stdout(io.StringIO()):
             codes.append(pdckit.cli.main(argv))
     heavy = ("numpy", "dataclasses", "inspect")
-    before = [name for name in heavy if name in sys.modules]
-    with contextlib.redirect_stdout(io.StringIO()):
-        codes.append(pdckit.cli.main(calls[-1]))
-    print(json.dumps([codes, before, "numpy" in sys.modules]))
+    print(json.dumps([codes, [name for name in heavy if name in sys.modules]]))
     """
 )
 
 
-def test_only_invert_loads_numpy(tmp_path):
+def test_no_command_loads_numpy(tmp_path):
     data = tmp_path / "curve.csv"
     data.write_text("beta_sq,visibility\n0.01,0.4\n0.02,0.5\n0.05,0.45\n")
     calls = []
@@ -98,10 +110,7 @@ def test_only_invert_loads_numpy(tmp_path):
             config.write_text(text)
         options = [option.format(data=data) for option in options]
         calls.append([command, "--config", str(config), *options])
-    assert {call[0] for call in calls} == set(cli._COMMANDS) - {"invert"}
-    calls.append(
-        ["invert", "--config", str(ROOT / "configs" / "invert_three_fold.cfg")]
-    )
+    assert {call[0] for call in calls} == set(cli._COMMANDS)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     child = subprocess.run(
         [sys.executable, "-c", _CHILD, json.dumps(calls)],
@@ -110,10 +119,9 @@ def test_only_invert_loads_numpy(tmp_path):
         env=env,
         check=True,
     )
-    codes, before, after = json.loads(child.stdout)
+    codes, loaded = json.loads(child.stdout)
     assert codes == [0] * len(calls), child.stderr
-    assert before == [], "a command other than invert loaded these"
-    assert after, "invert ran without numpy"
+    assert loaded == [], "a command loaded these"
 
 
 def _imports(node, module: str) -> bool:
@@ -126,7 +134,7 @@ def _imports(node, module: str) -> bool:
 
 def test_no_module_imports_numpy_at_top_level():
     """numpy is imported inside functions, or for annotations under
-    TYPE_CHECKING; hom_reference and cli do not import it at all."""
+    TYPE_CHECKING; only jsa imports it at all."""
     top_level, anywhere = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -136,7 +144,7 @@ def test_no_module_imports_numpy_at_top_level():
         if any(_imports(node, "numpy") for node in ast.walk(tree)):
             anywhere.append(path.stem)
     assert top_level == []
-    assert "hom_reference" not in anywhere and "cli" not in anywhere
+    assert anywhere == ["jsa"]
 
 
 def test_no_module_imports_dataclasses():

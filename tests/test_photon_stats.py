@@ -7,11 +7,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pdckit import photon_stats as ps
+from photon_distributions import heralded_dist, multimode_dist
 
 
 def _thermal(gain_sq, nmax):
     """One thermal mode: the single-mode case of the multimode model."""
-    return ps.multimode_dist(1, gain_sq, nmax=nmax)
+    return multimode_dist(1, gain_sq, nmax=nmax)
 
 
 def _moment(probs, power=1):
@@ -61,24 +62,24 @@ class TestThermal:
     )
     def test_checks_in_order(self, args, message):
         with pytest.raises(ValueError, match=message):
-            ps.multimode_dist(*args)
+            multimode_dist(*args)
 
 
 class TestMultimode:
     def test_single_mode_matches_thermal(self):
         geometric = 0.8 * 0.2 ** np.arange(13)
         assert np.allclose(
-            ps.multimode_dist(1, 0.2, nmax=12),
+            multimode_dist(1, 0.2, nmax=12),
             geometric / geometric.sum(),
             atol=1e-15,
         )
 
     def test_two_mode_mean(self):
-        dist = ps.multimode_dist(2, 0.5, nmax=40)
+        dist = multimode_dist(2, 0.5, nmax=40)
         assert _mean(dist) == pytest.approx(2.0, abs=1e-4)
 
     def test_head_matches_direct_convolution(self):
-        dist = ps.multimode_dist(3, 0.3, nmax=25)
+        dist = multimode_dist(3, 0.3, nmax=25)
         single = [(1 - 0.3) * 0.3**n for n in range(26)]
         direct = [0.0] * 26
         for a in range(26):
@@ -91,7 +92,7 @@ class TestMultimode:
     @pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("gain_sq", [0.1, 0.3])
     def test_moment_identities(self, n_modes, gain_sq):
-        dist = ps.multimode_dist(n_modes, gain_sq, nmax=40)
+        dist = multimode_dist(n_modes, gain_sq, nmax=40)
         single = _thermal(gain_sq, nmax=40)
         mu, mu2 = _mean(single), _moment(single, 2)
         assert _mean(dist) == pytest.approx(n_modes * mu, abs=1e-9)
@@ -136,7 +137,7 @@ class TestNegativeBinomial:
     @example(1000, 0.2, 1000)
     def test_matches_convolution(self, n_modes, gain_sq, nmax):
         try:
-            dist = ps.multimode_dist(n_modes, gain_sq, nmax)
+            dist = multimode_dist(n_modes, gain_sq, nmax)
         except ValueError:
             assume(False)  # the cutoff refuses this draw
         reference = _convolved(n_modes, gain_sq, nmax)
@@ -150,7 +151,7 @@ class TestNegativeBinomial:
         # log-space evaluation keeps the distribution
         n_modes, gain_sq = 1000, 0.53
         assert (1.0 - gain_sq) ** n_modes == 0.0
-        dist = ps.multimode_dist(n_modes, gain_sq, 5000)
+        dist = multimode_dist(n_modes, gain_sq, 5000)
         mean = _mean(dist)
         variance = _moment(dist, 2) - mean * mean
         assert mean == pytest.approx(
@@ -164,27 +165,27 @@ class TestNegativeBinomial:
         # mean K g / (1 - g) = 1500 lies beyond nmax: the stored head
         # holds about 1e-19 of the mass although its last entry is tiny
         with pytest.raises(ValueError, match="beyond n=1000"):
-            ps.multimode_dist(1000, 0.6, nmax=1000)
+            multimode_dist(1000, 0.6, nmax=1000)
 
 
 class TestHeralded:
     def test_single_photon_is_fixed_point(self):
         dist = np.array([0.0, 1.0, 0.0])
         for eta in (1e-3, 0.3, 1.0):
-            heralded = ps.heralded_dist(dist, eta)
+            heralded = heralded_dist(dist, eta)
             assert heralded[1] == pytest.approx(1.0)
 
     def test_thermal_low_loss_mean(self):
         dist = _thermal(0.15, nmax=20)
         mu = _mean(dist)
-        heralded = ps.heralded_dist(dist, 0.0)
+        heralded = heralded_dist(dist, 0.0)
         assert _mean(heralded) == pytest.approx(2 * mu + 1, abs=1e-7)
 
     @pytest.mark.parametrize("n_modes", [1, 5, 31])
     @pytest.mark.parametrize("gain_sq", [0.01, 0.03])
     def test_low_gain_multimode_mean(self, n_modes, gain_sq):
-        joint = ps.multimode_dist(n_modes, gain_sq, nmax=14)
-        heralded = ps.heralded_dist(joint, 0.0)
+        joint = multimode_dist(n_modes, gain_sq, nmax=14)
+        heralded = heralded_dist(joint, 0.0)
         prediction = 1 + (n_modes + 1) * gain_sq
         slack = 3 * (n_modes + 1) * gain_sq**2  # next order in the gain
         assert abs(_mean(heralded) - prediction) <= slack
@@ -193,10 +194,10 @@ class TestHeralded:
     def test_total_variation_against_low_loss_limit(self, eta_t):
         for dist in (
             _thermal(0.15, nmax=20),
-            ps.multimode_dist(4, 0.05, 20),
+            multimode_dist(4, 0.05, 20),
         ):
-            lossy = ps.heralded_dist(dist, eta_t)
-            limit = ps.heralded_dist(dist, 0.0)
+            lossy = heralded_dist(dist, eta_t)
+            limit = heralded_dist(dist, 0.0)
             tv = 0.5 * float(np.abs(lossy - limit).sum())
             assert tv < eta_t * _mean(dist)
 
@@ -204,11 +205,11 @@ class TestHeralded:
         # 1 - (1 - eta_t)^n rounds to 0 here; its log1p form does not
         for dist in (
             _thermal(0.15, nmax=20),
-            ps.multimode_dist(4, 0.05, 20),
+            multimode_dist(4, 0.05, 20),
         ):
             np.testing.assert_allclose(
-                ps.heralded_dist(dist, 1e-17),
-                ps.heralded_dist(dist, 0.0),
+                heralded_dist(dist, 1e-17),
+                heralded_dist(dist, 0.0),
                 rtol=0.0,
                 atol=1e-12,
             )
@@ -216,7 +217,7 @@ class TestHeralded:
     def test_vacuum_rejected(self):
         vacuum = np.array([1.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="vacuum"):
-            ps.heralded_dist(vacuum, 0.5)
+            heralded_dist(vacuum, 0.5)
 
     def test_joint_is_checked_first(self):
         for joint, message in (
@@ -225,16 +226,20 @@ class TestHeralded:
             ([1.1, -0.1], "probabilities must be nonnegative"),
         ):
             with pytest.raises(ValueError, match=message):
-                ps.heralded_dist(joint, 2.0)
+                heralded_dist(joint, 2.0)
             with pytest.raises(ValueError, match=message):
                 ps.forward_click_dist(joint, 2.0)
 
     def test_results_are_read_only(self):
-        joint = ps.multimode_dist(2, 0.1, 12)
+        joint = multimode_dist(2, 0.1, 12)
         clicks = ps.forward_click_dist(joint, 0.3)
         state = ps.ml_invert(clicks, 0.3).state
-        for probs in (joint, ps.heralded_dist(joint, 0.1), clicks, state):
+        for probs in (joint, heralded_dist(joint, 0.1)):
             assert not probs.flags.writeable
+        # the package returns tuples of floats, which cannot be assigned
+        for probs in (clicks, state):
+            assert isinstance(probs, tuple)
+            assert all(isinstance(p, float) for p in probs)
 
 
 def _lossless_cutoff(n_modes, gain_sq, loss=1e-15):
@@ -276,8 +281,8 @@ class TestHeraldedMean:
     @example(1000, 0.2, 0.3)
     def test_matches_heralded_distribution(self, n_modes, gain_sq, eta_t):
         nmax = _lossless_cutoff(n_modes, gain_sq)
-        heralded = ps.heralded_dist(
-            ps.multimode_dist(n_modes, gain_sq, nmax), eta_t
+        heralded = heralded_dist(
+            multimode_dist(n_modes, gain_sq, nmax), eta_t
         )
         mean = ps.heralded_mean(n_modes, gain_sq, eta_t)
         assert isinstance(mean, float)
@@ -321,10 +326,20 @@ class TestHeraldedMean:
         with pytest.raises(ValueError, match=re.escape(message)):
             ps.heralded_mean(n_modes, gain_sq, eta_t)
         with pytest.raises(ValueError, match=re.escape(message)):
-            ps.heralded_dist(ps.multimode_dist(n_modes, gain_sq, 4), eta_t)
+            heralded_dist(multimode_dist(n_modes, gain_sq, 4), eta_t)
 
 
 class TestDetectorMatrices:
+    def test_rows_of_floats(self):
+        for matrix, shape in (
+            (ps.loss_matrix(0.3, 4), (5, 5)),
+            (ps.tmd_convolution_matrix(4), (3, 5)),
+        ):
+            assert len(matrix) == shape[0]
+            for row in matrix:
+                assert len(row) == shape[1]
+                assert all(isinstance(entry, float) for entry in row)
+
     def test_loss_identity_and_absorbing(self):
         identity = ps.loss_matrix(1.0, 5)
         assert np.array_equal(identity, np.eye(6))
@@ -333,19 +348,19 @@ class TestDetectorMatrices:
         assert np.allclose(dark[1:], 0.0)
 
     def test_loss_half_two_photons(self):
-        L = ps.loss_matrix(0.5, 3)
+        L = np.array(ps.loss_matrix(0.5, 3))
         assert np.allclose(L[:3, 2], [0.25, 0.5, 0.25])
 
     def test_columns_are_stochastic(self):
         for eta in (0.048, 0.3, 0.77):
-            L = ps.loss_matrix(eta, 9)
+            L = np.array(ps.loss_matrix(eta, 9))
             assert np.allclose(L.sum(axis=0), 1.0, atol=1e-12)
             assert np.all(L >= 0)
 
     def test_columns_sum_to_one_beyond_float_binomials(self):
         # C(1099, 549) is far beyond the float range
         for eta in (0.048, 0.5, 0.77):
-            L = ps.loss_matrix(eta, 1099)
+            L = np.array(ps.loss_matrix(eta, 1099))
             assert np.allclose(L.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
             assert np.all(L >= 0)
 
@@ -363,7 +378,7 @@ class TestDetectorMatrices:
                 )
 
     def test_two_bin_map(self):
-        C = ps.tmd_convolution_matrix(3)
+        C = np.array(ps.tmd_convolution_matrix(3))
         assert np.array_equal(C[:, 0], [1.0, 0.0, 0.0])
         assert np.array_equal(C[:, 1], [0.0, 1.0, 0.0])
         assert np.array_equal(C[:, 2], [0.0, 0.5, 0.5])
@@ -405,7 +420,7 @@ class TestInversion:
         )
         assert result.converged
         recovered = np.zeros(truth.size)
-        recovered[: result.state.size] = result.state
+        recovered[: len(result.state)] = result.state
         assert np.max(np.abs(recovered - truth)) < 1e-3
 
     def test_vacuum_clicks_give_vacuum(self):
@@ -482,7 +497,7 @@ class TestInversion:
         assert 0 < result.iterations < 400_000
         assert result.kkt_gap <= tol
         assert result.state[0] < 1e-6
-        response = ps.loss_matrix(eta, 2)
+        response = np.array(ps.loss_matrix(eta, 2))
         rng = np.random.default_rng(5)
         candidates = np.vstack([np.eye(3), rng.dirichlet([1.0, 1.0, 1.0], 2000)])
         with np.errstate(divide="ignore"):
@@ -553,13 +568,147 @@ class TestInversion:
                 ps.loss_matrix(efficiency, 2)
 
 
+# -- the float route against numpy ------------------------------------------
+#
+# The inversion runs on Python floats.  Its references here are built
+# with numpy inside the tests: the loss and splitter maps from their
+# closed forms, numpy's condition number and solve, and the
+# multiplicative iteration as the numpy implementation ran it.  K runs
+# up to the 16 outcomes that `invert` accepts.
+
+HEADLINE = [0.94920, 0.05065, 0.00015]
+
+
+def _loss_reference(eta, size):
+    matrix = np.zeros((size, size))
+    for n in range(size):
+        for m in range(n + 1):
+            matrix[m, n] = math.comb(n, m) * eta**m * (1.0 - eta) ** (n - m)
+    return matrix
+
+
+def _click_reference(eta):
+    splitter = np.array(
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.0, 0.5]]
+    )
+    return splitter @ _loss_reference(eta, 3)
+
+
+def _numpy_em(observed, response, max_iter, tol):
+    """(state, iterations) of the multiplicative iteration from the
+    uniform state, stopped on the KKT gap as the numpy route stopped."""
+    observed = np.asarray(observed) / np.sum(observed)
+    support = observed > 0
+    size = response.shape[1]
+    rho = np.full(size, 1.0 / size)
+    iterations = 0
+    while True:
+        ratio = np.zeros_like(observed)
+        ratio[support] = observed[support] / (response @ rho)[support]
+        gain = response.T @ ratio
+        if gain.max() - 1.0 <= tol or iterations >= max_iter:
+            return rho, iterations
+        rho = rho * gain
+        rho /= rho.sum()
+        iterations += 1
+
+
+_SIZES = st.integers(min_value=2, max_value=16)
+_EFFICIENCIES = st.floats(min_value=0.03, max_value=1.0)
+_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+class TestFloatRoute:
+    @settings(max_examples=200, deadline=None)
+    @given(size=_SIZES, eta=_EFFICIENCIES)
+    @example(size=16, eta=0.03)
+    @example(size=2, eta=1.0)
+    def test_loss_condition_matches_numpy(self, size, eta):
+        observed = [1.0 / size] * size
+        # a zero budget returns the condition without iterating
+        result = ps.invert_loss_only(observed, eta, max_iter=0)
+        reference = np.linalg.cond(_loss_reference(eta, size), 1)
+        assert result.condition == pytest.approx(reference, rel=1e-11)
+
+    @settings(max_examples=200, deadline=None)
+    @given(eta=_EFFICIENCIES)
+    @example(eta=0.03)
+    @example(eta=1.0)
+    def test_click_condition_matches_numpy(self, eta):
+        result = ps.ml_invert([0.7, 0.25, 0.05], eta, max_iter=0)
+        reference = np.linalg.cond(_click_reference(eta), 1)
+        assert result.condition == pytest.approx(reference, rel=1e-11)
+
+    def test_condition_overflow_is_infinite(self):
+        # (2 - eta) / eta to the 15th overflows; the diagonal eta^15 and
+        # the two-click row of R underflow
+        assert ps.invert_loss_only([1 / 16] * 16, 1e-30, 0).condition == (
+            math.inf
+        )
+        assert ps.ml_invert([0.7, 0.25, 0.05], 1e-200, 0).condition == (
+            math.inf
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(size=_SIZES, eta=_EFFICIENCIES, seed=_SEEDS)
+    @example(size=16, eta=0.03, seed=0)
+    def test_direct_solve_matches_numpy(self, size, eta, seed):
+        rhs = np.random.default_rng(seed).dirichlet(np.ones(size))
+        reference_matrix = _loss_reference(eta, size)
+        condition = np.linalg.cond(reference_matrix, 1)
+        solved = ps._back_substitute(ps.loss_matrix(eta, size - 1), rhs)
+        reference = np.linalg.solve(reference_matrix, rhs)
+        assert np.max(np.abs(solved - reference)) <= 1e-12 * condition
+        if size == 3:
+            response = _click_reference(eta)
+            solved = ps._back_substitute(response.tolist(), rhs)
+            reference = np.linalg.solve(response, rhs)
+            bound = 1e-12 * np.linalg.cond(response, 1)
+            assert np.max(np.abs(solved - reference)) <= bound
+
+    @settings(max_examples=100, deadline=None)
+    @given(size=_SIZES, eta=_EFFICIENCIES, seed=_SEEDS)
+    def test_feasible_states_match_numpy(self, size, eta, seed):
+        truth = np.random.default_rng(seed).dirichlet(np.ones(size))
+        observed = _loss_reference(eta, size) @ truth
+        assume(np.all(np.linalg.solve(_loss_reference(eta, size),
+                                      observed) >= 0.0))
+        result = ps.invert_loss_only(observed, eta)
+        assert result.converged and result.iterations == 0
+        error = np.max(np.abs(np.array(result.state) - truth))
+        assert error <= 1e-12 * result.condition
+
+    @pytest.mark.parametrize("eta", [0.046, 0.03])
+    def test_headline_face_inputs_match_numpy(self, eta):
+        tol = 1e-10
+        result = ps.invert_loss_only(HEADLINE, eta, max_iter=400_000, tol=tol)
+        reference, iterations = _numpy_em(
+            HEADLINE, _loss_reference(eta, 3), 400_000, tol
+        )
+        assert result.converged and result.kkt_gap <= tol
+        assert result.iterations == iterations > 0
+        assert np.max(np.abs(np.array(result.state) - reference)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "clicks, eta", [([0.9, 0.08, 0.02], 0.3), ([0.7, 0.25, 0.05], 0.4)]
+    )
+    def test_click_face_inputs_match_numpy(self, clicks, eta):
+        tol = 1e-10
+        result = ps.ml_invert(clicks, eta, max_iter=400_000, tol=tol)
+        reference, iterations = _numpy_em(
+            clicks, _click_reference(eta), 400_000, tol
+        )
+        assert result.converged and result.iterations == iterations > 0
+        assert np.max(np.abs(np.array(result.state) - reference)) <= 1e-12
+
+
 class TestModeReduction:
     @staticmethod
     def _series(n_modes, gains):
         points = []
         for gain in gains:
-            dist = ps.multimode_dist(n_modes, gain, nmax=16)
-            points.append((gain, _mean(ps.heralded_dist(dist, 0.0))))
+            dist = multimode_dist(n_modes, gain, nmax=16)
+            points.append((gain, _mean(heralded_dist(dist, 0.0))))
         return points
 
     def test_identical_series_ratio_one(self):
