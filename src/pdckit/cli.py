@@ -137,6 +137,10 @@ def _source_params(
     if not length > 0:
         raise ConfigError("key 'length': must be positive")
     _check_gamma(gamma)
+    if kappa_s == 0 and kappa_i == 0:
+        raise ConfigError(
+            "key 'kappa_s': must not vanish together with kappa_i"
+        )
     if kappa_s is not None:
         return jsa.PdcModelParams(
             sigma_pump=sigma_pump,
@@ -382,7 +386,22 @@ def _cmd_fit_overlap(sc: Scenario) -> tuple[list, list, list]:
     state = _signal_state(sc)
     if sc.data_path is None:
         raise ConfigError("missing required option '--data'")
-    measurements = _read_csv_columns(sc.data_path, ("beta_sq", "visibility"))
+    path = sc.data_path
+    measurements = _read_csv_columns(path, ("beta_sq", "visibility"))
+    # the checks fit_overlap makes, in its order, naming the file
+    beta_sq = [b for b, _ in measurements]
+    if len(measurements) < 3:
+        raise ConfigError(f"data file {path}: need at least three rows")
+    if min(beta_sq) <= 0:
+        raise ConfigError(
+            f"data file {path}: column 'beta_sq': must be positive"
+        )
+    if len(set(beta_sq)) < 2:
+        raise ConfigError(
+            f"data file {path}: column 'beta_sq': need two distinct values"
+        )
+    if state.p1 == 0:
+        raise ConfigError("key 'p1': must be positive to fit an overlap")
     fit = hom.fit_overlap(measurements, state)
     rows = [[fit.overlap, fit.stderr, len(measurements)]]
     return ["overlap", "stderr", "n_points"], rows, []

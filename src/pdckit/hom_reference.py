@@ -13,9 +13,9 @@ The reference is a centred Gaussian amplitude exp(-nu^2/w_r^2) with
 mean photon number beta_sq; every function takes these two numbers
 directly.  For the Gaussian model, T at the dip centre and the dip
 width are closed forms of the filtered source (jsa.FilteredSource),
-and the dip is Gaussian in delay (hom_scan_analytic).  jsa.overlap_T
-evaluates T by quadrature at any delay; it is the reference the closed
-forms are tested against.
+and the dip is Gaussian in delay (hom_scan_analytic).  The tests check
+these closed forms against T integrated by quadrature on a sampled
+amplitude, at any delay (tests/quadrature.py).
 
 No function here builds an array: each takes one reference power,
 overlap or delay and returns floats, a sweep or a delay scan is a loop

@@ -198,27 +198,6 @@ def _back_substitute(upper, b) -> list[float]:
     return x
 
 
-def _inverse_norm(upper) -> float:
-    """1-norm of the inverse of an upper triangular matrix: the largest
-    absolute column sum of the inverse, one back-substitution per column.
-    Infinite when the matrix is singular or the inverse overflows.
-
-    Column j of the inverse vanishes below row j, so it is solved on the
-    leading j + 1 rows and columns alone.
-    """
-    size = len(upper)
-    if not all(upper[j][j] for j in range(size)):
-        return math.inf
-    norm = 0.0
-    for j in range(size):
-        unit = [0.0] * j + [1.0]
-        column = sum([abs(x) for x in _back_substitute(upper, unit)])
-        if column != column:  # nan, from inf - inf
-            return math.inf
-        norm = max(norm, column)
-    return norm
-
-
 def _loss_condition(efficiency: float, size: int) -> float:
     """1-norm condition number of the size x size loss matrix, in closed
     form; infinite when it overflows.
@@ -340,8 +319,13 @@ def ml_invert(
     loss_columns = list(zip(*loss_matrix(efficiency, 2)))
     require(efficiency > 0.0, "inversion requires efficiency > 0")
     response = [_apply(loss_columns, row) for row in splitter]
-    # both maps have stochastic columns, so the norm of R is one
-    condition = _inverse_norm(response)
+    # both maps have stochastic columns, so the norm of R is one.  R^-1,
+    # the loss map of 1/eta times the splitter's inverse, has the largest
+    # absolute column sum q (1 + 2 q).  It overflows (eta below 2.1e-154)
+    # before R's last pivot eta^2/2 underflows to zero (below 1e-160), so
+    # an infinite condition keeps the direct solve from a zero pivot.
+    q = (2.0 - efficiency) / efficiency
+    condition = q * (1.0 + 2.0 * q)
     return _ml_estimate(clicks, response, condition, max_iter, tol)
 
 

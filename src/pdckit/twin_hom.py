@@ -6,8 +6,8 @@ overlap is a closed form of the source's quadratic form and phase,
 jsa.FilteredSource.twin_overlap, and factors into a spectral part, set
 by the correlation ellipse, and a temporal part produced by the
 phase-matching phase.  model_source builds the form that a given
-ellipse geometry prescribes; jsa.overlap_numeric integrates a sampled
-amplitude and serves as the quadrature reference.
+ellipse geometry prescribes.  The tests check the closed form against
+the exchange integral of a sampled amplitude (tests/quadrature.py).
 """
 
 from __future__ import annotations

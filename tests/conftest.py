@@ -2,6 +2,8 @@ import pytest
 
 from pdckit import jsa, units
 
+import quadrature
+
 # Reconstructed source used across the suite: 2.5 nm pump, 0.5 nm
 # phase-matching bandwidth (both intensity FWHM at 796 nm), tilt of
 # 54.7 degrees, 2.1 mm guide.
@@ -28,14 +30,14 @@ def _grid(
     source: jsa.FilteredSource,
     samples_per_width: int = 12,
     extent_widths: float = 4.0,
-) -> jsa.SpectralGrid:
+) -> quadrature.SpectralGrid:
     """The source's amplitude on the axis default_axes chooses for it."""
-    axis = jsa.default_axes(source, samples_per_width, extent_widths)
-    return jsa.sample(source, axis)
+    axis = quadrature.default_axes(source, samples_per_width, extent_widths)
+    return quadrature.sample(source, axis)
 
 
 @pytest.fixture(scope="session")
-def source_grid(source_params) -> jsa.SpectralGrid:
+def source_grid(source_params) -> quadrature.SpectralGrid:
     return _grid(jsa.filtered_source(source_params), 10, 3.5)
 
 

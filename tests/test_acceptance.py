@@ -14,6 +14,7 @@ import pytest
 from pdckit import hom_reference as hom
 from pdckit import jsa, photon_stats, twin_hom, units
 
+import quadrature
 from conftest import _grid
 from photon_distributions import heralded_dist, multimode_dist
 
@@ -113,7 +114,7 @@ def test_criterion_5_overlap_oracle_equivalence():
         for aspect in (1.0, 1.7, 4.2, 10.0, 20.0):
             for tilt in (45.0, 54.7, 60.0):
                 source = twin_hom.model_source(aspect, tilt)
-                numeric = jsa.overlap_numeric(_grid(source, 10, 3.5))
+                numeric = quadrature.overlap_numeric(_grid(source, 10, 3.5))
                 closed = math.prod(source.twin_overlap())
                 worst = max(worst, abs(numeric - closed))
         assert worst < 1e-3
@@ -132,9 +133,11 @@ def test_criterion_6_dip_width():
         )
 
         grid = _grid(jsa.filtered_source(params), 10, 3.5)
-        g = jsa.reduced_density(grid, one_nm, one_nm)
+        g = quadrature.reduced_density(grid, one_nm, one_nm)
         taus = np.linspace(-4.0 * sigma_t, 4.0 * sigma_t, 81)
-        overlap = [jsa.overlap_T(one_nm, g, source.delay + t) for t in taus]
+        overlap = [
+            quadrature.overlap_T(one_nm, g, source.delay + t) for t in taus
+        ]
         fit = np.polyfit(taus, np.log(overlap), 2)
         fitted_sigma = math.sqrt(-1.0 / (2.0 * fit[0]))
         assert fitted_sigma == pytest.approx(sigma_t, rel=1e-6)
@@ -199,13 +202,15 @@ def test_criterion_9_heralding_monotonicity():
         for trigger_fwhm_nm in (math.inf, 2.5, 1.75, 1.0):
             trigger = _nm_width(trigger_fwhm_nm)
             source = jsa.filtered_source(params, one_nm, trigger)
-            g = jsa.reduced_density(grid, one_nm, trigger)
+            g = quadrature.reduced_density(grid, one_nm, trigger)
             tmax[trigger_fwhm_nm] = source.tmax(one_nm)
             purities.append(source.purity)
             # the sampled route agrees with the closed forms
-            assert jsa.overlap_T(one_nm, g, source.delay) == pytest.approx(
-                tmax[trigger_fwhm_nm], rel=1e-9
+            assert quadrature.overlap_T(
+                one_nm, g, source.delay
+            ) == pytest.approx(tmax[trigger_fwhm_nm], rel=1e-9)
+            assert quadrature.purity(g) == pytest.approx(
+                purities[-1], rel=1e-9
             )
-            assert jsa.purity(g) == pytest.approx(purities[-1], rel=1e-9)
         assert tmax[1.0] > tmax[math.inf]
         assert purities[1] < purities[2] < purities[3]

@@ -415,6 +415,49 @@ class TestVisibilityAndFit:
         assert err.startswith("error: ") and message in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["0.01,0.4", "0.02,0.5"], "need at least three rows"),
+            (
+                ["0.01,0.4", "0,0.5", "0.05,0.45"],
+                "column 'beta_sq': must be positive",
+            ),
+            (
+                ["0.01,0.4", "0.01,0.5", "0.01,0.45"],
+                "column 'beta_sq': need two distinct values",
+            ),
+        ],
+        ids=["two-rows", "zero-beta", "one-beta"],
+    )
+    def test_unfittable_data_names_the_file(
+        self, tmp_path, capsys, lines, message
+    ):
+        data = _write(
+            tmp_path,
+            "d.csv",
+            "beta_sq,visibility\n" + "".join(line + "\n" for line in lines),
+        )
+        config = _write(tmp_path, "fit.cfg", "p0 = 0.5\np1 = 0.5\np2 = 0\n")
+        code, out, err = _run(
+            capsys, "fit-overlap", "--config", str(config), "--data", str(data)
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: data file {data}: {message}\n"
+
+    def test_state_without_one_photon_names_p1(self, tmp_path, capsys):
+        data = _write(
+            tmp_path,
+            "d.csv",
+            "beta_sq,visibility\n0.01,0.4\n0.02,0.5\n0.1,0.4\n",
+        )
+        config = _write(tmp_path, "fit.cfg", "p0 = 0.9\np1 = 0\np2 = 0.1\n")
+        code, out, err = _run(
+            capsys, "fit-overlap", "--config", str(config), "--data", str(data)
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: key 'p1': must be positive to fit an overlap\n"
+
     def test_data_key_is_not_read(self, tmp_path, capsys):
         data = _write(tmp_path, "d.csv", "beta_sq,visibility\n0.1,0.5\n")
         config = _write(
@@ -657,26 +700,6 @@ filter_i_fwhm = 1 nm
 """
 
 
-@pytest.mark.parametrize("command", ["tmax", "hom-scan", "filter", "dip-width"])
-def test_spectral_commands_build_no_grid(tmp_path, capsys, monkeypatch, command):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the sampled route was called")
-
-    for name in (
-        "default_axes",
-        "sample",
-        "reduced_density",
-        "purity",
-        "overlap_T",
-        "overlap_numeric",
-    ):
-        monkeypatch.setattr(jsa, name, refuse)
-    config = _write(tmp_path, "s.cfg", SPECTRAL_CFG)
-    code, out, _ = _run(capsys, command, "--config", str(config))
-    assert code == 0
-    assert _rows(out)
-
-
 KAPPA_CFG = SPECTRAL_CFG.replace(
     "pm_fwhm = 0.5 nm\ntilt = 54.7 deg\n",
     "kappa_s = 1.4e-9 s/m\nkappa_i = 0.99e-9 s/m\n",
@@ -692,6 +715,20 @@ def test_source_commands_read_kappas(tmp_path, capsys, command):
     code, out, err = _run(capsys, command, "--config", str(config))
     assert code == 0, err
     assert _rows(out)
+
+
+@pytest.mark.parametrize(
+    "command", ["ellipse", "filter", "pm-vs-length", "tmax", "hom-scan"]
+)
+def test_vanishing_kappas_name_the_key(tmp_path, capsys, command):
+    text = KAPPA_CFG.replace("1.4e-9 s/m", "0 s/m").replace("0.99e-9", "0")
+    text += "length_min = 1 mm\nlength_max = 5 mm\nlength_steps = 5\n"
+    config = _write(tmp_path, "k.cfg", text)
+    code, out, err = _run(capsys, command, "--config", str(config))
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: key 'kappa_s': must not vanish together with kappa_i\n"
+    )
 
 
 CONFIGS = sorted(Path(__file__).resolve().parents[1].glob("configs/*.cfg"))

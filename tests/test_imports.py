@@ -2,11 +2,11 @@
 
 Importing the command line and running every command, `invert`
 included, must leave numpy unloaded, since its import costs several
-times what the whole closed-form chain and an inversion do.  jsa imports
-numpy inside the functions that build its test-only grids; no other
-module imports it, and none imports it at the top level.  The records
-are NamedTuple classes, so nothing loads `dataclasses` or the `inspect`
-it imports either.
+times what the whole closed-form chain and an inversion do.  No package
+module imports numpy at all, so every command runs, and prints the same
+CSV, where numpy cannot be imported; only the tests need it.  The
+records are NamedTuple classes, so nothing loads `dataclasses` or the
+`inspect` it imports either.
 """
 
 import ast
@@ -85,20 +85,39 @@ _CHILD = textwrap.dedent(
     """
     import contextlib, io, json, sys
 
+
+    class BlockNumpy:
+        def find_spec(self, name, path=None, target=None):
+            if name.partition(".")[0] == "numpy":
+                raise ImportError("numpy is blocked")
+
+
+    calls, block = json.loads(sys.argv[1]), sys.argv[2] == "block"
+    if block:
+        sys.meta_path.insert(0, BlockNumpy())
+
     import pdckit.cli
 
-    calls = json.loads(sys.argv[1])
-    codes = []
+    codes, outputs = [], []
     for argv in calls:
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
             codes.append(pdckit.cli.main(argv))
+        outputs.append(out.getvalue())
     heavy = ("numpy", "dataclasses", "inspect")
-    print(json.dumps([codes, [name for name in heavy if name in sys.modules]]))
+    loaded = [name for name in heavy if name in sys.modules]
+    try:
+        import numpy
+        blocked = False
+    except ImportError:
+        blocked = True
+    print(json.dumps([codes, outputs, loaded, blocked == block]))
     """
 )
 
 
-def test_no_command_loads_numpy(tmp_path):
+def _run_commands(tmp_path, block=False):
+    """Run every command in one child process, numpy importable or not;
+    its exit codes, CSV outputs and the heavy modules it loaded."""
     data = tmp_path / "curve.csv"
     data.write_text("beta_sq,visibility\n0.01,0.4\n0.02,0.5\n0.05,0.45\n")
     calls = []
@@ -112,16 +131,32 @@ def test_no_command_loads_numpy(tmp_path):
         calls.append([command, "--config", str(config), *options])
     assert {call[0] for call in calls} == set(cli._COMMANDS)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    mode = "block" if block else "allow"
     child = subprocess.run(
-        [sys.executable, "-c", _CHILD, json.dumps(calls)],
+        [sys.executable, "-c", _CHILD, json.dumps(calls), mode],
         capture_output=True,
         text=True,
         env=env,
         check=True,
     )
-    codes, loaded = json.loads(child.stdout)
+    codes, outputs, loaded, as_asked = json.loads(child.stdout)
+    assert as_asked, f"the child's numpy import did not {mode} as asked"
     assert codes == [0] * len(calls), child.stderr
+    return outputs, loaded
+
+
+def test_no_command_loads_numpy(tmp_path):
+    _, loaded = _run_commands(tmp_path)
     assert loaded == [], "a command loaded these"
+
+
+def test_every_command_runs_without_numpy(tmp_path):
+    """With `import numpy` raising ImportError, every command exits 0
+    and prints the CSV it prints where numpy is importable."""
+    outputs, _ = _run_commands(tmp_path)
+    blocked, _ = _run_commands(tmp_path, block=True)
+    assert all(outputs)
+    assert blocked == outputs
 
 
 def _imports(node, module: str) -> bool:
@@ -133,8 +168,8 @@ def _imports(node, module: str) -> bool:
 
 
 def test_no_module_imports_numpy_at_top_level():
-    """numpy is imported inside functions, or for annotations under
-    TYPE_CHECKING; only jsa imports it at all."""
+    """No module imports numpy, at the top level, inside a function or
+    for annotations under TYPE_CHECKING."""
     top_level, anywhere = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -144,7 +179,7 @@ def test_no_module_imports_numpy_at_top_level():
         if any(_imports(node, "numpy") for node in ast.walk(tree)):
             anywhere.append(path.stem)
     assert top_level == []
-    assert anywhere == ["jsa"]
+    assert anywhere == []
 
 
 def test_no_module_imports_dataclasses():

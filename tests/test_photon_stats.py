@@ -649,6 +649,15 @@ class TestFloatRoute:
             math.inf
         )
 
+    # eta^2/2, the last pivot of R, is subnormal at 1e-160 and zero just
+    # below it; cond(R) has overflowed already below 2.1e-154
+    @pytest.mark.parametrize("eta", [1e-160, 1e-163, 5e-324])
+    def test_infinite_condition_skips_a_zero_pivot(self, eta):
+        result = ps.ml_invert([0.7, 0.25, 0.05], eta)
+        assert result.condition == math.inf
+        assert result.log_likelihood == -math.inf
+        assert not result.converged
+
     @settings(max_examples=200, deadline=None)
     @given(size=_SIZES, eta=_EFFICIENCIES, seed=_SEEDS)
     @example(size=16, eta=0.03, seed=0)

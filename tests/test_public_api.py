@@ -24,7 +24,7 @@ MODEL_MODULES = ("jsa", "hom_reference", "twin_hom", "photon_stats")
 
 # the records each model module exports, all of them NamedTuple classes
 RECORDS = {
-    "jsa": {"PdcModelParams", "FilteredSource", "SpectralGrid", "ReducedDensity"},
+    "jsa": {"PdcModelParams", "FilteredSource"},
     "hom_reference": {"SignalState", "HomScan", "OverlapFit"},
     "twin_hom": set(),
     "photon_stats": {"InversionResult", "ModeReductionFit"},
@@ -34,14 +34,6 @@ RECORDS = {
 TEST_REFERENCES = {
     "coincidence_full",  # the exact coincidence model behind the simplified one
     "forward_click_dist",  # the forward model the inversion undoes
-    # the sampled route, the quadrature the FilteredSource closed forms
-    # are checked against and the way to non-Gaussian phase matching
-    "default_axes",  # sizes the grid from the source's form
-    "sample",  # puts the form's amplitude on the grid
-    "reduced_density",  # filters it and traces out the idler
-    "purity",  # the density's purity by quadrature
-    "overlap_T",  # the density's overlap with the reference at a delay
-    "overlap_numeric",  # the grid's twin overlap by quadrature
 }
 
 

@@ -6,24 +6,18 @@ import pytest
 from pdckit import hom_reference as hom
 from pdckit import jsa, photon_stats, twin_hom
 
-from conftest import _grid
-
 STATE = hom.SignalState(p0=0.9, p1=0.09, p2=0.01)
 PARAMS = jsa.PdcModelParams(sigma_pump=2.0, kappa_s=1.5, kappa_i=1.0, length=2.0)
 
 
 def _records():
     """One instance of every record, as the library builds them."""
-    source = twin_hom.model_source(1.5, 45.0)
-    grid = _grid(source, 8, 3.0)
     return [
         STATE,
         hom.hom_scan_analytic(STATE, 0.05, 0.7, 1.0, n_points=5),
         hom.fit_overlap([(0.01, 0.4), (0.02, 0.5), (0.05, 0.45)], STATE),
         PARAMS,
-        source,
-        grid,
-        jsa.reduced_density(grid),
+        twin_hom.model_source(1.5, 45.0),
         photon_stats.invert_loss_only([0.5, 0.5], 0.9),
         photon_stats.estimate_mode_reduction(
             [(1.0, 1.1), (2.0, 1.3)], [(1.0, 1.05), (2.0, 1.1)]

@@ -5,6 +5,7 @@ import pytest
 
 from pdckit import jsa, twin_hom
 
+import quadrature
 from conftest import _grid
 
 
@@ -62,13 +63,13 @@ class TestClosedFormOverlaps:
         source = twin_hom.model_source(4.2, 54.7)
         spectral, temporal = source.twin_overlap()
         grid = _grid(source, extent_widths=6.0)
-        modulus = jsa.SpectralGrid.from_amplitude(
+        modulus = quadrature.SpectralGrid.from_amplitude(
             grid.nu_axis.copy(), np.abs(grid.amplitude)
         )
-        assert jsa.overlap_numeric(modulus) == pytest.approx(
+        assert quadrature.overlap_numeric(modulus) == pytest.approx(
             spectral, rel=1e-12
         )
-        assert jsa.overlap_numeric(grid) == pytest.approx(
+        assert quadrature.overlap_numeric(grid) == pytest.approx(
             spectral * temporal, rel=1e-12
         )
 
@@ -96,10 +97,10 @@ class TestSourceForm:
         grid = _grid(jsa.filtered_source(source_params))
         axis = grid.nu_axis
         channel = np.exp(-((axis / width) ** 2))
-        grid = jsa.SpectralGrid.from_amplitude(
+        grid = quadrature.SpectralGrid.from_amplitude(
             axis, grid.amplitude * np.outer(channel, channel)
         )
-        assert jsa.overlap_numeric(grid) == pytest.approx(
+        assert quadrature.overlap_numeric(grid) == pytest.approx(
             spectral * temporal, rel=1e-12
         )
 
@@ -136,16 +137,16 @@ class TestNumericOverlap:
     def test_symmetric_real_amplitude_gives_unity(self):
         # zero-phase, 45-degree-tilt Gaussian: exchange leaves it invariant
         grid = _grid(twin_hom.model_source(2.0, 45.0))
-        real_grid = jsa.SpectralGrid.from_amplitude(
+        real_grid = quadrature.SpectralGrid.from_amplitude(
             grid.nu_axis.copy(), np.abs(grid.amplitude)
         )
-        assert jsa.overlap_numeric(real_grid) == pytest.approx(
+        assert quadrature.overlap_numeric(real_grid) == pytest.approx(
             1.0, abs=1e-9
         )
 
     def test_matches_closed_form_product(self):
         grid = _grid(twin_hom.model_source(4.2, 54.7))
-        numeric = jsa.overlap_numeric(grid)
+        numeric = quadrature.overlap_numeric(grid)
         assert numeric == pytest.approx(_total(4.2, 54.7), abs=1e-3)
 
     def test_strong_correlation_overlap_below_percent(self):
@@ -154,7 +155,7 @@ class TestNumericOverlap:
             samples_per_width=8,
             extent_widths=2.5,
         )
-        numeric = jsa.overlap_numeric(grid)
+        numeric = quadrature.overlap_numeric(grid)
         assert numeric < 0.01
         assert numeric == pytest.approx(_total(95.0, 54.7), abs=1e-3)
 
@@ -168,7 +169,7 @@ class TestNumericOverlap:
                 samples_per_width=10,
                 extent_widths=3.5,
             )
-            numeric = jsa.overlap_numeric(grid)
+            numeric = quadrature.overlap_numeric(grid)
             assert numeric == pytest.approx(_total(aspect, tilt), abs=1e-3)
 
     def test_delay_reduces_overlap(self):
@@ -178,9 +179,9 @@ class TestNumericOverlap:
         delayed = source._replace(phase_s=source.phase_s + 1.0)
         spectral, temporal = delayed.twin_overlap()
         assert spectral * temporal == pytest.approx(math.exp(-1.0), rel=1e-12)
-        numeric = jsa.overlap_numeric(_grid(delayed))
+        numeric = quadrature.overlap_numeric(_grid(delayed))
         assert numeric == pytest.approx(spectral * temporal, rel=1e-12)
-        assert numeric < jsa.overlap_numeric(_grid(source))
+        assert numeric < quadrature.overlap_numeric(_grid(source))
 
 
 class TestVisibility:
