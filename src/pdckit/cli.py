@@ -108,7 +108,7 @@ def _width_from_fwhm(sc: Scenario, key: str, wavelength: float, **kw):
 def _source_params(
     sc: Scenario, wavelength: float, default_pump_nm: float | None = None
 ):
-    """PdcModelParams from pump_fwhm, length, gamma and either explicit
+    """PdcModelParams from pump_fwhm, length and either explicit
     group-velocity mismatches or a phase-matching width plus tilt, with
     widths read at the given center wavelength."""
     sigma_pump = _width_from_fwhm(sc, "pump_fwhm", wavelength)
@@ -119,7 +119,6 @@ def _source_params(
             default_pump_nm * 1e-9, wavelength
         )
     length = sc.quantity("length", "length", required=True)
-    gamma = sc.number("gamma", default=jsa.DEFAULT_GAMMA)
     kappa_s = sc.quantity("kappa_s", "inverse_velocity")
     kappa_i = sc.quantity("kappa_i", "inverse_velocity")
     if kappa_s is None and kappa_i is None:
@@ -136,31 +135,29 @@ def _source_params(
     # the checks PdcModelParams makes, in its order, naming the key
     if not length > 0:
         raise ConfigError("key 'length': must be positive")
-    _check_gamma(gamma)
-    if kappa_s == 0 and kappa_i == 0:
-        raise ConfigError(
-            "key 'kappa_s': must not vanish together with kappa_i"
-        )
     if kappa_s is not None:
+        if kappa_s == 0 and kappa_i == 0:
+            raise ConfigError(
+                "key 'kappa_s': must not vanish together with kappa_i"
+            )
         return jsa.PdcModelParams(
             sigma_pump=sigma_pump,
             kappa_s=kappa_s,
             kappa_i=kappa_i,
             length=length,
-            gamma=gamma,
+        )
+    # both kappas are 2 / (this product) times sin or cos of the tilt
+    if math.isinf(math.sqrt(jsa.GAMMA) * length * pm):
+        raise ConfigError(
+            "keys 'pm_fwhm', 'length': too large together, both "
+            "group-velocity mismatches would vanish"
         )
     return jsa.params_from_pm_estimate(
         sigma_pump=sigma_pump,
         pm_amplitude_width=pm,
         tilt_deg=tilt,
         length=length,
-        gamma=gamma,
     )
-
-
-def _check_gamma(gamma: float) -> None:
-    if not 0.0 < gamma <= 1.0:
-        raise ConfigError("key 'gamma': must lie in (0, 1]")
 
 
 def _count(
@@ -295,18 +292,14 @@ def _cmd_pm_vs_length(sc: Scenario) -> tuple[list, list, list]:
 
 def _cmd_twin_hom(sc: Scenario) -> tuple[list, list, list]:
     tilt = sc.quantity("tilt", "angle", required=True)
-    gamma = sc.number("gamma", default=jsa.DEFAULT_GAMMA)
     aspects = _sweep(sc, "aspect", geometric=True)
     # a min/max sweep starts at aspect_min
     if min(aspects) < 1.0:
         key = "aspect_list" if "aspect_list" in sc.values else "aspect_min"
         raise ConfigError(f"key {key!r}: must be at least 1")
-    _check_gamma(gamma)
     rows = []
     for aspect in aspects:
-        spectral, temporal = twin_hom.model_source(
-            aspect, tilt, gamma
-        ).twin_overlap()
+        spectral, temporal = twin_hom.model_source(aspect, tilt).twin_overlap()
         total = spectral * temporal
         rows.append(
             [
@@ -348,18 +341,23 @@ def _cmd_herald_stats(sc: Scenario) -> tuple[list, list, list]:
     ]
     summary = []
     if len(gains) >= 2:
-        fit = photon_stats.estimate_mode_reduction(
-            [(gain, mean_u) for gain, mean_u, _ in rows],
-            [(gain, mean_f) for gain, _, mean_f in rows],
-        )
-        implied = photon_stats.implied_mode_count(
-            fit.slope_ratio, modes_filtered
-        )
-        summary.append(
-            f"slope ratio = {fit.slope_ratio:.4f}, implied unfiltered "
-            f"modes = {implied:.2f} (intercepts "
-            f"{fit.intercept_unfiltered:.4f}, {fit.intercept_filtered:.4f})"
-        )
+        try:
+            fit = photon_stats.estimate_mode_reduction(
+                [(gain, mean_u) for gain, mean_u, _ in rows],
+                [(gain, mean_f) for gain, _, mean_f in rows],
+            )
+        except ValueError as exc:  # the rows stand; only the fit fails
+            summary.append(f"no slope ratio fitted: {exc}")
+        else:
+            implied = photon_stats.implied_mode_count(
+                fit.slope_ratio, modes_filtered
+            )
+            summary.append(
+                f"slope ratio = {fit.slope_ratio:.4f}, implied unfiltered "
+                f"modes = {implied:.2f} (intercepts "
+                f"{fit.intercept_unfiltered:.4f}, "
+                f"{fit.intercept_filtered:.4f})"
+            )
     return ["gain_sq", "mean_unfiltered", "mean_filtered"], rows, summary
 
 
@@ -416,22 +414,6 @@ def _source_and_filters(sc: Scenario):
     return wavelength, params, wr, ws
 
 
-def _span_sigmas(sc: Scenario, sigma_t: float) -> float:
-    """tau_span_sigmas, refused unless the delay axis in ps and
-    (tau/sigma_t)^2 at its ends are finite."""
-    span = sc.number("tau_span_sigmas", default=4.0)
-    half = span * sigma_t
-    # the CLI refuses a dip_sigma that is not positive; a source's dip
-    # width that rounds to zero is the library's to refuse
-    ratio = half / sigma_t if sigma_t > 0 else 0.0
-    if not span > 0 or not math.isfinite(half * 1e12 + ratio * ratio):
-        raise ConfigError(
-            "key 'tau_span_sigmas': must be positive, with a finite "
-            "delay axis and a finite (tau/dip_sigma)^2"
-        )
-    return span
-
-
 def _cmd_hom_scan(sc: Scenario) -> tuple[list, list, list]:
     state = _signal_state(sc)
     beta_sq = sc.number("beta_sq", required=True)
@@ -458,13 +440,16 @@ def _cmd_hom_scan(sc: Scenario) -> tuple[list, list, list]:
         overlap_max = source.tmax(wr)
         sigma_t = source.dip_sigma(wr)
         center = source.delay
+    n_points = _count(sc, "tau_steps", 81)
+    # the delay axis, printed in ps, must be finite at its ends; a
+    # source's dip sigma is a square root, infinite only when its form
+    # overflows
+    if not math.isfinite(hom.SPAN_SIGMAS * sigma_t * 1e12):
+        if "tmax" not in sc.values:
+            raise OverflowError
+        raise ConfigError("key 'dip_sigma': too large for a delay axis in ps")
     scan = hom.hom_scan_analytic(
-        state,
-        beta_sq,
-        overlap_max,
-        sigma_t,
-        n_points=_count(sc, "tau_steps", 81),
-        span_sigmas=_span_sigmas(sc, sigma_t),
+        state, beta_sq, overlap_max, sigma_t, n_points
     )
     rows = [
         [tau * 1e12, overlap, coincidence]

@@ -13,7 +13,8 @@ The reference is a centred Gaussian amplitude exp(-nu^2/w_r^2) with
 mean photon number beta_sq; every function takes these two numbers
 directly.  For the Gaussian model, T at the dip centre and the dip
 width are closed forms of the filtered source (jsa.FilteredSource),
-and the dip is Gaussian in delay (hom_scan_analytic).  The tests check
+and the dip is Gaussian in delay (hom_scan_analytic, on a delay axis
+of SPAN_SIGMAS dip sigmas either side of its centre).  The tests check
 these closed forms against T integrated by quadrature on a sampled
 amplitude, at any delay (tests/quadrature.py).
 
@@ -25,6 +26,7 @@ over such calls, and HomScan holds its axes as tuples.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .errors import require, require_pairs
@@ -41,6 +43,7 @@ __all__ = [
     "max_visibility",
     "fit_overlap",
     "fidelity",
+    "SPAN_SIGMAS",
     "hom_scan_analytic",
 ]
 
@@ -198,10 +201,19 @@ def fit_overlap(measurements, state: SignalState) -> OverlapFit:
         "degenerate design: need at least two distinct beta_sq values",
     )
     predictor = [visibility_vs_beta(state, 1.0, b) for b in beta_sq]
-    gram = _sum([p * p for p in predictor])
-    require(gram > 0.0, "predictor vanishes for this state")
-    estimate = _sum([p * v for p, (_, v) in zip(predictor, points)]) / gram
-    residual = [v - estimate * p for p, (_, v) in zip(predictor, points)]
+    peak = max(predictor)
+    require(peak >= sys.float_info.min, "predictor vanishes for this state")
+    # the predictor and the residuals scaled by a power of two, which is
+    # exact, to a largest predictor in [0.5, 1), so that no square
+    # underflows however small p1 is
+    scale = math.ldexp(1.0, -math.frexp(peak)[1])
+    scaled = [p * scale for p in predictor]
+    gram = _sum([q * q for q in scaled])
+    estimate = _sum([q * v for q, (_, v) in zip(scaled, points)]) / gram
+    estimate *= scale
+    residual = [
+        (v - estimate * p) * scale for p, (_, v) in zip(predictor, points)
+    ]
     # a residual too large to square gives an infinite error, silently
     squares = _sum([r * r for r in residual])
     stderr = math.sqrt(squares / (len(points) - 1) / gram)
@@ -224,27 +236,29 @@ def fidelity(spectral_overlap: float, one_photon: float) -> float:
     return math.sqrt(spectral_overlap * one_photon)
 
 
+# half-width of hom_scan_analytic's delay axis, in units of sigma_t
+SPAN_SIGMAS = 4.0
+
+
 def hom_scan_analytic(
     state: SignalState,
     beta_sq: float,
     overlap_max: float,
     sigma_t: float,
     n_points: int = 81,
-    span_sigmas: float = 4.0,
 ) -> HomScan:
     """Coincidence dip for the Gaussian overlap profile
     overlap_max exp(-tau^2 / (2 sigma_t^2)).
 
-    The delay axis spans span_sigmas * sigma_t on either side of the
+    The delay axis spans SPAN_SIGMAS * sigma_t on either side of the
     dip centre.  Coincidences use the leading-order model, so the
     reference mean photon number beta_sq must be below 0.2.
     """
     require(beta_sq >= 0.0, "beta_sq must be nonnegative")
     require(0.0 <= overlap_max <= 1.0, "overlap_max must lie in [0, 1]")
     require(sigma_t > 0.0, "sigma_t must be positive")
-    tau_axis = tuple(
-        linspace(-span_sigmas * sigma_t, span_sigmas * sigma_t, n_points)
-    )
+    half = SPAN_SIGMAS * sigma_t
+    tau_axis = tuple(linspace(-half, half, n_points))
     # in units of sigma_t, so a huge finite sigma_t cannot overflow
     ratios = [tau / sigma_t for tau in tau_axis]
     overlap = tuple(overlap_max * math.exp(-0.5 * (r * r)) for r in ratios)

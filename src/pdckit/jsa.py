@@ -6,13 +6,14 @@ from the central frequencies is modeled as the product of a Gaussian
 pump envelope exp(-(nu_s+nu_i)^2/sigma^2) and a Gaussian
 phase-matching factor
 
-    exp(-gamma L^2 (kappa_s nu_s + kappa_i nu_i)^2 / 4)
+    exp(-GAMMA L^2 (kappa_s nu_s + kappa_i nu_i)^2 / 4)
     * exp(i L (kappa_s nu_s + kappa_i nu_i) / 2),
 
 where kappa_s, kappa_i are group-velocity mismatch coefficients, L the
-medium length, and gamma rescales a Gaussian to the width of the sinc
-main lobe.  The modulus is exp(-nu^T M nu) for a symmetric positive
-2x2 form M.
+medium length, and GAMMA the fixed factor that fits the Gaussian
+exp(-GAMMA x^2) to the main lobe of sinc(x) (U'Ren et al., Laser
+Phys. 15, 146 (2005)).  The modulus is exp(-nu^T M nu) for a symmetric
+positive 2x2 form M.
 
 A Gaussian filter of amplitude width w transmits the intensity
 exp(-2 nu^2/w^2), centred on the channel's central frequency; an
@@ -38,7 +39,7 @@ from typing import NamedTuple
 from .errors import require
 
 __all__ = [
-    "DEFAULT_GAMMA",
+    "GAMMA",
     "PdcModelParams",
     "FilteredSource",
     "pm_width",
@@ -46,8 +47,8 @@ __all__ = [
     "filtered_source",
 ]
 
-# the sinc-to-Gaussian width factor gamma that every source defaults to
-DEFAULT_GAMMA = 0.193
+# the factor of the Gaussian exp(-GAMMA x^2) that stands in for sinc(x)
+GAMMA = 0.193
 
 
 class _PdcModelParamsFields(NamedTuple):
@@ -55,7 +56,6 @@ class _PdcModelParamsFields(NamedTuple):
     kappa_s: float
     kappa_i: float
     length: float
-    gamma: float = DEFAULT_GAMMA
 
 
 class PdcModelParams(_PdcModelParamsFields):
@@ -68,7 +68,6 @@ class PdcModelParams(_PdcModelParamsFields):
         kappa_s, kappa_i: group-velocity mismatch of signal/idler against
             the pump (s/m).  Material inputs, not computed here.
         length: length of the nonlinear medium (m).
-        gamma: sinc-to-Gaussian width adaptation factor, DEFAULT_GAMMA.
     """
 
     __slots__ = ()
@@ -79,18 +78,14 @@ class PdcModelParams(_PdcModelParamsFields):
         kappa_s: float,
         kappa_i: float,
         length: float,
-        gamma: float = DEFAULT_GAMMA,
     ) -> PdcModelParams:
         require(sigma_pump > 0, "sigma_pump must be positive")
         require(length > 0, "length must be positive")
-        require(0 < gamma <= 1, "gamma must lie in (0, 1]")
         require(
             kappa_s != 0 or kappa_i != 0,
             "kappa_s and kappa_i must not both vanish",
         )
-        return super().__new__(
-            cls, sigma_pump, kappa_s, kappa_i, length, gamma
-        )
+        return super().__new__(cls, sigma_pump, kappa_s, kappa_i, length)
 
     @classmethod
     def _make(cls, iterable) -> PdcModelParams:
@@ -213,7 +208,7 @@ class FilteredSource(NamedTuple):
 
 def pm_width(params: PdcModelParams, length: float | None = None) -> float:
     """Phase-matching amplitude width, the broadband-pump minor axis,
-    2 / (L sqrt(gamma (kappa_s^2 + kappa_i^2))).
+    2 / (L sqrt(GAMMA (kappa_s^2 + kappa_i^2))).
 
     It is taken at params.length, or at the given length.  A denominator
     that underflows to zero gives an infinite width.
@@ -221,7 +216,7 @@ def pm_width(params: PdcModelParams, length: float | None = None) -> float:
     if length is None:
         length = params.length
     scale = length * math.sqrt(
-        params.gamma * (params.kappa_s**2 + params.kappa_i**2)
+        GAMMA * (params.kappa_s**2 + params.kappa_i**2)
     )
     return 2.0 / scale if scale else math.inf
 
@@ -231,7 +226,6 @@ def params_from_pm_estimate(
     pm_amplitude_width: float,
     tilt_deg: float,
     length: float,
-    gamma: float = DEFAULT_GAMMA,
 ) -> PdcModelParams:
     """Reconstruct source parameters from measured estimates.
 
@@ -244,18 +238,16 @@ def params_from_pm_estimate(
         pm_amplitude_width: phase-matching amplitude width (rad/s).
         tilt_deg: measured ellipse tilt in (0, 90) degrees.
         length: medium length (m).
-        gamma: sinc adaptation factor.
     """
     require(0.0 < tilt_deg < 90.0, "tilt must lie strictly in (0, 90) deg")
     require(pm_amplitude_width > 0, "phase-matching width must be positive")
     tilt = math.radians(tilt_deg)
-    magnitude = 2.0 / (math.sqrt(gamma) * length * pm_amplitude_width)
+    magnitude = 2.0 / (math.sqrt(GAMMA) * length * pm_amplitude_width)
     return PdcModelParams(
         sigma_pump=sigma_pump,
         kappa_s=magnitude * math.sin(tilt),
         kappa_i=magnitude * math.cos(tilt),
         length=length,
-        gamma=gamma,
     )
 
 
@@ -274,7 +266,7 @@ def filtered_source(
         signal_width > 0 and idler_width > 0, "filter widths must be positive"
     )
     pump = 1.0 / params.sigma_pump**2
-    pm = params.gamma * params.length**2 / 4.0
+    pm = GAMMA * params.length**2 / 4.0
     m11 = pump + pm * params.kappa_s**2
     m12 = pump + pm * params.kappa_s * params.kappa_i
     m22 = pump + pm * params.kappa_i**2

@@ -7,7 +7,6 @@ Example::
     pm_fwhm    = 0.5 nm
     tilt       = 54.7 deg
     length     = 2.1 mm
-    gamma      = 0.193
 
 Numbers carry an optional unit token; lists are comma separated; bare
 words configure modes.  Every accessor validates the unit dimension at

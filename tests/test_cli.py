@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -39,7 +40,6 @@ pump_fwhm = 2.5 nm
 pm_fwhm = 0.5 nm
 tilt = 54.7 deg
 length = 2.1 mm
-gamma = 0.193
 """
 
 # hom-scan's refusal of a reference too strong for the leading-order dip
@@ -148,7 +148,6 @@ class TestPmVsLength:
             """
             center_wavelength = 1550 nm
             length = 2.1 mm
-            gamma = 0.2
             kappa_s = 1.1e-9 s/m
             kappa_i = 0.4e-9 s/m
             length_min = 2.5 mm
@@ -159,7 +158,9 @@ class TestPmVsLength:
         code, out, _ = _run(capsys, "pm-vs-length", "--config", str(config))
         assert code == 0
         row = _rows(out)[0]
-        width = 2.0 / (2.5e-3 * math.sqrt(0.2 * (1.1e-9**2 + 0.4e-9**2)))
+        width = 2.0 / (
+            2.5e-3 * math.sqrt(jsa.GAMMA * (1.1e-9**2 + 0.4e-9**2))
+        )
         lam = 1550e-9
         fwhm = lam**2 / (2 * math.pi * 299_792_458.0) * width * math.sqrt(
             2 * math.log(2)
@@ -251,6 +252,24 @@ class TestHeraldStats:
         assert row["mean_unfiltered"] == "%.9g" % (1.0 + 32 * mu)
         assert row["mean_filtered"] == "%.9g" % (1.0 + 2 * mu)
         assert err == "ignored keys: nmax\n"
+
+    @pytest.mark.parametrize(
+        "gains, reason",
+        [
+            ("0.01, 0.01", "powers must not all coincide"),
+            # each mean rounds to 1, so neither series has a slope
+            ("1e-20, 2e-20", "filtered series has zero slope"),
+        ],
+        ids=["coinciding-gains", "flat-means"],
+    )
+    def test_degenerate_fit_keeps_the_table(
+        self, tmp_path, capsys, gains, reason
+    ):
+        config = _write(tmp_path, "h.cfg", f"gain_sq_list = {gains}\n")
+        code, out, err = _run(capsys, "herald-stats", "--config", str(config))
+        assert code == 0
+        assert len(_rows(out)) == 2
+        assert err == f"no slope ratio fitted: {reason}\n"
 
     @pytest.mark.parametrize(
         "text, message",
@@ -1114,35 +1133,15 @@ class TestErrorHandling:
             (
                 "hom-scan",
                 "p0 = 0.9\np1 = 0.09\np2 = 0.01\nbeta_sq = 0.05\ntmax = 0.5\n"
-                "dip_sigma = 1 ps\ntau_span_sigmas = 1e200\n",
-                "tau_span_sigmas",
+                "dip_sigma = 1e300 s\n",
+                "key 'dip_sigma': too large for a delay axis in ps\n",
             ),
             (
-                "hom-scan",
-                "p0 = 0\np1 = 1\np2 = 0\nbeta_sq = 0\ntmax = 1\n"
-                "dip_sigma = 1.7976931348623157e308 ps\n"
-                "tau_span_sigmas = 1.7976931348623157e308\n",
-                "tau_span_sigmas",
-            ),
-            (
-                "hom-scan",
-                "p0 = 0.9\np1 = 0.09\np2 = 0.01\nbeta_sq = 0.05\ntmax = 0.5\n"
-                "dip_sigma = 1e300 ps\ntau_span_sigmas = 1e10\n",
-                "tau_span_sigmas",
-            ),
-            (
-                "hom-scan",
-                "p0 = 0.9\np1 = 0.09\np2 = 0.01\nbeta_sq = 0.05\ntmax = 0.5\n"
-                "dip_sigma = 1 ps\ntau_span_sigmas = 0\n",
-                "tau_span_sigmas",
-            ),
-            (
-                "hom-scan",  # spectral
-                SOURCE_CFG
+                "hom-scan",  # spectral: 1/sigma_pump^2 overflows
+                SOURCE_CFG.replace("2.5 nm", "1e-170 um")
                 + "p0 = 0.9\np1 = 0.09\np2 = 0.01\nbeta_sq = 0.05\n"
-                "signal_filter_fwhm = 1 nm\nreference_fwhm = 1 nm\n"
-                "tau_span_sigmas = -4\n",
-                "tau_span_sigmas",
+                "signal_filter_fwhm = 1 nm\nreference_fwhm = 1 nm\n",
+                "hom-scan: a value is out of range\n",
             ),
             (
                 "herald-stats",
@@ -1267,21 +1266,6 @@ class TestErrorHandling:
                 "max_iter",
             ),
             (
-                "twin-hom",
-                "tilt = 54.7 deg\naspect_list = 2\ngamma = 1.5\n",
-                "key 'gamma': must lie in (0, 1]\n",
-            ),
-            (
-                "ellipse",
-                SOURCE_CFG.replace("gamma = 0.193", "gamma = 0"),
-                "key 'gamma': must lie in (0, 1]\n",
-            ),
-            (
-                "ellipse",
-                KAPPA_CFG.replace("gamma = 0.193", "gamma = 1.5"),
-                "key 'gamma': must lie in (0, 1]\n",
-            ),
-            (
                 "ellipse",
                 SOURCE_CFG.replace("2.1 mm", "-2.1 mm"),
                 "key 'length': must be positive\n",
@@ -1295,6 +1279,14 @@ class TestErrorHandling:
                 "ellipse",
                 SOURCE_CFG.replace("54.7 deg", "95 deg"),
                 "key 'tilt': must lie strictly in (0, 90) deg\n",
+            ),
+            (
+                "ellipse",  # 2 / (L w_pm) underflows both kappas to zero
+                SOURCE_CFG.replace("0.5 nm", "100 nm").replace(
+                    "2.1 mm", "1e300 mm"
+                ),
+                "keys 'pm_fwhm', 'length': too large together, both "
+                "group-velocity mismatches would vanish\n",
             ),
             (
                 "invert",
@@ -1326,11 +1318,8 @@ class TestErrorHandling:
             "analytic-dip-sigma",
             "herald-unfiltered-modes",
             "herald-filtered-modes",
-            "overflowing-span-square",
-            "overflowing-delay-axis",
-            "overflowing-delay-axis-ps",
-            "zero-span",
-            "negative-spectral-span",
+            "huge-dip-sigma",
+            "overflowing-spectral-dip",
             "herald-negative-efficiency",
             "herald-gain-list",
             "herald-gain-min",
@@ -1357,12 +1346,10 @@ class TestErrorHandling:
             "negative-max-iter",
             "max-iter-past-bound",
             "huge-max-iter",
-            "gamma-above-one",
-            "zero-source-gamma",
-            "kappa-source-gamma",
             "negative-length",
             "zero-kappa-length",
             "tilt-past-ninety",
+            "vanishing-pm-kappas",
             "observed-off-one",
             "two-click-outcomes",
             "one-outcome",
@@ -1577,7 +1564,6 @@ def _source_keys(draw, keys):
     )
     keys["pump_fwhm"] = _value(draw, _widths(0.1, 10.0), " nm")
     keys["length"] = _value(draw, _widths(0.1, 10.0), " mm")
-    _optional_value(draw, keys, "gamma", _widths(0.01, 1.0))
     if draw(st.booleans()):
         keys["pm_fwhm"] = _value(draw, _widths(0.05, 5.0), " nm")
         keys["tilt"] = _value(draw, _widths(1.0, 89.0), " deg")
@@ -1659,7 +1645,6 @@ def _grid_free_commands(draw):
         keys["beta_sq"] = _value(draw, _widths(0.0, 0.19))
         keys.update(draw(_state_keys()))
         _optional(draw, keys, "tau_steps", _COUNTS)
-        _optional(draw, keys, "tau_span_sigmas", _NUMBERS)
         return command, keys
     keys.update(draw(_state_keys()))
     if command == "hom-scan":  # analytic mode: tmax is always present
@@ -1669,7 +1654,6 @@ def _grid_free_commands(draw):
         _optional(draw, keys, "reference_fwhm", _NUMBERS, " nm")
         _optional(draw, keys, "center_wavelength", _NUMBERS, " nm")
         _optional(draw, keys, "tau_steps", _COUNTS)
-        _optional(draw, keys, "tau_span_sigmas", _NUMBERS)
     else:
         _optional(draw, keys, "overlap", _NUMBERS)
         if draw(st.booleans()):
@@ -1719,15 +1703,21 @@ _STATE = {"p0": "0.9", "p1": "0.09", "p2": "0.01"}
     (
         "hom-scan",
         dict(p0="0", p1="1", p2="0", tmax="1", beta_sq="0",
-             dip_sigma="1.7976931348623157e308 ps",
-             tau_span_sigmas="1.7976931348623157e308"),
+             dip_sigma="1.7976931348623157e308 ps"),
     )
 )
 @example(
     (
         "hom-scan",
-        dict(_STATE, tmax="0.5", beta_sq="0.05", dip_sigma="1 ps",
-             tau_span_sigmas="1e200"),
+        dict(_STATE, tmax="0.5", beta_sq="0.05", dip_sigma="1e300 s"),
+    )
+)
+@example(
+    (
+        "hom-scan",
+        dict(_STATE, pump_fwhm="1e-170 um", length="2.1 mm",
+             pm_fwhm="0.5 nm", tilt="54.7 deg", beta_sq="0.05",
+             signal_filter_fwhm="1 nm", reference_fwhm="1 nm"),
     )
 )
 def test_grid_free_commands_exit_cleanly(case):
@@ -1746,3 +1736,9 @@ def test_grid_free_commands_exit_cleanly(case):
     if code == 1:
         assert err.getvalue().startswith("error: ")
         assert len(err.getvalue().splitlines()) == 1
+        # an error names only keys the scenario has
+        named = re.match(
+            r"error: keys? ('[^']*'(, '[^']*')*):", err.getvalue()
+        )
+        if named:
+            assert set(re.findall("'([^']*)'", named[1])) <= set(keys)

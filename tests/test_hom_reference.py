@@ -35,7 +35,7 @@ def _closed_form_overlap(params, w_signal_filter, w_trigger, w_ref, tau):
     reference of width w_ref gives the dip profile in closed form.
     """
     pump = 1.0 / params.sigma_pump**2
-    pm = params.gamma * params.length**2 / 4.0
+    pm = jsa.GAMMA * params.length**2 / 4.0
     a = pump + pm * params.kappa_s**2
     b = pump + pm * params.kappa_s * params.kappa_i
     c = pump + pm * params.kappa_i**2
@@ -231,6 +231,43 @@ class TestFitOverlap:
         fit = hom.fit_overlap(data, TWO_FOLD)
         assert fit.overlap == pytest.approx(0.41, abs=0.02)
 
+    def test_tiny_one_photon_probability(self):
+        # p1 = 1e-170 makes each predictor about 1e-170, whose square
+        # underflows to zero
+        state = hom.SignalState(p0=0.99, p1=1e-170, p2=0.01)
+        betas = np.geomspace(5e-3, 0.1, 9)
+        fit = hom.fit_overlap(self._dataset(state, 0.65, betas), state)
+        assert fit.overlap == pytest.approx(0.65, abs=1e-12)
+        # and so do the squared residuals of noisy data
+        noisy = [(b, v * 1.01) for b, v in self._dataset(state, 0.65, betas)]
+        noisy[0] = (noisy[0][0], noisy[0][1] * 0.95)
+        assert hom.fit_overlap(noisy, state).stderr > 1e-4
+
+    @pytest.mark.parametrize(
+        "state, overlap, betas, noise",
+        [
+            (THREE_FOLD, 0.65, np.geomspace(5e-3, 0.1, 12), 0.01),
+            (TWO_FOLD, 0.41, np.geomspace(5e-4, 0.02, 12), 0.005),
+            (hom.SignalState(0.0, 1.0, 0.0), 0.9, [0.01, 0.02, 0.05], 0.01),
+        ],
+    )
+    def test_equals_unscaled_normal_equations(
+        self, state, overlap, betas, noise
+    ):
+        # the predictor's power-of-two scale is exact: the estimate and
+        # its error equal the textbook route's bit for bit
+        data = self._dataset(state, overlap, betas, noise=noise, seed=3)
+        predictor = [hom.visibility_vs_beta(state, 1.0, b) for b, _ in data]
+        gram = math.fsum(p * p for p in predictor)
+        estimate = math.fsum(p * v for p, (_, v) in zip(predictor, data))
+        estimate /= gram
+        squares = math.fsum(
+            (v - estimate * p) ** 2 for p, (_, v) in zip(predictor, data)
+        )
+        stderr = math.sqrt(squares / (len(data) - 1) / gram)
+        fit = hom.fit_overlap(data, state)
+        assert _bits([fit.overlap, fit.stderr]) == _bits([estimate, stderr])
+
     def test_design_validation(self):
         with pytest.raises(ValueError, match="three"):
             hom.fit_overlap([(0.01, 0.3), (0.02, 0.4)], THREE_FOLD)
@@ -337,8 +374,8 @@ class TestDipWidth:
             sigma_pump=2.0, kappa_s=0.0, kappa_i=1.0, length=1.0
         )
         assert jsa.filtered_source(pump_only).dip_sigma(inf) == 0.5
-        # a pump this wide adds 1e-60 to m11
-        wide = dict(sigma_pump=1e30, length=2.0, gamma=0.25)
+        # a pump this wide adds 1e-60 to m11, and GAMMA L^2 = 1
+        wide = dict(sigma_pump=1e30, length=1.0 / math.sqrt(jsa.GAMMA))
         no_pm = jsa.PdcModelParams(kappa_s=0.0, kappa_i=1.0, **wide)
         assert jsa.filtered_source(no_pm).dip_sigma(4.0) == pytest.approx(
             0.25, rel=1e-12
@@ -397,14 +434,13 @@ def _grid_density(params, signal_width, trigger_width, samples=10, extent=3.5):
 
 class TestTmaxPrediction:
     def test_separable_matched_reference_is_unity(self):
-        sigma, ks, length, gamma = 1.0, 2.0, 2.0, 0.25
-        pm = gamma * length**2 / 4.0
+        sigma, ks, length = 1.0, 2.0, 2.0
+        pm = jsa.GAMMA * length**2 / 4.0
         params = jsa.PdcModelParams(
             sigma_pump=sigma,
             kappa_s=ks,
             kappa_i=-1.0 / (sigma**2 * pm * ks),
             length=length,
-            gamma=gamma,
         )
         source = jsa.filtered_source(params)
         mode_width = 1.0 / math.sqrt(source.m11)
@@ -466,7 +502,7 @@ class TestHomScan:
     )
     def test_analytic_overlap_is_gaussian_in_delay(self, sigma_t):
         scan = hom.hom_scan_analytic(
-            THREE_FOLD, 0.05, 0.65, sigma_t, n_points=41, span_sigmas=4.0
+            THREE_FOLD, 0.05, 0.65, sigma_t, n_points=41
         )
         assert scan.tau_axis[0] == pytest.approx(-4.0 * sigma_t)
         assert scan.tau_axis[-1] == pytest.approx(4.0 * sigma_t)

@@ -11,17 +11,17 @@ import quadrature
 from conftest import LENGTH_M, PM_FWHM_M, TILT_DEG, WAVELENGTH_M, _grid
 
 
-def _params(sigma=2.0, ks=1.5, ki=1.0, length=2.0, gamma=0.193):
+def _params(sigma=2.0, ks=1.5, ki=1.0, length=2.0):
     # dimensionless-scale source; every operation is scale invariant
     return jsa.PdcModelParams(
-        sigma_pump=sigma, kappa_s=ks, kappa_i=ki, length=length, gamma=gamma
+        sigma_pump=sigma, kappa_s=ks, kappa_i=ki, length=length
     )
 
 
 def _matrix_by_hand(p):
     # pump term plus phase-matching term, written out independently
     pump = 1.0 / p.sigma_pump**2
-    pm = p.gamma * p.length**2 / 4.0
+    pm = jsa.GAMMA * p.length**2 / 4.0
     return np.array(
         [
             [pump + pm * p.kappa_s**2, pump + pm * p.kappa_s * p.kappa_i],
@@ -36,8 +36,6 @@ class TestParamsValidation:
             _params(sigma=0.0)
         with pytest.raises(ValueError):
             _params(length=-1.0)
-        with pytest.raises(ValueError):
-            _params(gamma=1.5)
         with pytest.raises(ValueError):
             _params(ks=0.0, ki=0.0)
 
@@ -104,7 +102,7 @@ class TestBuildEllipse:
 
     def test_separable_tilt_convention(self):
         # diagonal form: tilt 0 when the signal axis is the wide one
-        params = _params(sigma=1.0, ks=2.0, ki=-1.0 / (1.0**2 * 0.193 * 1.0 * 2.0), length=2.0)
+        params = _params(sigma=1.0, ks=2.0, ki=-1.0 / (1.0**2 * jsa.GAMMA * 1.0 * 2.0), length=2.0)
         source = jsa.filtered_source(params)
         assert source.m12 == pytest.approx(0.0, abs=1e-15)
         assert source.axes()[0] in (0.0, 90.0)
@@ -145,8 +143,8 @@ class TestPmWidth:
         assert 0.4e-9 <= fwhm <= 0.6e-9
 
     def test_single_point_hand_evaluation(self):
-        params = _params(sigma=3.0, ks=1.1, ki=0.4, length=2.5, gamma=0.2)
-        expected = 2.0 / (2.5 * math.sqrt(0.2 * (1.1**2 + 0.4**2)))
+        params = _params(sigma=3.0, ks=1.1, ki=0.4, length=2.5)
+        expected = 2.0 / (2.5 * math.sqrt(jsa.GAMMA * (1.1**2 + 0.4**2)))
         assert jsa.pm_width(params) == pytest.approx(expected, rel=1e-12)
 
 
@@ -161,7 +159,7 @@ class TestSample:
         grid = _grid(jsa.filtered_source(params), 10, 3.5)
         axis = grid.nu_axis
         # on nu_i = -nu_s only the phase-matching factor survives
-        pm = params.gamma * params.length**2 / 4.0
+        pm = jsa.GAMMA * params.length**2 / 4.0
         idx = np.arange(axis.size)
         anti = np.abs(grid.amplitude[idx, idx[::-1]])
         expected = np.exp(
@@ -183,11 +181,11 @@ class TestReducedDensity:
     @staticmethod
     def _separable_params():
         # kappa_i chosen to cancel the off-diagonal entry exactly
-        sigma, ks, length, gamma = 1.0, 2.0, 2.0, 0.25
-        pm = gamma * length**2 / 4.0
+        sigma, ks, length = 1.0, 2.0, 2.0
+        pm = jsa.GAMMA * length**2 / 4.0
         ki = -1.0 / (sigma**2 * pm * ks)
         return jsa.PdcModelParams(
-            sigma_pump=sigma, kappa_s=ks, kappa_i=ki, length=length, gamma=gamma
+            sigma_pump=sigma, kappa_s=ks, kappa_i=ki, length=length
         )
 
     def _density(self, params, ws=math.inf, wi=math.inf, spw=10, extent=3.5):
@@ -275,7 +273,7 @@ def _quadrature_axis(params, source, reference_width, samples_per_width):
     """
     unfiltered = jsa.filtered_source(params)
     pm = [
-        2.0 / (math.sqrt(params.gamma) * params.length * abs(kappa))
+        2.0 / (math.sqrt(jsa.GAMMA) * params.length * abs(kappa))
         for kappa in (params.kappa_s, params.kappa_i)
     ]
     half = max(

@@ -43,7 +43,6 @@ def test_record_refuses_assignment(record):
         (STATE, {"p2": 0.5}, "p0 + p1 + p2 must equal one within 1e-9"),
         (PARAMS, {"sigma_pump": 0.0}, "sigma_pump must be positive"),
         (PARAMS, {"length": -1.0}, "length must be positive"),
-        (PARAMS, {"gamma": 1.5}, "gamma must lie in (0, 1]"),
         (
             PARAMS,
             {"kappa_s": 0.0, "kappa_i": 0.0},
@@ -59,9 +58,9 @@ def test_replace_checks_as_construction_does(record, changes, message):
     assert str(built.value) == str(replaced.value) == message
 
 
-def test_replace_keeps_defaults_and_class():
+def test_replace_keeps_fields_and_class():
     params = jsa.PdcModelParams(2.0, 1.5, 1.0, 2.0)
-    assert params.gamma == jsa.DEFAULT_GAMMA
+    assert params._fields == ("sigma_pump", "kappa_s", "kappa_i", "length")
     longer = params._replace(length=3.0)
     assert type(longer) is jsa.PdcModelParams
-    assert longer == (2.0, 1.5, 1.0, 3.0, jsa.DEFAULT_GAMMA)
+    assert longer == (2.0, 1.5, 1.0, 3.0)

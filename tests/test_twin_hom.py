@@ -9,10 +9,8 @@ import quadrature
 from conftest import _grid
 
 
-def _total(aspect, tilt, gamma=0.193):
-    spectral, temporal = twin_hom.model_source(
-        aspect, tilt, gamma
-    ).twin_overlap()
+def _total(aspect, tilt):
+    spectral, temporal = twin_hom.model_source(aspect, tilt).twin_overlap()
     return spectral * temporal
 
 
@@ -32,12 +30,10 @@ class TestClosedFormOverlaps:
 
     def test_spot_values(self):
         # frozen from direct evaluation of the closed forms
-        spectral, temporal = twin_hom.model_source(
-            1.7, 54.7, 0.193
-        ).twin_overlap()
+        spectral, temporal = twin_hom.model_source(1.7, 54.7).twin_overlap()
         assert spectral == pytest.approx(0.983377, abs=1e-6)
         assert temporal == pytest.approx(0.817321, abs=1e-6)
-        _, temporal = twin_hom.model_source(95.0, 54.7, 0.193).twin_overlap()
+        _, temporal = twin_hom.model_source(95.0, 54.7).twin_overlap()
         assert temporal == pytest.approx(0.075707, abs=1e-6)
 
     def test_tilt_reflection_symmetry(self):
@@ -76,11 +72,9 @@ class TestClosedFormOverlaps:
     def test_model_source_validation(self):
         with pytest.raises(ValueError, match="aspect_ratio"):
             twin_hom.model_source(0.5, 45.0)
-        with pytest.raises(ValueError, match="gamma"):
-            twin_hom.model_source(2.0, 45.0, gamma=1.5)
-        # the aspect ratio's square overflows before gamma is checked
+        # an aspect ratio whose square overflows
         with pytest.raises(OverflowError):
-            twin_hom.model_source(1e200, 45.0, gamma=1.5)
+            twin_hom.model_source(1e200, 45.0)
 
 
 class TestSourceForm:
@@ -109,19 +103,17 @@ class TestSourceForm:
     def test_accurate_near_45_degrees(self, aspect, tilt):
         # in the basis (1, 1), (1, -1) the exchanged form is diagonal,
         # D+- = lam (s -+ c)^2 + (s +- c)^2, with no cancellation
-        gamma = 0.193
         s, c = math.sin(math.radians(tilt)), math.cos(math.radians(tilt))
         lam = 1.0 / aspect**2
         d_plus = lam * (s - c) ** 2 + (s + c) ** 2
         d_minus = lam * (s + c) ** 2 + (c - s) ** 2
-        spectral, temporal = twin_hom.model_source(
-            aspect, tilt, gamma
-        ).twin_overlap()
+        spectral, temporal = twin_hom.model_source(aspect, tilt).twin_overlap()
         assert spectral == pytest.approx(
             2.0 * math.sqrt(lam / (d_plus * d_minus)), rel=1e-10
         )
         assert temporal == pytest.approx(
-            math.exp(-((s - c) ** 2) / gamma / (2.0 * d_minus)), rel=1e-10
+            math.exp(-((s - c) ** 2) / jsa.GAMMA / (2.0 * d_minus)),
+            rel=1e-10,
         )
 
     def test_model_source_geometry(self):
