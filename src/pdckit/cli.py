@@ -102,7 +102,15 @@ def _width_from_fwhm(sc: Scenario, key: str, wavelength: float, **kw):
         return None
     if fwhm <= 0:
         raise ConfigError(f"key {key!r}: width must be positive")
-    return units.wavelength_fwhm_to_width(fwhm, wavelength)
+    width = units.wavelength_fwhm_to_width(fwhm, wavelength)
+    # the models add 1/width^2 to a quadratic form; a square that
+    # underflows to zero would make that a ZeroDivisionError
+    square = width * width
+    if not square or math.isinf(1.0 / square):
+        raise ConfigError(
+            f"key {key!r}: too narrow, 1/width^2 overflows a float"
+        )
+    return width
 
 
 def _source_params(
@@ -339,26 +347,7 @@ def _cmd_herald_stats(sc: Scenario) -> tuple[list, list, list]:
         ]
         for gain in gains
     ]
-    summary = []
-    if len(gains) >= 2:
-        try:
-            fit = photon_stats.estimate_mode_reduction(
-                [(gain, mean_u) for gain, mean_u, _ in rows],
-                [(gain, mean_f) for gain, _, mean_f in rows],
-            )
-        except ValueError as exc:  # the rows stand; only the fit fails
-            summary.append(f"no slope ratio fitted: {exc}")
-        else:
-            implied = photon_stats.implied_mode_count(
-                fit.slope_ratio, modes_filtered
-            )
-            summary.append(
-                f"slope ratio = {fit.slope_ratio:.4f}, implied unfiltered "
-                f"modes = {implied:.2f} (intercepts "
-                f"{fit.intercept_unfiltered:.4f}, "
-                f"{fit.intercept_filtered:.4f})"
-            )
-    return ["gain_sq", "mean_unfiltered", "mean_filtered"], rows, summary
+    return ["gain_sq", "mean_unfiltered", "mean_filtered"], rows, []
 
 
 def _cmd_visibility_curve(sc: Scenario) -> tuple[list, list, list]:
@@ -442,11 +431,8 @@ def _cmd_hom_scan(sc: Scenario) -> tuple[list, list, list]:
         center = source.delay
     n_points = _count(sc, "tau_steps", 81)
     # the delay axis, printed in ps, must be finite at its ends; a
-    # source's dip sigma is a square root, infinite only when its form
-    # overflows
+    # source's dip sigma, the root of a finite float, is below 1.4e154 s
     if not math.isfinite(hom.SPAN_SIGMAS * sigma_t * 1e12):
-        if "tmax" not in sc.values:
-            raise OverflowError
         raise ConfigError("key 'dip_sigma': too large for a delay axis in ps")
     scan = hom.hom_scan_analytic(
         state, beta_sq, overlap_max, sigma_t, n_points

@@ -171,8 +171,11 @@ class FilteredSource(NamedTuple):
         """
         r = 1.0 / reference_width**2
         marginal = self.determinant / self.m22  # A - B
+        numerator = r * marginal
+        if math.isinf(numerator):  # and so is the denominator
+            raise OverflowError("the overlap's form overflows a float")
         return 2.0 * math.sqrt(
-            r * marginal / ((marginal + r) * (self.m11 + r))
+            numerator / ((marginal + r) * (self.m11 + r))
         )
 
     def dip_sigma(self, reference_width: float) -> float:
@@ -180,7 +183,10 @@ class FilteredSource(NamedTuple):
 
         The overlap falls off as exp(-(tau - delay)^2 / (2 sigma^2)).
         """
-        return math.sqrt(self.m11 + 1.0 / reference_width**2)
+        total = self.m11 + 1.0 / reference_width**2
+        if math.isinf(total):
+            raise OverflowError("the overlap's form overflows a float")
+        return math.sqrt(total)
 
     def twin_overlap(self) -> tuple[float, float]:
         """Spectral and temporal factors of the twins' exchange overlap.
@@ -279,11 +285,12 @@ def filtered_source(
     t = 1.0 / idler_width**2
     if s or t:  # an open pair adds nothing, not even 0 * inf
         determinant += s * m22 + t * m11 + s * t
+    form = (m11 + s, m12, m22 + t, determinant)
+    # an entry can overflow although each of its terms is finite
+    if not all(map(math.isfinite, form)):
+        raise OverflowError("the filtered form overflows a float")
     return FilteredSource(
-        m11=m11 + s,
-        m12=m12,
-        m22=m22 + t,
-        determinant=determinant,
+        *form,
         phase_s=0.5 * params.length * params.kappa_s,
         phase_i=0.5 * params.length * params.kappa_i,
     )

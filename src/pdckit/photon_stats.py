@@ -4,9 +4,8 @@ Covers the exact mean photon number of one or more heralded
 down-conversion modes (K identical thermal modes sum to a negative
 binomial distribution, whose generating function gives that mean in
 closed form), the forward model of a two-bin time-multiplexed click
-detector (loss matrix followed by a splitting convolution), its
-maximum-likelihood inversion, and the mode-count estimate from the
-power dependence of the heralded mean.  Everything runs on Python
+detector (loss matrix followed by a splitting convolution) and its
+maximum-likelihood inversion.  Everything runs on Python
 floats: matrices are lists of rows, and the distributions returned are
 tuples, so read-only.
 
@@ -26,19 +25,16 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import require, require_pairs
+from .errors import require
 
 __all__ = [
     "InversionResult",
-    "ModeReductionFit",
     "heralded_mean",
     "loss_matrix",
     "tmd_convolution_matrix",
     "forward_click_dist",
     "ml_invert",
     "invert_loss_only",
-    "estimate_mode_reduction",
-    "implied_mode_count",
 ]
 
 _TINY = 2.2250738585072014e-308  # smallest normal float, sys.float_info.min
@@ -356,63 +352,3 @@ def invert_loss_only(
     require(efficiency > 0.0, "inversion requires efficiency > 0")
     condition = _loss_condition(efficiency, len(observed))
     return _ml_estimate(observed, response, condition, max_iter, tol)
-
-
-class ModeReductionFit(NamedTuple):
-    """Linear fits of heralded mean versus power for two filter settings.
-
-    slope_ratio estimates (M_unfiltered + 1) / (M_filtered + 1); the
-    intercepts are diagnostics that should sit near one in the low-gain
-    regime.
-    """
-
-    slope_ratio: float
-    intercept_unfiltered: float
-    intercept_filtered: float
-
-
-def _fit_line(points) -> tuple[float, float]:
-    """Least-squares slope and intercept of mean against power, from
-    sums centred on the mean power and the mean of the means.
-
-    The centred powers are taken in units of the largest of them, so no
-    square underflows however small the powers are.
-    """
-    power, mean = zip(
-        *require_pairs(
-            points, 2, "each series needs at least two (power, mean) points"
-        )
-    )
-    require(all(p > 0 for p in power), "powers must be positive")
-    require(max(power) > min(power), "powers must not all coincide")
-    power_bar = sum(power) / len(power)
-    mean_bar = sum(mean) / len(mean)
-    scale = max(abs(p - power_bar) for p in power)
-    centred = [(p - power_bar) / scale for p in power]
-    slope = sum(c * (m - mean_bar) for c, m in zip(centred, mean)) / (
-        sum(c * c for c in centred) * scale
-    )
-    return slope, mean_bar - slope * power_bar
-
-
-def estimate_mode_reduction(unfiltered, filtered) -> ModeReductionFit:
-    """Slope ratio of heralded mean photon number against pump power.
-
-    In the uniform multimode model the heralded mean grows like
-    1 + (M + 1) * gain_sq, so the ratio of fitted slopes for two filter
-    settings estimates (M_unfiltered + 1) / (M_filtered + 1).
-    """
-    slope_u, intercept_u = _fit_line(unfiltered)
-    slope_f, intercept_f = _fit_line(filtered)
-    require(slope_f != 0.0, "filtered series has zero slope")
-    return ModeReductionFit(
-        slope_ratio=slope_u / slope_f,
-        intercept_unfiltered=intercept_u,
-        intercept_filtered=intercept_f,
-    )
-
-
-def implied_mode_count(slope_ratio: float, modes_filtered: int = 1) -> float:
-    """Unfiltered mode count implied by a slope ratio and a known reference."""
-    require(modes_filtered >= 1, "modes_filtered must be at least 1")
-    return slope_ratio * (modes_filtered + 1) - 1.0

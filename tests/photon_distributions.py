@@ -1,17 +1,26 @@
-"""Photon-number distributions, built in full: the test oracle.
+"""Photon-number distributions, built in full, and the mode-count
+estimate they feed: the test oracle.
 
 The package computes the heralded mean of K thermal modes in closed
 form (`photon_stats.heralded_mean`) and builds no distribution.  The
 tests check that closed form against the route here: the negative
 binomial head of K modes, heralded on a lossy trigger, as numpy
 vectors that are returned read-only.
+
+The mode reduction that filtering buys shows in the power dependence
+of the heralded mean (Christ et al., NJP 13, 033027 (2011)): the
+ratio of the slopes fitted to two filter settings estimates
+(M_unfiltered + 1) / (M_filtered + 1).  No command fits it, since a
+fit to the command's own model only returns the mode counts it was
+given; the tests fit it to the distributions above.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from pdckit.errors import require
+from pdckit.errors import require, require_pairs
 
 _TAIL_LIMIT = 1e-6
 
@@ -112,3 +121,63 @@ def heralded_dist(joint, eta_t: float) -> np.ndarray:
             "click probability vanishes: the joint distribution is vacuum"
         )
     return _finalize(raw / total, joint.size - 1, "heralded distribution")
+
+
+class ModeReductionFit(NamedTuple):
+    """Linear fits of heralded mean versus power for two filter settings.
+
+    slope_ratio estimates (M_unfiltered + 1) / (M_filtered + 1); the
+    intercepts are diagnostics that should sit near one in the low-gain
+    regime.
+    """
+
+    slope_ratio: float
+    intercept_unfiltered: float
+    intercept_filtered: float
+
+
+def _fit_line(points) -> tuple[float, float]:
+    """Least-squares slope and intercept of mean against power, from
+    sums centred on the mean power and the mean of the means.
+
+    The centred powers are taken in units of the largest of them, so no
+    square underflows however small the powers are.
+    """
+    power, mean = zip(
+        *require_pairs(
+            points, 2, "each series needs at least two (power, mean) points"
+        )
+    )
+    require(all(p > 0 for p in power), "powers must be positive")
+    require(max(power) > min(power), "powers must not all coincide")
+    power_bar = sum(power) / len(power)
+    mean_bar = sum(mean) / len(mean)
+    scale = max(abs(p - power_bar) for p in power)
+    centred = [(p - power_bar) / scale for p in power]
+    slope = sum(c * (m - mean_bar) for c, m in zip(centred, mean)) / (
+        sum(c * c for c in centred) * scale
+    )
+    return slope, mean_bar - slope * power_bar
+
+
+def estimate_mode_reduction(unfiltered, filtered) -> ModeReductionFit:
+    """Slope ratio of heralded mean photon number against pump power.
+
+    In the uniform multimode model the heralded mean grows like
+    1 + (M + 1) * gain_sq, so the ratio of fitted slopes for two filter
+    settings estimates (M_unfiltered + 1) / (M_filtered + 1).
+    """
+    slope_u, intercept_u = _fit_line(unfiltered)
+    slope_f, intercept_f = _fit_line(filtered)
+    require(slope_f != 0.0, "filtered series has zero slope")
+    return ModeReductionFit(
+        slope_ratio=slope_u / slope_f,
+        intercept_unfiltered=intercept_u,
+        intercept_filtered=intercept_f,
+    )
+
+
+def implied_mode_count(slope_ratio: float, modes_filtered: int = 1) -> float:
+    """Unfiltered mode count implied by a slope ratio and a known reference."""
+    require(modes_filtered >= 1, "modes_filtered must be at least 1")
+    return slope_ratio * (modes_filtered + 1) - 1.0

@@ -16,7 +16,12 @@ from pdckit import jsa, photon_stats, twin_hom, units
 
 import quadrature
 from conftest import _grid
-from photon_distributions import heralded_dist, multimode_dist
+from photon_distributions import (
+    estimate_mode_reduction,
+    heralded_dist,
+    implied_mode_count,
+    multimode_dist,
+)
 
 WAVELENGTH = 796e-9
 TWO_FOLD = hom.SignalState(p0=0.997896, p1=0.002101, p2=0.000003)
@@ -183,8 +188,8 @@ def test_criterion_8_mode_count_estimation():
                 points.append((gain, float(np.arange(17) @ dist)))
             return points
 
-        fit = photon_stats.estimate_mode_reduction(series(31), series(1))
-        implied = photon_stats.implied_mode_count(fit.slope_ratio, 1)
+        fit = estimate_mode_reduction(series(31), series(1))
+        implied = implied_mode_count(fit.slope_ratio, 1)
         assert implied == pytest.approx(31.0, rel=0.05)
         assert 10.0 <= implied <= 100.0  # an order-thirty reduction
 

@@ -320,6 +320,21 @@ class TestFilteredSource:
                 math.exp(-0.5), rel=1e-12
             )
 
+    def test_form_overflowing_in_a_sum_is_refused(self):
+        # 1/w^2 = 1.6e308 is finite; two of them added are not
+        narrow = 1.0 / math.sqrt(1.6e308)
+        params = _params()
+        with pytest.raises(OverflowError):
+            jsa.filtered_source(params, narrow, narrow)  # s * t in det M'
+        with pytest.raises(OverflowError):
+            jsa.filtered_source(_params(sigma=narrow), narrow)  # m11
+        source = jsa.filtered_source(params, narrow)
+        assert source.m11 == pytest.approx(1.6e308)
+        with pytest.raises(OverflowError):
+            source.tmax(narrow)
+        with pytest.raises(OverflowError):
+            source.dip_sigma(narrow)
+
 
 class TestPaperScaleEllipse:
     def test_reconstructed_source_geometry(self, source_params):

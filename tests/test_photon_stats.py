@@ -7,7 +7,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pdckit import photon_stats as ps
-from photon_distributions import heralded_dist, multimode_dist
+from photon_distributions import (
+    estimate_mode_reduction,
+    heralded_dist,
+    implied_mode_count,
+    multimode_dist,
+)
 
 
 def _thermal(gain_sq, nmax):
@@ -723,26 +728,26 @@ class TestModeReduction:
     def test_identical_series_ratio_one(self):
         gains = [0.01, 0.02, 0.03]
         series = self._series(2, gains)
-        fit = ps.estimate_mode_reduction(series, series)
+        fit = estimate_mode_reduction(series, series)
         assert fit.slope_ratio == pytest.approx(1.0, rel=1e-12)
 
     def test_synthetic_thirty_one_modes(self):
         gains = [0.01, 0.02, 0.03, 0.04, 0.05]
-        fit = ps.estimate_mode_reduction(
+        fit = estimate_mode_reduction(
             self._series(31, gains), self._series(1, gains)
         )
         assert fit.slope_ratio == pytest.approx(16.0, rel=0.02)
-        implied = ps.implied_mode_count(fit.slope_ratio, modes_filtered=1)
+        implied = implied_mode_count(fit.slope_ratio, modes_filtered=1)
         assert implied == pytest.approx(31.0, rel=0.05)
         assert fit.intercept_filtered == pytest.approx(1.0, abs=0.05)
         assert fit.intercept_unfiltered == pytest.approx(1.0, abs=0.2)
 
     def test_order_thirty_reduction_regime(self):
         gains = [0.01, 0.02, 0.03, 0.04, 0.05]
-        fit = ps.estimate_mode_reduction(
+        fit = estimate_mode_reduction(
             self._series(31, gains), self._series(1, gains)
         )
-        reduction = ps.implied_mode_count(fit.slope_ratio, 1) / 1.0
+        reduction = implied_mode_count(fit.slope_ratio, 1) / 1.0
         assert 10.0 <= reduction <= 100.0
 
     @settings(max_examples=100, deadline=None)
@@ -757,7 +762,7 @@ class TestModeReduction:
         power, mean = np.array(points).T
         assume(np.ptp(power) > 1e-3)
         slope, intercept = np.polyfit(power, mean, 1)
-        fit = ps.estimate_mode_reduction(points, [(1.0, 1.0), (2.0, 2.0)])
+        fit = estimate_mode_reduction(points, [(1.0, 1.0), (2.0, 2.0)])
         scale = np.abs(mean).max() / np.ptp(power)
         assert fit.slope_ratio == pytest.approx(slope, abs=1e-9 * scale)
         assert fit.intercept_unfiltered == pytest.approx(
@@ -766,7 +771,7 @@ class TestModeReduction:
 
     def test_tiny_powers(self):
         # squares of these centred powers underflow to zero
-        fit = ps.estimate_mode_reduction(
+        fit = estimate_mode_reduction(
             [(1e-170, 3e-170), (2e-170, 6e-170)], [(1.0, 1.0), (2.0, 2.0)]
         )
         assert fit.slope_ratio == pytest.approx(3.0, rel=1e-15)
@@ -774,8 +779,8 @@ class TestModeReduction:
 
     def test_degenerate_fits_rejected(self):
         with pytest.raises(ValueError):
-            ps.estimate_mode_reduction([(1.0, 1.0)], [(1.0, 1.0), (2.0, 1.1)])
+            estimate_mode_reduction([(1.0, 1.0)], [(1.0, 1.0), (2.0, 1.1)])
         with pytest.raises(ValueError):
-            ps.estimate_mode_reduction(
+            estimate_mode_reduction(
                 [(1.0, 1.0), (1.0, 1.1)], [(1.0, 1.0), (2.0, 1.1)]
             )

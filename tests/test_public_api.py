@@ -27,7 +27,7 @@ RECORDS = {
     "jsa": {"PdcModelParams", "FilteredSource"},
     "hom_reference": {"SignalState", "HomScan", "OverlapFit"},
     "twin_hom": set(),
-    "photon_stats": {"InversionResult", "ModeReductionFit"},
+    "photon_stats": {"InversionResult"},
 }
 
 # reached by no command, kept as references the tests check against

@@ -19,9 +19,6 @@ def _records():
         PARAMS,
         twin_hom.model_source(1.5, 45.0),
         photon_stats.invert_loss_only([0.5, 0.5], 0.9),
-        photon_stats.estimate_mode_reduction(
-            [(1.0, 1.1), (2.0, 1.3)], [(1.0, 1.05), (2.0, 1.1)]
-        ),
     ]
 
 
