@@ -3,13 +3,16 @@
 Each subcommand reads a flat scenario file, dispatches to the model
 modules and emits a CSV table (to --out or stdout).  Identical
 configuration yields byte-identical output; diagnostics go to stderr.
-Exit codes: 0 success, 1 usage, configuration or invalid-input error
-(one `error:` line), 2 numerical failure.
+Exit codes: 0 success (`-h`/`--help` prints the usage to stdout),
+1 usage, configuration or invalid-input error (one `error:` line),
+2 numerical failure.  The command line is read without argparse, which
+would cost more per call than most commands: options are spelled out
+in full, as `--name value` or `--name=value`, in any order around the
+command.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import math
 import sys
@@ -539,54 +542,88 @@ _COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage problems exit 1, not argparse's 2
-        raise ConfigError(message)
+_OPTIONS = ("--config", "--out", "--data", "--grid-points")
+_USAGE = """\
+usage: pdckit COMMAND --config FILE [--out FILE] [--data FILE]
+              [--grid-points N] [--verbose]
+
+commands:
+{}
+
+options:
+  --config FILE    scenario file (required)
+  --out FILE       CSV output path (default stdout)
+  --data FILE      beta_sq,visibility CSV for fit-overlap
+  --grid-points N  samples per amplitude width, at least 8 (default 12);
+                   no command samples a grid, so it changes no output
+  --verbose        list the scenario keys the command does not read
+  -h, --help       print this text and exit
+""".format("\n".join("  " + name for name in sorted(_COMMANDS)))
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="pdckit",
-        description=(
-            "Simulation toolkit for heralded single-photon sources based "
-            "on waveguided parametric down-conversion"
-        ),
-    )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--config", required=True, help="scenario file")
-    parser.add_argument("--out", help="CSV output path (default stdout)")
-    parser.add_argument("--data", help="beta_sq,visibility CSV for fit-overlap")
-    parser.add_argument(
-        "--grid-points",
-        type=int,
-        default=12,
-        help="samples per amplitude width, at least 8; no command samples "
-        "a grid, so it changes no output",
-    )
-    parser.add_argument("--verbose", action="store_true")
-    return parser
+def _parse_argv(argv) -> tuple | None:
+    """(command, verbose, config, out, data, grid_points) from a command
+    line, or None if it asks for help.
 
-
-# Built once per process: every main() call parses with it and keeps no
-# other state between calls.
-_PARSER = _build_parser()
+    Options are `--name value` or `--name=value`, in any order around
+    the command, and a repeated option keeps its last value.
+    """
+    command, verbose, values = None, False, dict.fromkeys(_OPTIONS)
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        if token == "--verbose":
+            verbose = True
+        elif token.startswith("-"):
+            name, equals, value = token.partition("=")
+            if name not in values:
+                raise ConfigError(f"unknown option {token!r}")
+            if not equals:
+                value = next(tokens, None)
+                # a value that looks like an option is one left out
+                if value is None or value.startswith("--"):
+                    raise ConfigError(f"option {name!r} needs a value")
+            values[name] = value
+        elif command is None:
+            command = token
+        else:
+            raise ConfigError(f"unexpected argument {token!r}")
+    if command not in _COMMANDS:
+        problem = f"unknown command {command!r}" if command else "no command"
+        raise ConfigError(
+            f"{problem} (choose from {', '.join(sorted(_COMMANDS))})"
+        )
+    config, out, data, grid_points = values.values()
+    if config is None:
+        raise ConfigError("missing required option '--config'")
+    try:
+        grid_points = 12 if grid_points is None else int(grid_points)
+    except ValueError:
+        raise ConfigError(
+            f"option '--grid-points': not an integer: {grid_points!r}"
+        )
+    return command, verbose, config, out, data, grid_points
 
 
 def main(argv=None) -> int:
     command = "pdckit"
     try:
-        args = _PARSER.parse_args(argv)
-        command = args.command
-        require(args.grid_points >= 8, "need at least 8 samples per width")
+        parsed = _parse_argv(sys.argv[1:] if argv is None else argv)
+        if parsed is None:
+            sys.stdout.write(_USAGE)
+            return 0
+        command, verbose, config, out, data, grid_points = parsed
+        require(grid_points >= 8, "need at least 8 samples per width")
         # paths stay strings: a pathlib.Path per call interns its parts,
         # and that churn grew the process by 0.6-1.4 MB over its first
         # 20,000 calls
-        scenario = Scenario.from_file(args.config, args.data or None)
+        scenario = Scenario.from_file(config, data or None)
         header, rows, summary = _COMMANDS[command](scenario)
-        _emit(header, rows, args.out or None)
+        _emit(header, rows, out or None)
         for line in summary:
             print(line, file=sys.stderr)
-        if args.verbose:
+        if verbose:
             unused = scenario.unused_keys()
             if unused:
                 print(

@@ -174,9 +174,10 @@ class FilteredSource(NamedTuple):
         numerator = r * marginal
         if math.isinf(numerator):  # and so is the denominator
             raise OverflowError("the overlap's form overflows a float")
-        return 2.0 * math.sqrt(
-            numerator / ((marginal + r) * (self.m11 + r))
-        )
+        denominator = (marginal + r) * (self.m11 + r)
+        if math.isinf(denominator):  # the quotient may still be a float
+            return 2.0 * math.sqrt(numerator / (marginal + r) / (self.m11 + r))
+        return 2.0 * math.sqrt(numerator / denominator)
 
     def dip_sigma(self, reference_width: float) -> float:
         """Gaussian sigma (s) of the overlap against delay, sqrt(m11 + r).

@@ -244,9 +244,15 @@ def _ml_estimate(
             rho = [x / total for x in direct]
 
     # only the observed outcomes enter the likelihood and the gain
-    rows = [row for row, y in zip(response, observed) if y > 0.0]
-    weights = [y for y in observed if y > 0.0]
-    columns = list(zip(*rows))
+    kept = [m for m, y in enumerate(observed) if y > 0.0]
+    rows = [response[m] for m in kept]
+    weights = [observed[m] for m in kept]
+    # R is upper triangular, so column n ends at the last kept row m <= n
+    # and a shorter column drops only zero terms from its gain sum
+    columns = [
+        column[: sum(m <= n for m in kept)]
+        for n, column in enumerate(zip(*rows))
+    ]
     predicted = [sum(map(mul, row, rho)) for row in rows]
     log_likelihood = -math.inf
     iterations = 0

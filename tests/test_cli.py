@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import csv
 import io
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdckit import cli, jsa
+from pdckit import cli, jsa, units
 from pdckit.scenario import Scenario
 
 
@@ -49,6 +48,27 @@ BETA_SQ_RANGE = (
 
 # the paper's loss-inverted heralded statistics
 HEADLINE_INVERT = "observed = 0.94920, 0.05065, 0.00015\nefficiency = 0.048\n"
+
+# a reference so broad in time that r = 1/w_r^2 = 4.8e158: the product
+# (A - B + r)(m11 + r) overflows a float, r (A - B) and the overlap of
+# about 4e-92 do not
+TINY_OVERLAP_CFG = SOURCE_CFG + (
+    "signal_filter_fwhm = 1 nm\ntrigger_filter_fwhm = 1 nm\n"
+    "reference_fwhm = 1.8e-92 nm\n"
+    "p0 = 0.9\np1 = 0.09\np2 = 0.01\nbeta_sq = 0.05\ntau_steps = 3\n"
+)
+TINY_REFERENCE_WIDTH = units.wavelength_fwhm_to_width(1.8e-101, 796e-9)
+
+
+def _log_space_overlap(source, reference_width):
+    """FilteredSource.tmax's closed form, evaluated in logarithms."""
+    r = 1.0 / reference_width**2
+    marginal = source.determinant / source.m22
+    log_overlap = 0.5 * (
+        math.log(r) + math.log(marginal)
+        - math.log(marginal + r) - math.log(source.m11 + r)
+    )
+    return 2.0 * math.exp(log_overlap)
 
 
 class TestEllipseCommand:
@@ -592,6 +612,17 @@ class TestHomScanCommand:
         source = jsa.filtered_source(source_params, one_nm_width)
         assert centre["overlap"] == "%.9g" % source.tmax(2 * one_nm_width)
 
+    def test_tiny_overlap_is_printed(
+        self, tmp_path, capsys, source_params, one_nm_width
+    ):
+        config = _write(tmp_path, "scan.cfg", TINY_OVERLAP_CFG)
+        code, out, _ = _run(capsys, "hom-scan", "--config", str(config))
+        assert code == 0
+        source = jsa.filtered_source(source_params, one_nm_width, one_nm_width)
+        expected = _log_space_overlap(source, TINY_REFERENCE_WIDTH)
+        centre = _rows(out)[1]
+        assert math.isclose(float(centre["overlap"]), expected, rel_tol=1e-8)
+
     def test_analytic_mode_ignores_reference_keys(self, tmp_path, capsys):
         text = (
             "p0 = 0.9\np1 = 0.09\np2 = 0.01\nbeta_sq = 0.05\ntmax = 0.5\n"
@@ -689,6 +720,20 @@ class TestTmaxCommand:
         assert float(rows["three-fold"]["purity"]) > float(
             rows["two-fold"]["purity"]
         )
+
+    def test_tiny_overlap_is_printed(
+        self, tmp_path, capsys, source_params, one_nm_width
+    ):
+        config = _write(tmp_path, "t.cfg", TINY_OVERLAP_CFG)
+        code, out, _ = _run(capsys, "tmax", "--config", str(config))
+        assert code == 0
+        rows = {row["case"]: float(row["tmax"]) for row in _rows(out)}
+        for case, trigger in (("two-fold", math.inf), ("three-fold", 1.0)):
+            source = jsa.filtered_source(
+                source_params, one_nm_width, trigger * one_nm_width
+            )
+            expected = _log_space_overlap(source, TINY_REFERENCE_WIDTH)
+            assert math.isclose(rows[case], expected, rel_tol=1e-8)
 
     def test_beta_sq_is_ignored(self, tmp_path, capsys):
         text = SOURCE_CFG + (
@@ -985,18 +1030,36 @@ class TestFidelityCommand:
 
 
 class TestRepeatedCalls:
-    """main() may be called many times in one process; it shares only
-    the parser, which is built once at import."""
+    """main() may be called many times in one process and keeps no
+    state between calls."""
 
-    def test_parser_is_not_rebuilt(self, tmp_path, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("an argument parser was built")
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
-        config = _write(tmp_path, "f.cfg", "overlap = 0.65\none_photon = 0.931\n")
-        code, out, _ = _run(capsys, "fidelity", "--config", str(config))
-        assert code == 0
-        assert _rows(out)
+    def test_main_keeps_no_state(self, tmp_path, capsys):
+        config = _write(
+            tmp_path, "f.cfg", "overlap = 0.65\none_photon = 0.931\nnote = 1\n"
+        )
+        names = {
+            name: (value, repr(value))
+            for name, value in vars(cli).items()
+            if not name.startswith("__")
+        }
+        calls = [
+            ["fidelity", "--config", str(config), "--verbose",
+             "--out", str(tmp_path / "out.csv")],
+            ["fidelity", "--config"],
+            ["--help"],
+            ["fidelity", "--config", str(config), "--grid-points", "4"],
+            ["fidelity", "--config", str(config)],
+        ]
+        assert [cli.main(argv) for argv in calls] == [0, 1, 0, 1, 0]
+        capsys.readouterr()
+        after = {
+            name: value
+            for name, value in vars(cli).items()
+            if not name.startswith("__")
+        }
+        assert after.keys() == names.keys()
+        for name, (value, text) in names.items():
+            assert after[name] is value and repr(value) == text, name
 
     def test_options_do_not_carry_over(self, tmp_path, capsys):
         config = _write(
@@ -1048,6 +1111,90 @@ class TestRepeatedCalls:
                 code = str(exc)
         assert code == 0, capsys.readouterr().err
         assert out_path.read_text().startswith("overlap,stderr,n_points\n")
+
+
+FIDELITY_CFG = "overlap = 0.65\none_photon = 0.931\n"
+
+
+class TestCommandLine:
+    """cli._parse_argv, through main: every usage problem exits 1 with
+    one `error:` line that names the option or token."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            ([], "no command (choose from dip-width, ellipse, "),
+            (["nope", "--config", "{cfg}"], "unknown command 'nope'"),
+            (["--config", "{cfg}"], "no command"),
+            (["fidelity"], "'--config'"),
+            (["fidelity", "--config"], "option '--config' needs a value"),
+            (["fidelity", "--config", "--verbose"], "option '--config'"),
+            (["fidelity", "--out", "--config", "{cfg}"], "option '--out'"),
+            (
+                ["fidelity", "--config", "{cfg}", "--grid-points", "twelve"],
+                "option '--grid-points': not an integer: 'twelve'",
+            ),
+            (
+                ["fidelity", "--config", "{cfg}", "--grid-points=1.5"],
+                "'--grid-points': not an integer: '1.5'",
+            ),
+            (["fidelity", "--config", "{cfg}", "tmax"], "argument 'tmax'"),
+            (["fidelity", "--conf", "{cfg}"], "unknown option '--conf'"),
+            (["fidelity", "--config", "{cfg}", "-v"], "unknown option '-v'"),
+            (
+                ["fidelity", "--config", "{cfg}", "--verbose=1"],
+                "unknown option '--verbose=1'",
+            ),
+        ],
+        ids=[
+            "no-command", "unknown-command", "only-options", "no-config",
+            "no-value", "option-as-value", "option-as-value-first",
+            "non-integer", "non-integer-equals", "second-positional",
+            "abbreviation", "short-option", "flag-with-value",
+        ],
+    )
+    def test_usage_problem_exits_one(self, tmp_path, capsys, argv, named):
+        config = _write(tmp_path, "f.cfg", FIDELITY_CFG)
+        argv = [token.format(cfg=config) for token in argv]
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert named in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fidelity", "--config={cfg}"],
+            ["--config", "{cfg}", "fidelity"],
+            ["--grid-points=8", "--config", "{cfg}", "--verbose", "fidelity"],
+            ["fidelity", "--config", "{missing}", "--config", "{cfg}"],
+            ["fidelity", "--config", "{cfg}", "--out", "{out}", "--out="],
+        ],
+        ids=["equals", "options-first", "mixed", "repeated", "empty-out"],
+    )
+    def test_accepted_forms_print_the_same(self, tmp_path, capsys, argv):
+        config = _write(tmp_path, "f.cfg", FIDELITY_CFG)
+        expected = _run(capsys, "fidelity", "--config", str(config))
+        assert expected[0] == 0
+        names = {"cfg": config, "missing": tmp_path / "no.cfg",
+                 "out": tmp_path / "out.csv"}
+        argv = [token.format(**names) for token in argv]
+        assert _run(capsys, *argv) == expected
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], ["-h"], ["fidelity", "--config", "-", "--help"]],
+    )
+    def test_help_returns_zero(self, capsys, argv):
+        code, out, err = _run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: pdckit COMMAND --config FILE")
+        listed = out.split("commands:\n")[1].split("\n\n")[0].split()
+        assert listed == sorted(cli._COMMANDS)
+        for option in ("--config", "--out", "--data", "--grid-points",
+                       "--verbose"):
+            assert f"\n  {option} " in out
 
 
 class TestErrorHandling:

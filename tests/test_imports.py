@@ -1,4 +1,4 @@
-"""No command loads numpy or `dataclasses`.
+"""No command loads numpy, `dataclasses` or `argparse`.
 
 Importing the command line and running every command, `invert`
 included, must leave numpy unloaded, since its import costs several
@@ -6,7 +6,8 @@ times what the whole closed-form chain and an inversion do.  No package
 module imports numpy at all, so every command runs, and prints the same
 CSV, where numpy cannot be imported; only the tests need it.  The
 records are NamedTuple classes, so nothing loads `dataclasses` or the
-`inspect` it imports either.
+`inspect` it imports either.  The command line is read without
+`argparse`, which would load `gettext` with it.
 """
 
 import ast
@@ -103,7 +104,7 @@ _CHILD = textwrap.dedent(
         with contextlib.redirect_stdout(io.StringIO()) as out:
             codes.append(pdckit.cli.main(argv))
         outputs.append(out.getvalue())
-    heavy = ("numpy", "dataclasses", "inspect")
+    heavy = ("numpy", "dataclasses", "inspect", "argparse", "gettext")
     loaded = [name for name in heavy if name in sys.modules]
     try:
         import numpy
