@@ -482,10 +482,6 @@ def _cmd_invert(sc: Scenario) -> tuple[list, list, list]:
     observable = sc.word(
         "observable", ("photon", "clicks"), default="photon"
     )
-    max_iter = _count(sc, "max_iter", 100_000, 0, 1_000_000)
-    tol = sc.number("tol", default=1e-10)
-    if not tol > 0:
-        raise ConfigError("key 'tol': must be positive")
     if observable == "clicks":
         invert = photon_stats.ml_invert
         if len(observed) != 3:
@@ -496,20 +492,18 @@ def _cmd_invert(sc: Scenario) -> tuple[list, list, list]:
         invert = photon_stats.invert_loss_only
         if len(observed) < 2:
             raise ConfigError("key 'observed': need at least 2 outcomes")
-        # an EM pass costs O(K^2) Python float operations
+        # a Newton step of a face solve costs O(K^3) Python float
+        # operations
         if len(observed) > 16:
             raise ConfigError("key 'observed': at most 16 outcomes")
     if abs(math.fsum(observed) - 1.0) > 1e-9:
         raise ConfigError("key 'observed': must sum to one within 1e-9")
-    result = invert(observed, efficiency, max_iter=max_iter, tol=tol)
+    result = invert(observed, efficiency)
     if not result.converged:
-        reason = f"KKT gap {result.kkt_gap:.2e} above tol {tol:g}"
+        reason = f"KKT gap {result.kkt_gap:.2e} above {photon_stats.KKT_GAP:g}"
         if math.isinf(result.kkt_gap):
             reason = "an observed outcome has zero probability under R"
-        raise NumericalError(
-            f"inversion did not converge in {result.iterations} of "
-            f"{max_iter} iterations: {reason}"
-        )
+        raise NumericalError(f"inversion did not converge: {reason}")
     rows = list(enumerate(result.state))
     summary = [
         f"converged in {result.iterations} iterations, "

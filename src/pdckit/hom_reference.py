@@ -265,9 +265,9 @@ def hom_scan_analytic(
     coincidence = tuple(
         coincidence_simplified(state, beta_sq, t) for t in overlap
     )
-    baseline = coincidence_simplified(state, beta_sq, 0.0)
-    dip = coincidence_simplified(state, beta_sq, overlap_max)
-    visibility = (baseline - dip) / baseline if baseline > 0 else 0.0
+    visibility = 0.0  # (baseline - dip) / baseline, free of cancellation
+    if coincidence_simplified(state, beta_sq, 0.0) > 0.0:
+        visibility = visibility_vs_beta(state, overlap_max, beta_sq)
     return HomScan(
         tau_axis=tau_axis,
         coincidence=coincidence,

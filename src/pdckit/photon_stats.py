@@ -16,13 +16,14 @@ identifiable support, where the response matrix is square and upper
 triangular: when its direct solve, by back-substitution, is a
 distribution it reproduces the data exactly and is the
 maximum-likelihood state.  Otherwise the optimum lies on a face of the
-simplex and the multiplicative expectation-maximization iteration
-finds it, stopping on a KKT gap that certifies optimality.
+simplex and an active-set Newton solve finds it, stopping on a KKT gap
+that certifies optimality.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul, truediv
 from typing import NamedTuple
 
 from .errors import require
@@ -35,9 +36,14 @@ __all__ = [
     "forward_click_dist",
     "ml_invert",
     "invert_loss_only",
+    "KKT_GAP",
 ]
 
 _TINY = 2.2250738585072014e-308  # smallest normal float, sys.float_info.min
+# the KKT gap that certifies an inversion: the log-likelihood is then
+# within 1e-13 of its maximum, some 50 times the rounding of the gap at
+# 16 outcomes
+KKT_GAP = 1e-13
 
 
 def _probabilities(
@@ -138,9 +144,7 @@ def tmd_convolution_matrix(nmax: int) -> list[list[float]]:
 
 def _apply(rows, vector) -> list[float]:
     """rows @ vector, each entry summed in index order."""
-    import operator  # loaded at interpreter start-up
-
-    return [sum(map(operator.mul, row, vector)) for row in rows]
+    return [sum(map(mul, row, vector)) for row in rows]
 
 
 def forward_click_dist(rho, efficiency: float) -> tuple[float, ...]:
@@ -159,10 +163,10 @@ class InversionResult(NamedTuple):
     Attributes:
         state: the reconstructed photon-number distribution, a tuple of
             floats.
-        converged: whether kkt_gap reached the tolerance, which certifies
-            that log_likelihood is within log(1 + tol) of its maximum.
-        iterations: multiplicative updates taken from the starting
-            point; 0 when the direct solve was already optimal.
+        converged: whether kkt_gap is at most KKT_GAP, which certifies
+            that log_likelihood is within log(1 + KKT_GAP) of its maximum.
+        iterations: Newton steps taken from the starting point; 0 when
+            the direct solve was already optimal.
         log_likelihood: sum of observed * log(predicted) over the
             observed outcomes; -inf when one of them has zero predicted
             probability.
@@ -208,111 +212,182 @@ def _loss_condition(efficiency: float, size: int) -> float:
         return math.inf
 
 
+def _normal_solve(columns, rhs) -> list[float] | None:
+    """u with A^T A u = rhs for the matrix A of these columns, through R
+    of a Householder QR of A: forming A^T A would lose its small
+    eigenvalues to rounding.  None for dependent columns."""
+    columns = [column[:] for column in columns]
+    for j, column in enumerate(columns):
+        reflector = column[j:]
+        reflector[0] += math.copysign(math.hypot(*reflector), reflector[0])
+        size = math.hypot(*reflector)
+        if size == 0.0:
+            return None
+        reflector = [v / size for v in reflector]
+        for other in columns[j:]:
+            factor = 2.0 * sum(map(mul, reflector, other[j:]))
+            other[j:] = [a - factor * v for a, v in zip(other[j:], reflector)]
+    middle = []  # R^T middle = rhs; column j of R is row j of R^T
+    for j, column in enumerate(columns):
+        middle.append((rhs[j] - sum(map(mul, column, middle))) / column[j])
+    return _back_substitute(list(zip(*columns)), middle)
+
+
+def _evaluate(rows, weights, rho):
+    """(log-likelihood, predicted, g, KKT gap) at rho on the observed
+    rows; -inf, g None and an infinite gap when an observed outcome is
+    predicted below 1e-300, as when a tiny efficiency underflows R."""
+    predicted = _apply(rows, rho)
+    if min(predicted) < 1e-300:
+        return -math.inf, predicted, None, math.inf
+    gain = _apply(list(zip(*rows)), list(map(truediv, weights, predicted)))
+    log_likelihood = sum(map(mul, weights, map(math.log, predicted)))
+    return log_likelihood, predicted, gain, max(gain) - 1.0
+
+
+def _spread(gain, rho) -> float:
+    """Range of g over the support of rho, 0 at an optimum."""
+    values = [g for g, x in zip(gain, rho) if x > 0.0]
+    return max(values) - min(values)
+
+
+def _newton_step(rows, weights, rho, support, evaluation):
+    """(state, evaluation) one Newton step up from rho on the support;
+    None without an ascent direction.
+
+    The step maximizes (g - 1) . d - |B d|^2 / 2, with B the observed
+    rows of R scaled by sqrt(observed) / predicted, and sum(d) = 0
+    fixing the step of the largest component, which loses least to
+    cancellation.  It is cut where a component reaches zero and leaves
+    the support, then halved until the likelihood rises by 1e-4 of its
+    slope's prediction, less the rounding of the log-likelihood.
+    """
+    current, predicted, gain, _ = evaluation
+    support = sorted(support, key=rho.__getitem__)
+    root = [math.sqrt(w) / p for w, p in zip(weights, predicted)]
+    *columns, last = ([a[n] * r for a, r in zip(rows, root)] for n in support)
+    solution = _normal_solve(
+        [[a - b for a, b in zip(column, last)] for column in columns],
+        [gain[n] - gain[support[-1]] for n in support[:-1]],
+    )
+    if solution is None:
+        return None
+    step = dict(zip(support, solution + [-sum(solution)]))
+    slope = sum((gain[n] - 1.0) * d for n, d in step.items())
+    if not 0.0 < slope < math.inf:  # no ascent, or a step that overflowed
+        return None
+    limit, blocking = min(
+        [(1.0, None)] + [(-rho[n] / d, n) for n, d in step.items() if d < 0],
+        key=lambda pair: pair[0],
+    )
+
+    def move(length, left):
+        state = rho[:]
+        for n, d in step.items():
+            state[n] = max(rho[n] + length * d, 0.0)
+        if blocking is not None:  # free of the cancellation in x + length d
+            state[blocking] = rho[blocking] * left
+        total = sum(state)
+        state = [x / total for x in state]
+        return state, _evaluate(rows, weights, state)
+
+    length, left = limit, 0.0
+    state, evaluation = move(length, left)
+    barrier = evaluation[0] == -math.inf
+    noise = 1e-13 * (1.0 + abs(current))
+    while evaluation[0] - current < 1e-4 * length * slope - noise:
+        length /= 2.0
+        left = 1.0 - length / limit
+        state, evaluation = move(length, left)
+    # cut short of a component that alone explains an observed outcome:
+    # approach zero while the likelihood rises
+    while barrier and left > 0.0:
+        nearer = move(limit * (1.0 - left / 2.0), left / 2.0)
+        if not nearer[1][0] > evaluation[0]:
+            break
+        left /= 2.0
+        state, evaluation = nearer
+    return state, evaluation
+
+
 def _ml_estimate(
     observed: tuple[float, ...],
     response: list[list[float]],
     condition: float,
-    max_iter: int,
-    tol: float,
 ) -> InversionResult:
     """Maximum-likelihood distribution rho for observed = response @ rho.
 
-    The square response is upper triangular with unit column sums, and
-    condition is its 1-norm condition number.  A direct solve by
-    back-substitution that is a distribution starts the search at that
-    solve, which reproduces the observation exactly and is therefore
-    the optimum.  Otherwise the optimum lies on a face of the simplex
-    and the search starts from the uniform state.  Each pass computes
-    g = R^T (observed / R rho) and stops once the KKT gap max(g) - 1 is
-    at most tol; by Cover's bound the log-likelihood is then within
-    log(1 + gap) of its maximum.  Otherwise it takes the multiplicative
-    step rho <- rho * g.  The unit column sums make every step
-    normalization-preserving and the likelihood non-decreasing; that
-    monotonicity is asserted on every step.
+    R is square, upper triangular with unit column sums, and condition
+    its 1-norm condition number.  A direct solve by back-substitution
+    that is a distribution reproduces the data and is the optimum.
+    Otherwise Newton steps climb to the optimum on a face of the
+    simplex, adding the component of largest g once g is flat on the
+    support, until the KKT gap max(g) - 1 is at most KKT_GAP; by
+    Cover's bound the log-likelihood is then within log(1 + gap) of its
+    maximum.  A step that neither raises the likelihood nor narrows g
+    on the support ends the climb.  It starts from the direct solve
+    with its negative and unobserved entries zeroed, else from the
+    uniform state on the observed outcomes, whose columns are
+    independent.
     """
-    import operator  # loaded at interpreter start-up
-
-    mul, truediv, log = operator.mul, operator.truediv, math.log
     total = sum(observed)
     observed = [y / total for y in observed]
-    size = len(response)
-    rho = [1.0 / size] * size
+    # only the observed outcomes enter the likelihood and the gain
+    rows = [row for row, y in zip(response, observed) if y > 0.0]
+    weights = [y for y in observed if y > 0.0]
+    starts = [[float(y > 0.0) for y in observed]]
     if math.isfinite(condition):  # a singular response has no solve
         direct = _back_substitute(response, observed)
         if all(x >= 0.0 for x in direct):
-            total = sum(direct)
-            rho = [x / total for x in direct]
-
-    # only the observed outcomes enter the likelihood and the gain
-    kept = [m for m, y in enumerate(observed) if y > 0.0]
-    rows = [response[m] for m in kept]
-    weights = [observed[m] for m in kept]
-    # R is upper triangular, so column n ends at the last kept row m <= n
-    # and a shorter column drops only zero terms from its gain sum
-    columns = [
-        column[: sum(m <= n for m in kept)]
-        for n, column in enumerate(zip(*rows))
-    ]
-    predicted = [sum(map(mul, row, rho)) for row in rows]
-    log_likelihood = -math.inf
+            starts = [direct]
+        else:  # its last observed entry is positive
+            starts.insert(0, [max(x, 0.0) * (y > 0) for x, y in
+                              zip(direct, observed)])
     iterations = 0
-    while True:
-        if min(predicted) < 1e-300:
-            # an observed outcome that every state rules out, as when a
-            # tiny efficiency underflows a row of R: no likelihood is
-            # finite, so no gap certifies the result
-            log_likelihood, gap = -math.inf, math.inf
-            break
-        current = sum(map(mul, weights, map(log, predicted)))
-        if current < log_likelihood - 1e-9 * max(1.0, abs(log_likelihood)):
-            raise AssertionError(
-                "EM likelihood decreased; response matrix is inconsistent"
-            )
-        log_likelihood = current
-        ratio = list(map(truediv, weights, predicted))
-        gain = [sum(map(mul, column, ratio)) for column in columns]
-        gap = max(gain) - 1.0
-        if gap <= tol or iterations >= max_iter:
-            break
-        rho = list(map(mul, rho, gain))
+    for rho in starts:
         total = sum(rho)
-        rho = [r / total for r in rho]
-        predicted = [sum(map(mul, row, rho)) for row in rows]
-        iterations += 1
+        rho = [x / total for x in rho]
+        evaluation = _evaluate(rows, weights, rho)
+        seen = set()
+        while KKT_GAP < evaluation[3] < math.inf:
+            log_likelihood, _, gain, _ = evaluation
+            support = [n for n, x in enumerate(rho) if x > 0.0]
+            step = None
+            if _spread(gain, rho) > KKT_GAP:
+                step = _newton_step(rows, weights, rho, support, evaluation)
+            if step is None:  # g is flat on the support, up to rounding
+                support.append(gain.index(max(gain)))
+                step = _newton_step(rows, weights, rho, support, evaluation)
+            seen.add(tuple(rho))
+            if step is None or tuple(step[0]) in seen or not (
+                step[1][0] > log_likelihood
+                or _spread(step[1][2], step[0]) < _spread(gain, rho)
+            ):
+                break
+            rho, evaluation = step
+            iterations += 1
+        if evaluation[3] <= KKT_GAP:
+            break
+    log_likelihood, _, _, gap = evaluation
     return InversionResult(
-        state=tuple(rho),
-        converged=gap <= tol,
-        iterations=iterations,
-        log_likelihood=log_likelihood,
-        kkt_gap=gap,
-        condition=condition,
+        tuple(rho), gap <= KKT_GAP, iterations, log_likelihood, gap, condition
     )
 
 
-def ml_invert(
-    clicks,
-    efficiency: float,
-    max_iter: int = 100_000,
-    tol: float = 1e-10,
-) -> InversionResult:
+def ml_invert(clicks, efficiency: float) -> InversionResult:
     """Maximum-likelihood photon statistics behind observed click statistics.
 
     The forward model is splitter_map @ loss_matrix on the photon
     numbers 0, 1 and 2, the largest support that three click outcomes
     identify, so the response is square.  The direct solve is returned
-    when it is a distribution (iterations = 0); otherwise the
-    multiplicative expectation-maximization iteration runs from the
-    uniform state until its KKT gap falls to tol.  Never fails
-    silently: a result that stopped on the iteration budget is returned
-    with converged=False.
+    when it is a distribution (iterations = 0); otherwise an active-set
+    Newton solve finds the optimum on a face of the simplex, certified
+    by a KKT gap of at most KKT_GAP.  Never fails silently: data that
+    no state explains are returned with converged=False.
 
     Args:
         clicks: observed probabilities of 0, 1 and 2 clicks.
         efficiency: calibrated detection efficiency in (0, 1].
-        max_iter: iteration budget.
-        tol: bound on the KKT gap max_n g_n - 1 at which the result
-            counts as converged; the log-likelihood is then within
-            log(1 + tol) of its maximum.
     """
     clicks = _probabilities(clicks, "a two-bin detector has 3 outcomes", 3, 3)
     splitter = tmd_convolution_matrix(2)
@@ -328,15 +403,10 @@ def ml_invert(
     # an infinite condition keeps the direct solve from a zero pivot.
     q = (2.0 - efficiency) / efficiency
     condition = q * (1.0 + 2.0 * q)
-    return _ml_estimate(clicks, response, condition, max_iter, tol)
+    return _ml_estimate(clicks, response, condition)
 
 
-def invert_loss_only(
-    observed,
-    efficiency: float,
-    max_iter: int = 100_000,
-    tol: float = 1e-10,
-) -> InversionResult:
+def invert_loss_only(observed, efficiency: float) -> InversionResult:
     """Undo detection loss from photon-number-basis statistics.
 
     For data already expressed as photon counts (for example click
@@ -344,17 +414,15 @@ def invert_loss_only(
     forward model is the loss matrix alone, on the photon numbers
     0 .. K-1 that K observed outcomes identify.  The estimate is the one
     ml_invert makes: the direct solve when it is a distribution, else
-    the iteration stopped on its KKT gap.
+    the Newton solve on a face of the simplex.
 
     Args:
         observed: probabilities of 0 .. K-1 detected photons, K >= 2,
             summing to one.
         efficiency: calibrated detection efficiency in (0, 1].
-        max_iter: iteration budget.
-        tol: bound on the KKT gap, as for ml_invert.
     """
     observed = _probabilities(observed, "need >= 2 outcomes", 2, math.inf)
     response = loss_matrix(efficiency, len(observed) - 1)
     require(efficiency > 0.0, "inversion requires efficiency > 0")
     condition = _loss_condition(efficiency, len(observed))
-    return _ml_estimate(observed, response, condition, max_iter, tol)
+    return _ml_estimate(observed, response, condition)

@@ -87,12 +87,7 @@ def test_criterion_3_maximum_likelihood_inversion():
         3, "loss inversion of the measured heralded statistics", time_limit=5.0
     ):
         observed = np.array([0.94920, 0.05065, 0.00015])
-        result = photon_stats.invert_loss_only(
-            observed,
-            0.048,
-            max_iter=400_000,
-            tol=1e-12,
-        )
+        result = photon_stats.invert_loss_only(observed, 0.048)
         assert result.converged
         rho = result.state
         assert 0.925 <= rho[1] <= 0.937
@@ -160,12 +155,7 @@ def test_criterion_7_statistics_round_trip():
             truth[:3] = front
             eta = rng.uniform(0.03, 0.5)
             clicks = photon_stats.forward_click_dist(truth, eta)
-            result = photon_stats.ml_invert(
-                clicks,
-                eta,
-                max_iter=400_000,
-                tol=1e-13,
-            )
+            result = photon_stats.ml_invert(clicks, eta)
             assert result.converged
             recovered = np.zeros(truth.size)
             recovered[: len(result.state)] = result.state

@@ -496,6 +496,17 @@ class TestHomScan:
         assert scan.coincidence[center] == pytest.approx(0.0, abs=1e-15)
         assert scan.visibility == pytest.approx(1.0)
 
+    def test_visibility_survives_a_tiny_overlap(self):
+        # the baseline and the dip agree to every printed digit here
+        state = hom.SignalState(p0=0.9, p1=0.09, p2=0.01)
+        scan = hom.hom_scan_analytic(state, 0.05, 5.27e-92, sigma_t=1.0)
+        expected = hom.visibility_vs_beta(state, 5.27e-92, 0.05)
+        assert scan.visibility == expected == pytest.approx(1.5e-92, rel=0.1)
+
+    def test_no_baseline_no_visibility(self):
+        state = hom.SignalState(p0=0.5, p1=0.5, p2=0.0)
+        assert hom.hom_scan_analytic(state, 0.0, 1.0, 1.0).visibility == 0.0
+
     # 1.34e154 s is the smallest of these whose square overflows a double
     @pytest.mark.parametrize(
         "sigma_t", [2e-12, 1.3407807929942597e154, 1e307]
