@@ -492,8 +492,7 @@ def _cmd_invert(sc: Scenario) -> tuple[list, list, list]:
         invert = photon_stats.invert_loss_only
         if len(observed) < 2:
             raise ConfigError("key 'observed': need at least 2 outcomes")
-        # a Newton step of a face solve costs O(K^3) Python float
-        # operations
+        # a Newton step of the face solve costs O(K^3) float operations
         if len(observed) > 16:
             raise ConfigError("key 'observed': at most 16 outcomes")
     if abs(math.fsum(observed) - 1.0) > 1e-9:

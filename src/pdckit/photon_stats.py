@@ -12,12 +12,15 @@ tuples, so read-only.
 A note on inversion: a two-bin detector resolves three outcomes, so at
 most the photon-number components 0, 1 and 2 are identifiable from one
 click distribution.  ml_invert therefore reconstructs on that
-identifiable support, where the response matrix is square and upper
+identifiable support, where the response matrix R is square and upper
 triangular: when its direct solve, by back-substitution, is a
 distribution it reproduces the data exactly and is the
 maximum-likelihood state.  Otherwise the optimum lies on a face of the
-simplex and an active-set Newton solve finds it, stopping on a KKT gap
-that certifies optimality.
+simplex, and Newton steps on the support of rho climb to it.  A
+component that reaches zero leaves the support, and the index of
+largest g = R^T (y / R rho) joins it once g <= 1 + KKT_GAP on it.  The
+solve stops on a KKT gap max(g) - 1 <= KKT_GAP, which by Cover's bound
+puts the log-likelihood within log(1 + gap) of its maximum.
 """
 
 from __future__ import annotations
@@ -40,9 +43,8 @@ __all__ = [
 ]
 
 _TINY = 2.2250738585072014e-308  # smallest normal float, sys.float_info.min
-# the KKT gap that certifies an inversion: the log-likelihood is then
-# within 1e-13 of its maximum, some 50 times the rounding of the gap at
-# 16 outcomes
+# the KKT gap that certifies an inversion, some 50 times the rounding of
+# the gap at 16 outcomes: the log-likelihood is within 1e-13 of its best
 KKT_GAP = 1e-13
 
 
@@ -161,19 +163,16 @@ class InversionResult(NamedTuple):
     """Outcome of a maximum-likelihood inversion.
 
     Attributes:
-        state: the reconstructed photon-number distribution, a tuple of
-            floats.
+        state: the reconstructed photon-number distribution, as floats.
         converged: whether kkt_gap is at most KKT_GAP, which certifies
             that log_likelihood is within log(1 + KKT_GAP) of its maximum.
         iterations: Newton steps taken from the starting point; 0 when
             the direct solve was already optimal.
         log_likelihood: sum of observed * log(predicted) over the
-            observed outcomes; -inf when one of them has zero predicted
-            probability.
+            observed outcomes; -inf when one of them is predicted zero.
         kkt_gap: max_n g_n - 1 at the returned state, where
-            g = R^T (observed / R rho) for response matrix R; it is
-            zero up to rounding exactly at the optimum, and infinite
-            when an observed outcome has zero predicted probability.
+            g = R^T (observed / R rho) for response matrix R: zero up to
+            rounding at the optimum, infinite where log_likelihood is.
         condition: 1-norm condition number of R, which bounds how far
             rounding moves a direct solve; infinite when R is singular.
     """
@@ -198,27 +197,13 @@ def _back_substitute(upper, b) -> list[float]:
     return x
 
 
-def _loss_condition(efficiency: float, size: int) -> float:
-    """1-norm condition number of the size x size loss matrix, in closed
-    form; infinite when it overflows.
-
-    Its columns are stochastic, so its norm is one.  Its inverse is the
-    loss map of efficiency 1/eta, whose column n sums in absolute value
-    to eta^-n (1 + (1 - eta))^n, largest at n = size - 1.
-    """
-    try:
-        return ((2.0 - efficiency) / efficiency) ** (size - 1)
-    except OverflowError:
-        return math.inf
-
-
 def _normal_solve(columns, rhs) -> list[float] | None:
     """u with A^T A u = rhs for the matrix A of these columns, through R
     of a Householder QR of A: forming A^T A would lose its small
     eigenvalues to rounding.  None for dependent columns."""
     columns = [column[:] for column in columns]
     for j, column in enumerate(columns):
-        reflector = column[j:]
+        reflector = column[j:] + [0.0]  # dependent past the last row
         reflector[0] += math.copysign(math.hypot(*reflector), reflector[0])
         size = math.hypot(*reflector)
         if size == 0.0:
@@ -234,9 +219,8 @@ def _normal_solve(columns, rhs) -> list[float] | None:
 
 
 def _evaluate(rows, weights, rho):
-    """(log-likelihood, predicted, g, KKT gap) at rho on the observed
-    rows; -inf, g None and an infinite gap when an observed outcome is
-    predicted below 1e-300, as when a tiny efficiency underflows R."""
+    """(log-likelihood, predicted, g, KKT gap) at rho on the observed rows;
+    -inf, None and inf where one is predicted below 1e-300 (R underflows)."""
     predicted = _apply(rows, rho)
     if min(predicted) < 1e-300:
         return -math.inf, predicted, None, math.inf
@@ -245,129 +229,81 @@ def _evaluate(rows, weights, rho):
     return log_likelihood, predicted, gain, max(gain) - 1.0
 
 
-def _spread(gain, rho) -> float:
-    """Range of g over the support of rho, 0 at an optimum."""
-    values = [g for g, x in zip(gain, rho) if x > 0.0]
-    return max(values) - min(values)
+def _newton_step(rows, weights, rho, evaluation):
+    """(state, evaluation) one Newton step up from the distribution rho
+    on its support, or None without ascent.
 
-
-def _newton_step(rows, weights, rho, support, evaluation):
-    """(state, evaluation) one Newton step up from rho on the support;
-    None without an ascent direction.
-
-    The step maximizes (g - 1) . d - |B d|^2 / 2, with B the observed
-    rows of R scaled by sqrt(observed) / predicted, and sum(d) = 0
-    fixing the step of the largest component, which loses least to
-    cancellation.  It is cut where a component reaches zero and leaves
-    the support, then halved until the likelihood rises by 1e-4 of its
-    slope's prediction, less the rounding of the log-likelihood.
+    It maximizes F = sum y log(R rho) - sum(rho) - (sum(rho) - 1)^2 / 2,
+    concave with its maximum over rho >= 0 on the simplex, where its
+    gradient is g - 1 and its Hessian -A^T A, for A the observed rows of
+    R scaled by sqrt(y) / (R rho) over a row of ones.  The step is cut
+    where a component reaches zero, then halved until F rises by 1e-4
+    of the slope's prediction, a rise summed free of F's rounding.
     """
-    current, predicted, gain, _ = evaluation
-    support = sorted(support, key=rho.__getitem__)
+    _, predicted, gain, _ = evaluation
+    support = [n for n, x in enumerate(rho) if x > 0.0]
+    if max(gain[n] for n in support) - 1.0 <= KKT_GAP:
+        support.append(gain.index(max(gain)))
     root = [math.sqrt(w) / p for w, p in zip(weights, predicted)]
-    *columns, last = ([a[n] * r for a, r in zip(rows, root)] for n in support)
-    solution = _normal_solve(
-        [[a - b for a, b in zip(column, last)] for column in columns],
-        [gain[n] - gain[support[-1]] for n in support[:-1]],
-    )
+    columns = [[a[n] * r for a, r in zip(rows, root)] + [1.0] for n in support]
+    solution = _normal_solve(columns, [gain[n] - 1.0 for n in support])
     if solution is None:
         return None
-    step = dict(zip(support, solution + [-sum(solution)]))
-    slope = sum((gain[n] - 1.0) * d for n, d in step.items())
-    if not 0.0 < slope < math.inf:  # no ascent, or a step that overflowed
+    moves = dict(zip(support, solution))
+    step = [moves.get(n, 0.0) for n in range(len(rho))]
+    slope = sum((g - 1.0) * d for g, d in zip(gain, step))
+    if not 0.0 < slope < math.inf:
         return None
-    limit, blocking = min(
-        [(1.0, None)] + [(-rho[n] / d, n) for n, d in step.items() if d < 0],
-        key=lambda pair: pair[0],
-    )
-
-    def move(length, left):
-        state = rho[:]
-        for n, d in step.items():
-            state[n] = max(rho[n] + length * d, 0.0)
-        if blocking is not None:  # free of the cancellation in x + length d
-            state[blocking] = rho[blocking] * left
+    length = min([1.0] + [-x / d for x, d in zip(rho, step) if d < 0.0])
+    change = list(map(truediv, _apply(rows, step), predicted))
+    while True:
+        state = [
+            0.0 if d < 0.0 and -x / d <= length else max(x + length * d, 0.0)
+            for x, d in zip(rho, step)
+        ]
+        if state == rho:
+            return None
         total = sum(state)
         state = [x / total for x in state]
-        return state, _evaluate(rows, weights, state)
-
-    length, left = limit, 0.0
-    state, evaluation = move(length, left)
-    barrier = evaluation[0] == -math.inf
-    noise = 1e-13 * (1.0 + abs(current))
-    while evaluation[0] - current < 1e-4 * length * slope - noise:
+        evaluation = _evaluate(rows, weights, state)
+        if evaluation[0] > -math.inf and min(change) * length > -1.0:
+            rise = sum(
+                w * (math.log1p(length * q) - length * q)
+                for w, q in zip(weights, change)
+            ) + length * slope - (length * sum(step)) ** 2 / 2.0
+            if rise >= 1e-4 * length * slope:
+                return state, evaluation
         length /= 2.0
-        left = 1.0 - length / limit
-        state, evaluation = move(length, left)
-    # cut short of a component that alone explains an observed outcome:
-    # approach zero while the likelihood rises
-    while barrier and left > 0.0:
-        nearer = move(limit * (1.0 - left / 2.0), left / 2.0)
-        if not nearer[1][0] > evaluation[0]:
-            break
-        left /= 2.0
-        state, evaluation = nearer
-    return state, evaluation
 
 
-def _ml_estimate(
-    observed: tuple[float, ...],
-    response: list[list[float]],
-    condition: float,
-) -> InversionResult:
-    """Maximum-likelihood distribution rho for observed = response @ rho.
-
-    R is square, upper triangular with unit column sums, and condition
-    its 1-norm condition number.  A direct solve by back-substitution
-    that is a distribution reproduces the data and is the optimum.
-    Otherwise Newton steps climb to the optimum on a face of the
-    simplex, adding the component of largest g once g is flat on the
-    support, until the KKT gap max(g) - 1 is at most KKT_GAP; by
-    Cover's bound the log-likelihood is then within log(1 + gap) of its
-    maximum.  A step that neither raises the likelihood nor narrows g
-    on the support ends the climb.  It starts from the direct solve
-    with its negative and unobserved entries zeroed, else from the
-    uniform state on the observed outcomes, whose columns are
-    independent.
-    """
+def _ml_estimate(observed, response, condition) -> InversionResult:
+    """Maximum-likelihood distribution rho for observed = response @ rho,
+    by the solve of the module's note; R is upper triangular with unit
+    column sums and condition its 1-norm condition number.  The face
+    solve starts from the direct solve with negative and unobserved
+    entries zeroed or, where that explains too little, from the uniform
+    state on the observed outcomes."""
     total = sum(observed)
     observed = [y / total for y in observed]
     # only the observed outcomes enter the likelihood and the gain
     rows = [row for row, y in zip(response, observed) if y > 0.0]
     weights = [y for y in observed if y > 0.0]
-    starts = [[float(y > 0.0) for y in observed]]
+    rho = [float(y > 0.0) for y in observed]
     if math.isfinite(condition):  # a singular response has no solve
         direct = _back_substitute(response, observed)
-        if all(x >= 0.0 for x in direct):
-            starts = [direct]
-        else:  # its last observed entry is positive
-            starts.insert(0, [max(x, 0.0) * (y > 0) for x, y in
-                              zip(direct, observed)])
+        clipped = [max(x, 0.0) * (y > 0.0) for x, y in zip(direct, observed)]
+        if min(direct) >= 0.0 or min(_apply(rows, clipped)) > 0.0:
+            rho = clipped
+    total = sum(rho)
+    rho = [x / total for x in rho]
+    evaluation = _evaluate(rows, weights, rho)
     iterations = 0
-    for rho in starts:
-        total = sum(rho)
-        rho = [x / total for x in rho]
-        evaluation = _evaluate(rows, weights, rho)
-        seen = set()
-        while KKT_GAP < evaluation[3] < math.inf:
-            log_likelihood, _, gain, _ = evaluation
-            support = [n for n, x in enumerate(rho) if x > 0.0]
-            step = None
-            if _spread(gain, rho) > KKT_GAP:
-                step = _newton_step(rows, weights, rho, support, evaluation)
-            if step is None:  # g is flat on the support, up to rounding
-                support.append(gain.index(max(gain)))
-                step = _newton_step(rows, weights, rho, support, evaluation)
-            seen.add(tuple(rho))
-            if step is None or tuple(step[0]) in seen or not (
-                step[1][0] > log_likelihood
-                or _spread(step[1][2], step[0]) < _spread(gain, rho)
-            ):
-                break
-            rho, evaluation = step
-            iterations += 1
-        if evaluation[3] <= KKT_GAP:
+    while KKT_GAP < evaluation[3] < math.inf:
+        step = _newton_step(rows, weights, rho, evaluation)
+        if step is None:
             break
+        rho, evaluation = step
+        iterations += 1
     log_likelihood, _, _, gap = evaluation
     return InversionResult(
         tuple(rho), gap <= KKT_GAP, iterations, log_likelihood, gap, condition
@@ -379,11 +315,9 @@ def ml_invert(clicks, efficiency: float) -> InversionResult:
 
     The forward model is splitter_map @ loss_matrix on the photon
     numbers 0, 1 and 2, the largest support that three click outcomes
-    identify, so the response is square.  The direct solve is returned
-    when it is a distribution (iterations = 0); otherwise an active-set
-    Newton solve finds the optimum on a face of the simplex, certified
-    by a KKT gap of at most KKT_GAP.  Never fails silently: data that
-    no state explains are returned with converged=False.
+    identify, so the response is square.  The estimate is the direct
+    solve or the face solve of the module's note; data that no state
+    explains are returned with converged=False.
 
     Args:
         clicks: observed probabilities of 0, 1 and 2 clicks.
@@ -413,8 +347,7 @@ def invert_loss_only(observed, efficiency: float) -> InversionResult:
     statistics that the splitter map has been removed from), the
     forward model is the loss matrix alone, on the photon numbers
     0 .. K-1 that K observed outcomes identify.  The estimate is the one
-    ml_invert makes: the direct solve when it is a distribution, else
-    the Newton solve on a face of the simplex.
+    ml_invert makes.
 
     Args:
         observed: probabilities of 0 .. K-1 detected photons, K >= 2,
@@ -424,5 +357,11 @@ def invert_loss_only(observed, efficiency: float) -> InversionResult:
     observed = _probabilities(observed, "need >= 2 outcomes", 2, math.inf)
     response = loss_matrix(efficiency, len(observed) - 1)
     require(efficiency > 0.0, "inversion requires efficiency > 0")
-    condition = _loss_condition(efficiency, len(observed))
+    # R's columns are stochastic, so its norm is one.  R^-1 is the loss
+    # map of efficiency 1/eta, whose column n sums in absolute value to
+    # ((2 - eta) / eta)^n, largest at n = K - 1
+    try:
+        condition = ((2.0 - efficiency) / efficiency) ** (len(observed) - 1)
+    except OverflowError:
+        condition = math.inf
     return _ml_estimate(observed, response, condition)

@@ -751,11 +751,16 @@ class TestFaceSolve:
         assert result.iterations > 0
         assert np.max(np.abs(np.array(result.state) - expected)) <= 1e-9
 
+    # entries down to 1e-100 of the largest: a line search that judged
+    # progress by the rounded log-likelihood stopped short on the
+    # examples with entries of 1e-16
     @settings(max_examples=100, deadline=None)
     @given(
         eta=_EFFICIENCIES,
         entries=st.lists(
-            st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=1.0)),
+            st.one_of(
+                st.just(0.0), st.floats(min_value=1e-100, max_value=1.0)
+            ),
             min_size=2,
             max_size=16,
         ),
@@ -763,6 +768,16 @@ class TestFaceSolve:
     @example(eta=0.03, entries=[1.0] + [0.0] * 14 + [1.0])
     @example(eta=1.0, entries=[0.0, 0.0, 1.0])
     @example(eta=0.5, entries=[1.0, 1e-9, 1e-9])
+    @example(eta=0.671875, entries=[0.0, 0.0, 1.0, 2.2e-16, 2.2e-16])
+    @example(
+        eta=0.26948339053370535,
+        entries=[0.4965960294305393, 0.4965960294305393, 0.0, 1e-16, 0.0],
+    )
+    @example(
+        eta=0.6018938426108575,
+        entries=[0.8408905262683777, 0.12786367021052725, 0.253415214526555,
+                 0.0, 1e-16, 0.0],
+    )
     def test_any_observation_is_certified(self, eta, entries):
         assume(sum(entries) > 0.0)
         observed = np.array(entries) / sum(entries)
