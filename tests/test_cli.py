@@ -971,6 +971,32 @@ class TestInvertCommand:
         assert summary.startswith("converged in ") and steps > 0
         assert float(summary.split("KKT gap ")[1].split(",")[0]) <= 1e-13
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # click frequencies of 10,000 heralds, one of the six on which
+            # the multiplicative iteration did not converge in 100,000
+            # passes
+            "observed = 0.9388, 0.0599, 0.0013\n"
+            "efficiency = 0.0788670670980538\nobservable = clicks\n",
+            "observed = 0.4657, 0.041, 0.0647, 0.07, 0.0494, 0.0441, 0.0554,"
+            " 0.0617, 0.0566, 0.0454, 0.0274, 0.0126, 0.0047, 0.0008,"
+            " 0.0005, 0.0\nefficiency = 0.5870540947228361\n",
+            "observed = 0, 0, 1, 2.2e-16, 2.2e-16\nefficiency = 0.671875\n",
+        ],
+        ids=["clicks", "sixteen-outcomes", "tiny-probabilities"],
+    )
+    def test_face_inputs_are_certified(self, tmp_path, capsys, text):
+        config = _write(tmp_path, "i.cfg", text)
+        code, out, err = _run(capsys, "invert", "--config", str(config))
+        assert code == 0, err
+        probabilities = [float(r["probability"]) for r in _rows(out)]
+        assert min(probabilities) == 0.0
+        assert sum(probabilities) == pytest.approx(1.0, abs=1e-8)
+        (summary,) = err.splitlines()
+        assert int(summary.split()[2]) > 0
+        assert float(summary.split("KKT gap ")[1].split(",")[0]) <= 1e-13
+
     def test_budget_keys_are_ignored(self, tmp_path, capsys):
         plain = _write(tmp_path, "plain.cfg", HEADLINE_INVERT)
         budget = _write(

@@ -751,6 +751,42 @@ class TestFaceSolve:
         assert result.iterations > 0
         assert np.max(np.abs(np.array(result.state) - expected)) <= 1e-9
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        eta=_EFFICIENCIES,
+        entries=st.lists(
+            st.one_of(
+                st.just(0.0), st.floats(min_value=1e-100, max_value=1.0)
+            ),
+            min_size=3,
+            max_size=3,
+        ),
+    )
+    @example(eta=1.0, entries=[0.0, 0.5, 0.5])
+    def test_any_click_observation_is_certified(self, eta, entries):
+        assume(sum(entries) > 0.0)
+        observed = np.array(entries) / sum(entries)
+        result = ps.ml_invert(observed, eta)
+        _assert_certified(result, observed, _click_reference(eta), 1_000)
+
+    @settings(max_examples=100, deadline=None)
+    @given(size=st.integers(min_value=1, max_value=17), seed=_SEEDS,
+           data=st.data())
+    def test_normal_solve_matches_numpy(self, size, seed, data):
+        columns = data.draw(st.integers(min_value=1, max_value=size))
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(size=(size, columns))
+        rhs = rng.normal(size=columns)
+        solved = ps._normal_solve(matrix.T.tolist(), rhs.tolist())
+        reference = np.linalg.solve(matrix.T @ matrix, rhs)
+        bound = 1e-12 * np.linalg.cond(matrix) ** 2 * np.abs(reference).max()
+        assert np.max(np.abs(np.array(solved) - reference)) <= bound
+
+    def test_normal_solve_refuses_dependent_columns(self):
+        assert ps._normal_solve([[1.0, 0.0], [2.0, 0.0]], [1.0, 1.0]) is None
+        # two columns of one row
+        assert ps._normal_solve([[1.0], [2.0]], [1.0, 1.0]) is None
+
     # entries down to 1e-100 of the largest: a line search that judged
     # progress by the rounded log-likelihood stopped short on the
     # examples with entries of 1e-16
