@@ -181,20 +181,29 @@ def _count(
     return count
 
 
-def _sweep(sc: Scenario, stem: str, geometric: bool = False) -> list[float]:
+def _sweep(
+    sc: Scenario, stem: str, ok, rule: str, geometric: bool = False
+) -> list[float]:
+    """The values of <stem>_list, or <stem>_steps values from <stem>_min
+    to <stem>_max, spaced evenly or geometrically.  Each must pass ok, or
+    the key that holds it is refused with rule; ok tests a range, so a
+    min/max sweep is checked at its ends."""
     explicit = sc.number_list(f"{stem}_list")
     if explicit is not None:
+        if not all(map(ok, explicit)):
+            raise ConfigError(f"key '{stem}_list': {rule}")
         return explicit
     low = sc.number(f"{stem}_min", required=True)
     high = sc.number(f"{stem}_max", required=True)
     steps = _count(sc, f"{stem}_steps", 21)
     if high <= low:
         raise ConfigError(f"key '{stem}_min': need {stem}_min < {stem}_max")
-    if geometric:
-        if low <= 0:
-            raise ConfigError(f"key '{stem}_min': must be positive")
-        return units.geomspace(low, high, steps)
-    return units.linspace(low, high, steps)
+    if geometric and low <= 0:
+        raise ConfigError(f"key '{stem}_min': must be positive")
+    for end, value in (("min", low), ("max", high)):
+        if not ok(value):
+            raise ConfigError(f"key '{stem}_{end}': {rule}")
+    return (units.geomspace if geometric else units.linspace)(low, high, steps)
 
 
 def _unit_interval(sc: Scenario, key: str, **kw) -> float:
@@ -247,8 +256,6 @@ _ELLIPSE_HEADER = [
     "major_fwhm_nm",
     "minor_fwhm_nm",
 ]
-_TILT = _ELLIPSE_HEADER.index("tilt_deg")
-_ASPECT = _ELLIPSE_HEADER.index("aspect_ratio")
 
 
 # -- command handlers -------------------------------------------------------
@@ -257,10 +264,7 @@ _ASPECT = _ELLIPSE_HEADER.index("aspect_ratio")
 def _cmd_ellipse(sc: Scenario) -> tuple[list, list, list]:
     wavelength = _center_wavelength(sc)
     source = jsa.filtered_source(_source_params(sc, wavelength))
-    row = _ellipse_row("source", source, wavelength)
-    return _ELLIPSE_HEADER, [row], [
-        f"tilt = {row[_TILT]:.3f} deg, aspect ratio = {row[_ASPECT]:.3f}"
-    ]
+    return _ELLIPSE_HEADER, [_ellipse_row("source", source, wavelength)], []
 
 
 def _cmd_filter(sc: Scenario) -> tuple[list, list, list]:
@@ -272,11 +276,7 @@ def _cmd_filter(sc: Scenario) -> tuple[list, list, list]:
         _ellipse_row(label, jsa.filtered_source(params, *widths), wavelength)
         for label, widths in (("unfiltered", ()), ("filtered", (ws, wi)))
     ]
-    summary = [
-        f"aspect ratio {rows[0][_ASPECT]:.3f} -> "
-        f"{rows[1][_ASPECT]:.3f} after filtering"
-    ]
-    return _ELLIPSE_HEADER, rows, summary
+    return _ELLIPSE_HEADER, rows, []
 
 
 def _cmd_pm_vs_length(sc: Scenario) -> tuple[list, list, list]:
@@ -303,11 +303,9 @@ def _cmd_pm_vs_length(sc: Scenario) -> tuple[list, list, list]:
 
 def _cmd_twin_hom(sc: Scenario) -> tuple[list, list, list]:
     tilt = sc.quantity("tilt", "angle", required=True)
-    aspects = _sweep(sc, "aspect", geometric=True)
-    # a min/max sweep starts at aspect_min
-    if min(aspects) < 1.0:
-        key = "aspect_list" if "aspect_list" in sc.values else "aspect_min"
-        raise ConfigError(f"key {key!r}: must be at least 1")
+    aspects = _sweep(
+        sc, "aspect", lambda a: a >= 1.0, "must be at least 1", geometric=True
+    )
     rows = []
     for aspect in aspects:
         spectral, temporal = twin_hom.model_source(aspect, tilt).twin_overlap()
@@ -335,13 +333,9 @@ def _cmd_herald_stats(sc: Scenario) -> tuple[list, list, list]:
     modes_unfiltered = _count(sc, "modes_unfiltered", 31, 1, _MAX_HERALD)
     modes_filtered = _count(sc, "modes_filtered", 1, 1, _MAX_HERALD)
     eta_t = _unit_interval(sc, "trigger_efficiency", default=0.0)
-    gains = _sweep(sc, "gain_sq")
-    # a min/max sweep starts at gain_sq_min and ends at gain_sq_max
-    if min(gains) < 0.0 or max(gains) >= 1.0:
-        key = "gain_sq_min" if min(gains) < 0.0 else "gain_sq_max"
-        if "gain_sq_list" in sc.values:
-            key = "gain_sq_list"
-        raise ConfigError(f"key {key!r}: must lie in [0, 1)")
+    gains = _sweep(
+        sc, "gain_sq", lambda g: 0.0 <= g < 1.0, "must lie in [0, 1)"
+    )
     rows = [
         [
             gain,
@@ -356,10 +350,10 @@ def _cmd_herald_stats(sc: Scenario) -> tuple[list, list, list]:
 def _cmd_visibility_curve(sc: Scenario) -> tuple[list, list, list]:
     state = _signal_state(sc)
     overlap = _unit_interval(sc, "overlap", default=1.0)
-    betas = _sweep(sc, "beta_sq", geometric=True)
-    # a min/max sweep is refused unless beta_sq_min is positive
-    if min(betas) < 0.0:
-        raise ConfigError("key 'beta_sq_list': must be nonnegative")
+    betas = _sweep(
+        sc, "beta_sq", lambda b: b >= 0.0, "must be nonnegative",
+        geometric=True,
+    )
     rows = [
         [beta_sq, hom.visibility_vs_beta(state, overlap, beta_sq)]
         for beta_sq in betas

@@ -220,9 +220,11 @@ def _normal_solve(columns, rhs) -> list[float] | None:
 
 def _evaluate(rows, weights, rho):
     """(log-likelihood, predicted, g, KKT gap) at rho on the observed rows;
-    -inf, None and inf where one is predicted below 1e-300 (R underflows)."""
+    -inf, None and inf where one is predicted below 1e-306 (R underflows).
+    Above that floor y/p <= 1e306, so g, a sum of K <= 16 such ratios
+    weighted by at most one, stays finite."""
     predicted = _apply(rows, rho)
-    if min(predicted) < 1e-300:
+    if min(predicted) < 1e-306:
         return -math.inf, predicted, None, math.inf
     gain = _apply(list(zip(*rows)), list(map(truediv, weights, predicted)))
     log_likelihood = sum(map(mul, weights, map(math.log, predicted)))

@@ -37,8 +37,9 @@ _UNIT_SCALES: dict[str, dict[str, float]] = {
     "dimensionless": {"": 1.0},
 }
 
-_NUMBER = re.compile(
-    r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$"
+# a number and an optional unit token after whitespace
+_QUANTITY = re.compile(
+    r"([+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)(?:\s+(\S+))?"
 )
 
 
@@ -62,15 +63,24 @@ def parse_config(text: str) -> dict[str, str]:
     return values
 
 
-def _split_number_unit(text: str) -> tuple[float | None, str]:
-    parts = text.split()
-    if len(parts) not in (1, 2):
-        return None, text
-    token = parts[0]
-    unit = parts[1] if len(parts) == 2 else ""
-    if _NUMBER.match(token):
-        return float(token), unit
-    return None, text
+def _quantity(key: str, kind: str, raw: str) -> float:
+    """raw, a number with an optional unit of the given dimension, in base
+    units; a refusal names the key and raw."""
+    match = _QUANTITY.fullmatch(raw)
+    if match is None:
+        raise ConfigError(f"key {key!r}: not a number: {raw!r}")
+    number, unit = match.groups("")
+    scale = _UNIT_SCALES[kind].get(unit)
+    if scale is None:
+        allowed = ", ".join(u for u in _UNIT_SCALES[kind] if u) or "no unit"
+        raise ConfigError(
+            f"key {key!r}: unit {unit!r} of {raw!r} does not measure {kind} "
+            f"(allowed: {allowed})"
+        )
+    value = float(number) * scale
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: not a finite number: {raw!r}")
+    return value
 
 
 class Scenario:
@@ -114,24 +124,7 @@ class Scenario:
     ) -> float | None:
         """Number with a unit of the given dimension, scaled to base units."""
         raw = self._raw(key, required)
-        if raw is None:
-            return default
-        number, unit = _split_number_unit(raw)
-        if number is None:
-            raise ConfigError(f"key {key!r}: not a number: {raw!r}")
-        scales = _UNIT_SCALES[kind]
-        if unit not in scales:
-            allowed = ", ".join(u for u in scales if u) or "no unit"
-            raise ConfigError(
-                f"key {key!r}: unit {unit!r} does not measure {kind} "
-                f"(allowed: {allowed})"
-            )
-        value = number * scales[unit]
-        if not math.isfinite(value):
-            raise ConfigError(
-                f"key {key!r}: not a finite number: {raw!r}"
-            )
-        return value
+        return default if raw is None else _quantity(key, kind, raw)
 
     def number(
         self, key: str, default: float | None = None, required: bool = False
@@ -171,20 +164,10 @@ class Scenario:
         raw = self._raw(key, required)
         if raw is None:
             return None
-        items = []
-        for token in raw.split(","):
-            token = token.strip()
-            if not _NUMBER.match(token):
-                raise ConfigError(
-                    f"key {key!r}: list entry {token!r} is not a number"
-                )
-            value = float(token)
-            if not math.isfinite(value):
-                raise ConfigError(
-                    f"key {key!r}: list entry {token!r} is not finite"
-                )
-            items.append(value)
-        return items
+        return [
+            _quantity(key, "dimensionless", entry.strip())
+            for entry in raw.split(",")
+        ]
 
     def unused_keys(self) -> list[str]:
         """Keys the command never read; extras are legal so that one

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdckit import cli, jsa, units
+from pdckit.errors import ConfigError
 from pdckit.scenario import Scenario
 
 
@@ -75,7 +76,7 @@ class TestEllipseCommand:
     def test_reconstructed_source(self, tmp_path, capsys):
         config = _write(tmp_path, "s.cfg", SOURCE_CFG)
         code, out, err = _run(capsys, "ellipse", "--config", str(config))
-        assert code == 0
+        assert (code, err) == (0, "")  # no summary repeats the table's cells
         (row,) = _rows(out)
         # measured tilt 54.7 +- 1.5 deg brackets the model value
         assert 53.2 <= float(row["tilt_deg"]) <= 56.2
@@ -128,8 +129,8 @@ class TestFilterCommand:
             "f.cfg",
             SOURCE_CFG + "filter_s_fwhm = 1 nm\nfilter_i_fwhm = 1 nm\n",
         )
-        code, out, _ = _run(capsys, "filter", "--config", str(config))
-        assert code == 0
+        code, out, err = _run(capsys, "filter", "--config", str(config))
+        assert (code, err) == (0, "")  # no summary repeats the table's cells
         rows = _rows(out)
         stages = {row["stage"]: row for row in rows}
         assert float(stages["filtered"]["aspect_ratio"]) < 2.5
@@ -983,8 +984,12 @@ class TestInvertCommand:
             " 0.0617, 0.0566, 0.0454, 0.0274, 0.0126, 0.0047, 0.0008,"
             " 0.0005, 0.0\nefficiency = 0.5870540947228361\n",
             "observed = 0, 0, 1, 2.2e-16, 2.2e-16\nefficiency = 0.671875\n",
+            # 0, 0, 1, 0, 0, 9.89e-159, 1, 0.5, 0, 1e-290, normalized: on
+            # the way to e9 the last outcome is predicted as 1e-300
+            "observed = 0, 0, 0.4, 0, 0, 3.956e-159, 0.4, 0.2, 0, 4e-291\n"
+            "efficiency = 0.06905\n",
         ],
-        ids=["clicks", "sixteen-outcomes", "tiny-probabilities"],
+        ids=["clicks", "sixteen-outcomes", "tiny-probabilities", "near-floor"],
     )
     def test_face_inputs_are_certified(self, tmp_path, capsys, text):
         config = _write(tmp_path, "i.cfg", text)
@@ -1247,6 +1252,50 @@ class TestErrorHandling:
         code, _, err = _run(capsys, "ellipse", "--config", str(config))
         assert code == 1
         assert "pump_fwhm" in err and "ps" in err
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            (
+                "twin-hom",
+                "tilt = 54.7 deg\naspect_list = 2, 3 mm\n",
+                "key 'aspect_list': unit 'mm' of '3 mm' does not measure "
+                "dimensionless (allowed: no unit)",
+            ),
+            (
+                "visibility-curve",
+                "p0 = 0.9\np1 = 0.1\np2 = 0\nbeta_sq_list = 0.01,  x \n",
+                "key 'beta_sq_list': not a number: 'x'",
+            ),
+            (
+                "herald-stats",
+                "gain_sq_list = 0.02, 1e400\n",
+                "key 'gain_sq_list': not a finite number: '1e400'",
+            ),
+        ],
+        ids=["unit", "not-a-number", "not-finite"],
+    )
+    def test_list_entry_is_refused_as_a_scalar(
+        self, tmp_path, capsys, command, text, message
+    ):
+        config = _write(tmp_path, "c.cfg", text)
+        code, out, err = _run(capsys, command, "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "entry", ["3 mm", "x", "1e400", "", "1 2 3", "-1.5e-3", "2 ps"]
+    )
+    def test_list_entry_reads_as_a_scalar(self, entry):
+        sc = Scenario({"k": entry, "k_list": f"0.5, {entry} "})
+        try:
+            expected = [0.5, sc.number("k")]
+        except ConfigError as exc:
+            expected = str(exc).replace("'k'", "'k_list'")
+        try:
+            assert sc.number_list("k_list") == expected
+        except ConfigError as exc:
+            assert str(exc) == expected
 
     def test_unreadable_config(self, tmp_path, capsys):
         code, _, err = _run(capsys, "ellipse", "--config", str(tmp_path / "nope.cfg"))

@@ -751,6 +751,17 @@ class TestFaceSolve:
         assert result.iterations > 0
         assert np.max(np.abs(np.array(result.state) - expected)) <= 1e-9
 
+    def test_outcome_near_the_float_floor_is_certified(self):
+        # on the way to the optimum e9, rho9 of about 3e-290 alone explains
+        # the last outcome and predicts it as 1e-300, which the solve must
+        # not take for an underflow
+        observed = [0, 0, 1, 0, 0, 9.89e-159, 1, 0.5, 0, 1e-290]
+        observed = [y / sum(observed) for y in observed]
+        eta = 0.06905
+        result = ps.invert_loss_only(observed, eta)
+        _assert_certified(result, observed, _loss_reference(eta, 10), 3_000)
+        assert result.state == (0.0,) * 9 + (1.0,)
+
     @settings(max_examples=100, deadline=None)
     @given(
         eta=_EFFICIENCIES,
