@@ -372,7 +372,7 @@ def _cmd_fit_overlap(sc: Scenario) -> tuple[list, list, list]:
         raise ConfigError("missing required option '--data'")
     path = sc.data_path
     measurements = _read_csv_columns(path, ("beta_sq", "visibility"))
-    # the checks fit_overlap makes, in its order, naming the file
+    # fit_overlap's preconditions, refused here by file and key
     beta_sq = [b for b, _ in measurements]
     if len(measurements) < 3:
         raise ConfigError(f"data file {path}: need at least three rows")

@@ -29,7 +29,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .errors import require, require_pairs
+from .errors import require
 from .units import linspace
 
 __all__ = [
@@ -130,16 +130,10 @@ def coincidence_simplified(
     """Leading-order coincidence probability p0 x^2 + p1 x (1 - T) + p2/2,
     x = beta_sq / 2, at one overlap T.
 
-    Valid for weak references; enforce beta_sq < 0.2 so that
-    1 - exp(-x) is linear to better than ten percent.  Use
-    coincidence_full beyond that.
+    Valid for weak references, 0 <= beta_sq < 0.2, where 1 - exp(-x)
+    is linear to better than ten percent; the command line refuses any
+    other beta_sq.  Use coincidence_full beyond that.
     """
-    require(beta_sq >= 0.0, "beta_sq must be nonnegative")
-    if beta_sq >= 0.2:
-        raise ValueError(
-            "beta_sq >= 0.2 is outside the linearized regime; "
-            "use coincidence_full"
-        )
     x = beta_sq / 2.0
     return state.p0 * x * x + state.p1 * x * (1.0 - overlap_t) + state.p2 / 2.0
 
@@ -151,9 +145,8 @@ def visibility_vs_beta(
 
     p1 T / (p0 beta^2/2 + p1 + p2/beta^2); the beta_sq -> 0 limit is 0
     when a two-photon background exists and T otherwise.  Without a
-    one-photon component there is no dip.
+    one-photon component there is no dip.  beta_sq must be nonnegative.
     """
-    require(beta_sq >= 0.0, "beta_sq must be nonnegative")
     if state.p1 == 0.0:
         return 0.0
     if beta_sq == 0.0:
@@ -185,22 +178,14 @@ def fit_overlap(measurements, state: SignalState) -> OverlapFit:
 
     The visibility model is linear in the overlap, so the estimate is
     the normal-equation solution with an ordinary standard error
-    (equal weights; no error model on the data).
+    (equal weights; no error model on the data).  The measurements are
+    at least three pairs of floats, with positive beta_sq taking at
+    least two distinct values, as the command line requires.
 
     Raises:
-        ValueError: with fewer than three points or a design containing
-            a single distinct reference power.
+        ValueError: when the predictor vanishes for this state.
     """
-    points = require_pairs(
-        measurements, 3, "need at least three (beta_sq, visibility) points"
-    )
-    beta_sq = [b for b, _ in points]
-    require(all(b > 0 for b in beta_sq), "beta_sq values must be positive")
-    require(
-        len(set(beta_sq)) >= 2,
-        "degenerate design: need at least two distinct beta_sq values",
-    )
-    predictor = [visibility_vs_beta(state, 1.0, b) for b in beta_sq]
+    predictor = [visibility_vs_beta(state, 1.0, b) for b, _ in measurements]
     peak = max(predictor)
     require(peak >= sys.float_info.min, "predictor vanishes for this state")
     # the predictor and the residuals scaled by a power of two, which is
@@ -209,14 +194,15 @@ def fit_overlap(measurements, state: SignalState) -> OverlapFit:
     scale = math.ldexp(1.0, -math.frexp(peak)[1])
     scaled = [p * scale for p in predictor]
     gram = _sum([q * q for q in scaled])
-    estimate = _sum([q * v for q, (_, v) in zip(scaled, points)]) / gram
+    estimate = _sum([q * v for q, (_, v) in zip(scaled, measurements)]) / gram
     estimate *= scale
     residual = [
-        (v - estimate * p) * scale for p, (_, v) in zip(predictor, points)
+        (v - estimate * p) * scale
+        for p, (_, v) in zip(predictor, measurements)
     ]
     # a residual too large to square gives an infinite error, silently
     squares = _sum([r * r for r in residual])
-    stderr = math.sqrt(squares / (len(points) - 1) / gram)
+    stderr = math.sqrt(squares / (len(measurements) - 1) / gram)
     return OverlapFit(overlap=estimate, stderr=stderr)
 
 
@@ -230,9 +216,8 @@ def _sum(terms: list[float]) -> float:
 
 
 def fidelity(spectral_overlap: float, one_photon: float) -> float:
-    """Preparation fidelity sqrt(T * rho1) against the one-photon target."""
-    require(0.0 <= spectral_overlap <= 1.0, "overlap must lie in [0, 1]")
-    require(0.0 <= one_photon <= 1.0, "one_photon must lie in [0, 1]")
+    """Preparation fidelity sqrt(T * rho1) against the one-photon target,
+    for T and rho1 in [0, 1]."""
     return math.sqrt(spectral_overlap * one_photon)
 
 
@@ -251,12 +236,12 @@ def hom_scan_analytic(
     overlap_max exp(-tau^2 / (2 sigma_t^2)).
 
     The delay axis spans SPAN_SIGMAS * sigma_t on either side of the
-    dip centre.  Coincidences use the leading-order model, so the
-    reference mean photon number beta_sq must be below 0.2.
+    dip centre, sigma_t > 0.  Coincidences use the leading-order model,
+    so the reference mean photon number beta_sq must lie in [0, 0.2).
+    overlap_max is refused outside [0, 1]: FilteredSource.tmax can
+    round to just above 1.
     """
-    require(beta_sq >= 0.0, "beta_sq must be nonnegative")
     require(0.0 <= overlap_max <= 1.0, "overlap_max must lie in [0, 1]")
-    require(sigma_t > 0.0, "sigma_t must be positive")
     half = SPAN_SIGMAS * sigma_t
     tau_axis = tuple(linspace(-half, half, n_points))
     # in units of sigma_t, so a huge finite sigma_t cannot overflow

@@ -242,12 +242,10 @@ def params_from_pm_estimate(
 
     Args:
         sigma_pump: pump amplitude width (rad/s).
-        pm_amplitude_width: phase-matching amplitude width (rad/s).
+        pm_amplitude_width: phase-matching amplitude width (rad/s), > 0.
         tilt_deg: measured ellipse tilt in (0, 90) degrees.
         length: medium length (m).
     """
-    require(0.0 < tilt_deg < 90.0, "tilt must lie strictly in (0, 90) deg")
-    require(pm_amplitude_width > 0, "phase-matching width must be positive")
     tilt = math.radians(tilt_deg)
     magnitude = 2.0 / (math.sqrt(GAMMA) * length * pm_amplitude_width)
     return PdcModelParams(
@@ -267,11 +265,8 @@ def filtered_source(
 
     A filter of amplitude width w multiplies the amplitude by
     exp(-nu^2/w^2), so it adds 1/w^2 to its diagonal entry of M; an
-    infinite width leaves the channel open.
+    infinite width leaves the channel open.  Widths must be positive.
     """
-    require(
-        signal_width > 0 and idler_width > 0, "filter widths must be positive"
-    )
     pump = 1.0 / params.sigma_pump**2
     pm = GAMMA * params.length**2 / 4.0
     m11 = pump + pm * params.kappa_s**2

@@ -20,7 +20,8 @@ simplex, and Newton steps on the support of rho climb to it.  A
 component that reaches zero leaves the support, and the index of
 largest g = R^T (y / R rho) joins it once g <= 1 + KKT_GAP on it.  The
 solve stops on a KKT gap max(g) - 1 <= KKT_GAP, which by Cover's bound
-puts the log-likelihood within log(1 + gap) of its maximum.
+puts the log-likelihood within log(1 + gap) of its maximum.  It ends
+unconverged when no step ascends, or after _STEP_BUDGET steps.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ _TINY = 2.2250738585072014e-308  # smallest normal float, sys.float_info.min
 # the KKT gap that certifies an inversion, some 50 times the rounding of
 # the gap at 16 outcomes: the log-likelihood is within 1e-13 of its best
 KKT_GAP = 1e-13
+# Newton steps after which a face solve ends unconverged: steps that move
+# rho only by rounding would never end it, and no certified seeded face
+# input that the README counts takes more than 1,808
+_STEP_BUDGET = 2_000
 
 
 def _probabilities(
@@ -81,13 +86,10 @@ def heralded_mean(n_modes: int, gain_sq: float, eta_t: float) -> float:
     K mu (-expm1(log1p(-eta) - (K + 1) x)) / (-expm1(-K x)),
     free of cancellation at every eta.  eta_t = 0 gives the
     vanishing-loss limit 1 + (K + 1) mu, which the mean approaches from
-    below as eta_t falls.  Refuses a mode count below one, a gain outside
-    [0, 1), an efficiency outside [0, 1] and a zero gain, in that order,
+    below as eta_t falls.  It takes n_modes >= 1, gain_sq in [0, 1) and
+    eta_t in [0, 1], as the command line requires, refuses a zero gain,
     and has no photon-number cutoff.
     """
-    require(n_modes >= 1, "n_modes must be at least 1")
-    require(0.0 <= gain_sq < 1.0, "gain_sq must lie in [0, 1)")
-    require(0.0 <= eta_t <= 1.0, "eta_t must lie in [0, 1]")
     if gain_sq == 0.0:
         raise ValueError(
             "click probability vanishes: the joint distribution is vacuum"
@@ -134,8 +136,8 @@ def tmd_convolution_matrix(nmax: int) -> list[list[float]]:
 
     n photons split 50/50 produce one click unless they all bunch into
     one bin: P(1|n) = 2^(1-n) and P(2|n) = 1 - 2^(1-n) for n >= 1.
+    nmax is at least 2.
     """
-    require(nmax >= 2, "nmax must be at least 2")
     one = [2.0 ** (1 - n) for n in range(1, nmax + 1)]
     return [
         [1.0] + [0.0] * nmax,
@@ -166,8 +168,8 @@ class InversionResult(NamedTuple):
         state: the reconstructed photon-number distribution, as floats.
         converged: whether kkt_gap is at most KKT_GAP, which certifies
             that log_likelihood is within log(1 + KKT_GAP) of its maximum.
-        iterations: Newton steps taken from the starting point; 0 when
-            the direct solve was already optimal.
+        iterations: Newton steps taken from the starting point, at most
+            _STEP_BUDGET; 0 when the direct solve was already optimal.
         log_likelihood: sum of observed * log(predicted) over the
             observed outcomes; -inf when one of them is predicted zero.
         kkt_gap: max_n g_n - 1 at the returned state, where
@@ -300,7 +302,7 @@ def _ml_estimate(observed, response, condition) -> InversionResult:
     rho = [x / total for x in rho]
     evaluation = _evaluate(rows, weights, rho)
     iterations = 0
-    while KKT_GAP < evaluation[3] < math.inf:
+    while KKT_GAP < evaluation[3] < math.inf and iterations < _STEP_BUDGET:
         step = _newton_step(rows, weights, rho, evaluation)
         if step is None:
             break
@@ -327,10 +329,7 @@ def ml_invert(clicks, efficiency: float) -> InversionResult:
     """
     clicks = _probabilities(clicks, "a two-bin detector has 3 outcomes", 3, 3)
     splitter = tmd_convolution_matrix(2)
-    # loss_matrix refuses an efficiency outside [0, 1] before this
-    # function refuses zero
     loss_columns = list(zip(*loss_matrix(efficiency, 2)))
-    require(efficiency > 0.0, "inversion requires efficiency > 0")
     response = [_apply(loss_columns, row) for row in splitter]
     # both maps have stochastic columns, so the norm of R is one.  R^-1,
     # the loss map of 1/eta times the splitter's inverse, has the largest
@@ -358,7 +357,6 @@ def invert_loss_only(observed, efficiency: float) -> InversionResult:
     """
     observed = _probabilities(observed, "need >= 2 outcomes", 2, math.inf)
     response = loss_matrix(efficiency, len(observed) - 1)
-    require(efficiency > 0.0, "inversion requires efficiency > 0")
     # R's columns are stochastic, so its norm is one.  R^-1 is the loss
     # map of efficiency 1/eta, whose column n sums in absolute value to
     # ((2 - eta) / eta)^n, largest at n = K - 1

@@ -27,10 +27,8 @@ def model_source(aspect_ratio: float, tilt_deg: float) -> FilteredSource:
     det = lam: the major axis runs along decreasing idler detuning, as
     for co-signed group-velocity mismatch.  The phase slopes are
     (s, c) / sqrt(GAMMA), which identifies the phase-matching width
-    with the minor axis.
+    with the minor axis.  aspect_ratio must be at least 1.
     """
-    if aspect_ratio < 1.0:
-        raise ValueError("aspect_ratio must be at least 1")
     lam = 1.0 / aspect_ratio**2
     # reduced in degrees, where fmod is exact, and c taken from the
     # complementary angle, so that s == c at exactly 45 deg
@@ -49,7 +47,6 @@ def model_source(aspect_ratio: float, tilt_deg: float) -> FilteredSource:
 
 
 def visibility_from_overlap(overlap: float) -> float:
-    """Interference visibility (1+O)/(3-O); 1/3 for distinguishable twins."""
-    if not 0.0 <= overlap <= 1.0:
-        raise ValueError("overlap must lie in [0, 1]")
+    """Interference visibility (1+O)/(3-O) for an overlap O in [0, 1];
+    1/3 for distinguishable twins."""
     return (1.0 + overlap) / (3.0 - overlap)

@@ -13,16 +13,31 @@ ratio of the slopes fitted to two filter settings estimates
 (M_unfiltered + 1) / (M_filtered + 1).  No command fits it, since a
 fit to the command's own model only returns the mode counts it was
 given; the tests fit it to the distributions above.
+
+face_input draws the seeded photon-count observations over which the
+README counts how the inversion's face solve ends.
 """
 
 import math
+import random
 from typing import NamedTuple
 
 import numpy as np
 
-from pdckit.errors import require, require_pairs
+from pdckit.errors import require
 
 _TAIL_LIMIT = 1e-6
+
+
+def _require_pairs(points, minimum: int, message: str) -> list[tuple]:
+    """points as a list of (float, float) pairs; raise ValueError(message)
+    unless there are at least minimum of them, each two numbers."""
+    try:
+        pairs = [(float(x), float(y)) for x, y in points]
+    except (TypeError, ValueError):  # not pairs, or not numbers
+        pairs = []
+    require(len(pairs) >= minimum, message)
+    return pairs
 
 
 def _distribution(probs) -> np.ndarray:
@@ -144,7 +159,7 @@ def _fit_line(points) -> tuple[float, float]:
     square underflows however small the powers are.
     """
     power, mean = zip(
-        *require_pairs(
+        *_require_pairs(
             points, 2, "each series needs at least two (power, mean) points"
         )
     )
@@ -181,3 +196,26 @@ def implied_mode_count(slope_ratio: float, modes_filtered: int = 1) -> float:
     """Unfiltered mode count implied by a slope ratio and a known reference."""
     require(modes_filtered >= 1, "modes_filtered must be at least 1")
     return slope_ratio * (modes_filtered + 1) - 1.0
+
+
+def face_input(index: int) -> tuple[list[float], float]:
+    """(observed, efficiency) of the index-th seeded face input.
+
+    random.Random(7) draws K in 2..16, an efficiency in [0.03, 1] and
+    K entries, each 0 with probability 0.3 and otherwise 10**u for u
+    uniform in [-290, 0]; an input whose entries are all 0 is drawn
+    again whole, and the entries are normalized to sum to one.
+    """
+    rng = random.Random(7)
+    drawn = []
+    while len(drawn) <= index:
+        size = rng.randint(2, 16)
+        efficiency = rng.uniform(0.03, 1)
+        entries = [
+            0.0 if rng.random() < 0.3 else 10 ** rng.uniform(-290, 0)
+            for _ in range(size)
+        ]
+        total = sum(entries)
+        if total:
+            drawn.append(([y / total for y in entries], efficiency))
+    return drawn[index]

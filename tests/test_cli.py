@@ -13,9 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdckit import cli, jsa, units
+from pdckit import cli, jsa, photon_stats, units
 from pdckit.errors import ConfigError
 from pdckit.scenario import Scenario
+from photon_distributions import face_input
 
 
 def _write(tmp_path, name, text):
@@ -456,6 +457,28 @@ class TestVisibilityAndFit:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
+        "contents, message",
+        [
+            (None, "cannot read data file {}: "),
+            (b"beta_sq,visibility\n0.01,\xff\n", "non-numeric entry in {}: "),
+        ],
+        ids=["missing", "undecodable"],
+    )
+    def test_unusable_data_file_is_refused(
+        self, tmp_path, capsys, contents, message
+    ):
+        data = tmp_path / "d.csv"
+        if contents is not None:
+            data.write_bytes(contents)
+        config = _write(tmp_path, "fit.cfg", "p0 = 0.5\np1 = 0.5\np2 = 0\n")
+        code, out, err = _run(
+            capsys, "fit-overlap", "--config", str(config), "--data", str(data)
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: " + message.format(data))
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
         "lines, message",
         [
             (["0.01,0.4", "0.02,0.5"], "need at least three rows"),
@@ -643,6 +666,32 @@ class TestHomScanCommand:
         assert code == 0 and out_extra == out
         assert err_extra == err + (
             "ignored keys: center_wavelength, reference_fwhm\n"
+        )
+
+    def test_overlap_rounded_above_one_is_refused(self, tmp_path, capsys):
+        # m12 of this source nearly vanishes and 1/w_r^2 is close to
+        # A - B, where the closed form of tmax rounds to 1 + 2^-52; a
+        # signal filter of 1e50 nm is open in effect
+        config = _write(
+            tmp_path,
+            "scan.cfg",
+            """
+            pump_fwhm = 1511.4053928233595 nm
+            length = 3.0664430334503177 mm
+            kappa_s = 5.710552012454069e-13 s/m
+            kappa_i = -2.6503268653783634e-13 s/m
+            signal_filter_fwhm = 1e50 nm
+            reference_fwhm = 850.9513290974699 nm
+            p0 = 0.9
+            p1 = 0.09
+            p2 = 0.01
+            beta_sq = 0.1
+            """,
+        )
+        assert _run(capsys, "hom-scan", "--config", str(config)) == (
+            1,
+            "",
+            "error: hom-scan: overlap_max must lie in [0, 1]\n",
         )
 
     def test_dip_wider_than_a_squared_double(self, tmp_path, capsys):
@@ -1022,6 +1071,30 @@ class TestInvertCommand:
         assert code == 0 and out_verbose == out
         assert err_verbose == err + "ignored keys: max_iter, tol\n"
 
+    @pytest.mark.parametrize(
+        "index, gap",
+        [(84, "5.35e+03"), (143, "3.42e-01"), (2997, "6.90e+01")],
+    )
+    def test_unfinished_face_solve_exits_two(
+        self, tmp_path, capsys, monkeypatch, index, gap
+    ):
+        # 84 and 143 find no ascent; 2997 spends the step budget, cut here
+        # to 20 steps
+        monkeypatch.setattr(photon_stats, "_STEP_BUDGET", 20)
+        observed, efficiency = face_input(index)
+        config = _write(
+            tmp_path,
+            "i.cfg",
+            f"observed = {', '.join(map(repr, observed))}\n"
+            f"efficiency = {efficiency!r}\n",
+        )
+        assert _run(capsys, "invert", "--config", str(config)) == (
+            2,
+            "",
+            "numerical failure: inversion did not converge: "
+            f"KKT gap {gap} above 1e-13\n",
+        )
+
     def test_unexplained_outcome_exits_two(self, tmp_path, capsys):
         config = _write(
             tmp_path,
@@ -1296,6 +1369,52 @@ class TestErrorHandling:
             assert sc.number_list("k_list") == expected
         except ConfigError as exc:
             assert str(exc) == expected
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            (
+                "ellipse",
+                "pump_fwhm = 2.5 nm\nlength = 2.1 mm\npm_fwhm = 0.5 nm\n",
+                "missing required key 'kappa_s'/'kappa_i' or 'pm_fwhm'/'tilt'",
+            ),
+            (
+                "ellipse",
+                "pump_fwhm = 2.5 nm\nlength = 2.1 mm\nkappa_i = 1e-9 s/m\n",
+                "kappa_s and kappa_i must be given together",
+            ),
+            (
+                "visibility-curve",
+                "p0 = 0.9\np1 = 0.1\np2 = 0\nbeta_sq_min = 0\n"
+                "beta_sq_max = 0.1\n",
+                "key 'beta_sq_min': must be positive",
+            ),
+            (
+                "fidelity",
+                "overlap = 0.5\none_photon = 0.9\noverlap = 0.6\n",
+                "duplicate key 'overlap' (line 3)",
+            ),
+            (
+                "hom-scan",
+                "p0 = 0.9\np1 = 0.09\np2 = 0.01\nbeta_sq = 0.05\ntmax = 0.5\n"
+                "dip_sigma = 1 ps\ntau_steps = 2.5\n",
+                "key 'tau_steps': expected an integer",
+            ),
+        ],
+        ids=[
+            "no-source", "one-kappa", "geometric-zero-min", "duplicate-key",
+            "fractional-count",
+        ],
+    )
+    def test_refusal_is_one_error_line(
+        self, tmp_path, capsys, command, text, message
+    ):
+        config = _write(tmp_path, "c.cfg", text)
+        assert _run(capsys, command, "--config", str(config)) == (
+            1,
+            "",
+            f"error: {message}\n",
+        )
 
     def test_unreadable_config(self, tmp_path, capsys):
         code, _, err = _run(capsys, "ellipse", "--config", str(tmp_path / "nope.cfg"))
@@ -1925,6 +2044,15 @@ def _grid_free_commands(draw):
 
 
 _STATE = {"p0": "0.9", "p1": "0.09", "p2": "0.01"}
+# refusals of values computed from valid keys, which only the library
+# can make
+_COMPUTED_REFUSALS = (
+    ": a value is out of range\n",
+    ": diagonal entries must be positive\n",
+    ": click probability vanishes: the joint distribution is vacuum\n",
+    ": predictor vanishes for this state\n",
+    ": overlap_max must lie in [0, 1]\n",
+)
 # a pump whose 1/w^2 overflows, with the keys of the commands that take it
 _NARROW_SOURCE = dict(
     pump_fwhm="1e-170 nm", length="2.1 mm", pm_fwhm="0.5 nm",
@@ -2023,3 +2151,9 @@ def test_grid_free_commands_exit_cleanly(case):
         )
         if named:
             assert set(re.findall("'([^']*)'", named[1])) <= set(keys)
+        # the fuzz passes no data file or option, so the line names a key
+        # unless the value it refuses was computed
+        message = err.getvalue()
+        assert re.search(r"\bkeys? '", message) or message.endswith(
+            _COMPUTED_REFUSALS
+        )

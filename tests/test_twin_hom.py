@@ -70,8 +70,6 @@ class TestClosedFormOverlaps:
         )
 
     def test_model_source_validation(self):
-        with pytest.raises(ValueError, match="aspect_ratio"):
-            twin_hom.model_source(0.5, 45.0)
         # an aspect ratio whose square overflows
         with pytest.raises(OverflowError):
             twin_hom.model_source(1e200, 45.0)
